@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -85,6 +86,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"--grid must be start:stop:points, got {text!r}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError(f"--grid ends must be finite, got {text!r}")
     if points < 2:
         raise ConfigError(f"--grid needs at least 2 points, got {points}")
     if not start < stop:
@@ -124,6 +127,19 @@ def _build_function(source: Optional[str]) -> RealFunction:
         ) from exc
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _given(opt: dict, flag: str, default):
+    """The flag's value, or ``default`` when the flag was not given."""
+    value = opt.get(flag)
+    return default if value is None else value
+
+
 def _operator_from_options(op: str, opt: dict) -> DerivativeKind:
     def need(flag: str) -> float:
         if opt.get(flag) is None:
@@ -137,14 +153,13 @@ def _operator_from_options(op: str, opt: dict) -> DerivativeKind:
     if op == "kappa":
         return Kaniadakis(need("kappa"))
     if op == "hausdorff":
-        return Hausdorff(need("zeta"), opt.get("l0") or 1.0)
+        return Hausdorff(need("zeta"), _given(opt, "l0", 1.0))
     if op == "conformable":
         return Conformable(need("alpha"))
     if op == "gl":
-        n_terms = opt.get("terms")
-        return GrunwaldJumarie(need("alpha"), need("h"), int(n_terms) if n_terms else None)
+        return GrunwaldJumarie(need("alpha"), need("h"), opt.get("terms"))
     if op == "yang":
-        return YangLFD(need("alpha"), opt.get("l0") or 1.0)
+        return YangLFD(need("alpha"), _given(opt, "l0", 1.0))
     raise ConfigError(f"unknown operator {op!r}")
 
 
@@ -172,20 +187,38 @@ def _run_deriv(config: RunConfig, out) -> int:
     start, stop, points = config.grid
     xs = np.linspace(start, stop, points)
     _validate_grid_domain(kind, form, xs)
-    rows = []
-    for x in xs:
-        x = float(x)
-        try:
+
+    def operator(grid: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
             if form == "quotient" and isinstance(kind, QDeformed):
-                value = q_derivative_quotient(f, x, kind.q, config.tolerances)
-            elif form == "quotient" and isinstance(kind, Hausdorff):
-                value = hausdorff_quotient(f, x, kind.zeta, config.tolerances)
-            else:
-                value = evaluate_kind(kind, f, x, config.tolerances)
+                return q_derivative_quotient(f, grid, kind.q, config.tolerances)
+            if form == "quotient" and isinstance(kind, Hausdorff):
+                return hausdorff_quotient(f, grid, kind.zeta, config.tolerances)
+            return evaluate_kind(kind, f, grid, config.tolerances)
+
+    # A failure names the first grid x that fails.  The probe arrays run one
+    # after another, so a failure at a smaller x may sit in a later probe:
+    # the part of the grid before a failure runs again until it passes.
+    failure, end, values = None, points, xs[:0]
+    while end > 0:
+        try:
+            values = operator(xs[:end])
+            break
         except DefcalcError as exc:
-            print(f"numerical failure: {opt['op']} operator at x = {x}: {exc}", file=sys.stderr)
-            return 3
-        rows.append((x, value))
+            failure, end = exc, 0 if exc.index is None else exc.index
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(np.argmax(bad))
+        print(
+            f"numerical failure: {opt['op']} operator at x = {xs[i]}: non-finite value {values[i]}",
+            file=sys.stderr,
+        )
+        return 3
+    if failure is not None:
+        print(f"numerical failure: {opt['op']} operator at x = {xs[end]}: {failure}",
+              file=sys.stderr)
+        return 3
+    rows = list(zip(xs.tolist(), values.tolist()))
     params = {"op": opt.get("op"), "form": form, "fn": config.function_source}
     params.update({k: v for k, v in opt.items() if k not in ("op", "form") and v is not None})
     _emit(config, params, ("x", "value"), rows, out)
@@ -196,7 +229,7 @@ def _run_solve(config: RunConfig, out) -> int:
     opt = config.options
     problem = opt.get("problem")
     start, stop, points = config.grid
-    tol = opt.get("tol") or 1e-10
+    tol = _given(opt, "tol", 1e-10)
     try:
         if problem == "q":
             if opt.get("q") is None:
@@ -205,13 +238,13 @@ def _run_solve(config: RunConfig, out) -> int:
         elif problem == "hausdorff":
             if opt.get("zeta") is None:
                 raise ConfigError("--problem hausdorff requires --zeta")
-            hp = HausdorffParams(opt["zeta"], opt.get("l0") or 1.0)
+            hp = HausdorffParams(opt["zeta"], _given(opt, "l0", 1.0))
             report = solve_hausdorff_eigen(hp, (start, stop), points, tol)
         elif problem == "fractional":
             if opt.get("alpha") is None:
                 raise ConfigError("--problem fractional requires --alpha")
             report = verify_fractional_eigen(
-                opt["alpha"], (start, stop), points, opt.get("h") or 1e-3
+                opt["alpha"], (start, stop), points, _given(opt, "h", 1e-3)
             )
         else:
             raise ConfigError(f"unknown --problem {problem!r}")
@@ -242,11 +275,14 @@ def _run_map(config: RunConfig, out) -> int:
     has_zeta, has_q = opt.get("zeta") is not None, opt.get("q") is not None
     if has_zeta == has_q:
         raise ConfigError("map needs exactly one of --zeta or --q")
-    l0 = opt.get("l0") or 1.0
-    if has_zeta:
-        result = q_from_zeta(HausdorffParams(opt["zeta"], l0))
-    else:
-        result = zeta_from_q(QParam(opt["q"]), l0)
+    l0 = _given(opt, "l0", 1.0)
+    try:
+        if has_zeta:
+            result = q_from_zeta(HausdorffParams(opt["zeta"], l0))
+        else:
+            result = zeta_from_q(QParam(opt["q"]), l0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     rows = [(result.q, result.zeta, result.l0, result.first_order_residual_bound)]
     params = {k: v for k, v in opt.items() if v is not None}
     _emit(config, params, ("q", "zeta", "l0", "first_order_residual_bound"), rows, out)
@@ -258,11 +294,11 @@ def _run_expand(config: RunConfig, out) -> int:
     has_zeta, has_kappa = opt.get("zeta") is not None, opt.get("kappa") is not None
     if has_zeta == has_kappa:
         raise ConfigError("expand needs exactly one of --zeta or --kappa")
-    order = int(opt.get("order") or 8)
+    order = opt["order"]
     try:
         if has_zeta:
             expansion = expand_hausdorff_prefactor(
-                HausdorffParams(opt["zeta"], opt.get("l0") or 1.0), order
+                HausdorffParams(opt["zeta"], _given(opt, "l0", 1.0)), order
             )
         else:
             expansion = kappa_expansion(opt["kappa"], order)
@@ -286,10 +322,15 @@ def _run_ml(config: RunConfig, out) -> int:
     for z in zs:
         z = float(z)
         try:
-            rows.append((z, mittag_leffler(z, alpha, MLSeriesConfig())))
+            value = mittag_leffler(z, alpha, MLSeriesConfig())
         except DefcalcError as exc:
             print(f"numerical failure: ml at z = {z}: {exc}", file=sys.stderr)
             return 3
+        if not math.isfinite(value):
+            print(f"numerical failure: ml at z = {z}: the series overflowed to {value}",
+                  file=sys.stderr)
+            return 3
+        rows.append((z, value))
     params = {k: v for k, v in opt.items() if v is not None}
     _emit(config, params, ("x", "value"), rows, out)
     return 0
@@ -329,9 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", required=grid_required, help="start:stop:points")
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--output", default=None, help="write the table to this file")
-        p.add_argument("--base-step", type=float, default=1e-2)
+        p.add_argument("--base-step", type=_finite_float, default=1e-2)
         p.add_argument("--levels", type=int, default=4)
-        p.add_argument("--rel-tol", type=float, default=1e-8)
+        p.add_argument("--rel-tol", type=_finite_float, default=1e-8)
 
     p = sub.add_parser("deriv", help="evaluate a derivative operator over a grid")
     p.add_argument("--op", required=True,
@@ -339,30 +380,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fn", required=True, help="expression in x")
     p.add_argument("--form", choices=("closed", "quotient"), default="closed")
     for flag in ("--q", "--kappa", "--zeta", "--l0", "--alpha", "--h"):
-        p.add_argument(flag, type=float, default=None)
+        p.add_argument(flag, type=_finite_float, default=None)
     p.add_argument("--terms", type=int, default=None)
     add_common(p, grid_required=True)
 
     p = sub.add_parser("solve", help="verify an eigen-equation and emit residuals")
     p.add_argument("--problem", required=True, choices=("q", "hausdorff", "fractional"))
     for flag in ("--q", "--zeta", "--l0", "--alpha", "--h", "--tol"):
-        p.add_argument(flag, type=float, default=None)
+        p.add_argument(flag, type=_finite_float, default=None)
     add_common(p, grid_required=True)
 
     p = sub.add_parser("map", help="bridge the entropic index q and scaling exponent zeta")
     for flag in ("--q", "--zeta", "--l0"):
-        p.add_argument(flag, type=float, default=None)
+        p.add_argument(flag, type=_finite_float, default=None)
     add_common(p, grid_required=False)
 
     p = sub.add_parser("expand", help="series coefficients of an operator prefactor")
     for flag in ("--zeta", "--l0", "--kappa"):
-        p.add_argument(flag, type=float, default=None)
+        p.add_argument(flag, type=_finite_float, default=None)
     p.add_argument("--order", type=int, default=8)
     add_common(p, grid_required=False)
 
     p = sub.add_parser("ml", help="evaluate the Mittag-Leffler function")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--z", type=float, default=None)
+    p.add_argument("--alpha", type=_finite_float, default=None)
+    p.add_argument("--z", type=_finite_float, default=None)
     add_common(p, grid_required=False)
 
     sub.add_parser("selftest", help="run the built-in invariant suite")

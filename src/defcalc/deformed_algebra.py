@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 # Deformations closer to classical than this take the exact classical branch.
@@ -71,18 +73,23 @@ def _as_kappa(kappa: KappaParam | float) -> KappaParam:
     return kappa if isinstance(kappa, KappaParam) else KappaParam(float(kappa))
 
 
-def q_difference(x: float, y: float, q: QParam | float) -> float:
-    """Deformed difference (x - y) / (1 + (1 - q) y).
+def q_difference(x, y, q: QParam | float):
+    """Deformed difference (x - y) / (1 + (1 - q) y), for floats or arrays.
 
     Reduces to x - y at q = 1.  Raises :class:`DomainError` on the singular
-    line y = 1/(q - 1) (within 1e-12 absolute).
+    line y = 1/(q - 1) (within 1e-12 absolute); for an array of y, its
+    ``index`` is the first position on that line.
     """
     qp = _as_q(q)
     if qp.is_classical:
         return x - y
     singular = 1.0 / (qp.q - 1.0)
-    if abs(y - singular) < 1e-12:
-        raise DomainError(f"q_difference singular at y = 1/(q-1) = {singular}")
+    near = abs(y - singular) < 1e-12
+    if near.any() if isinstance(near, np.ndarray) else near:
+        exc = DomainError(f"q_difference singular at y = 1/(q-1) = {singular}")
+        if isinstance(near, np.ndarray):
+            exc.index = int(near.argmax())
+        raise exc
     return (x - y) / (1.0 + (1.0 - qp.q) * y)
 
 

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class DefcalcError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.
+
+    ``index`` is the position of the failing x when the error comes from an
+    evaluation over an array of x, else None.
+    """
+
+    index: Optional[int] = None
 
 
 class DomainError(DefcalcError):

@@ -27,7 +27,13 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import special_functions
-from .errors import EvaluationError, ParseError, PoleError, UnsupportedDerivative
+from .errors import (
+    DefcalcError,
+    EvaluationError,
+    ParseError,
+    PoleError,
+    UnsupportedDerivative,
+)
 
 __all__ = [
     "Number",
@@ -489,6 +495,109 @@ def to_source(ast: Expr) -> str:
     return f"{ast.name}({', '.join(to_source(a) for a in ast.args)})"
 
 
+# --- Compilation to numpy ------------------------------------------------
+
+_BINARY_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+_CALL_UFUNCS = {
+    "exp": np.exp,
+    "ln": np.log,
+    "sin": np.sin,
+    "cos": np.cos,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+    "pow": np.power,
+}
+
+
+def _gamma_or_nan(u: float) -> float:
+    try:
+        return special_functions.gamma(u)
+    except (ValueError, OverflowError, ZeroDivisionError, PoleError):
+        return math.nan
+
+
+_gamma_elementwise = np.vectorize(_gamma_or_nan, otypes=[float])
+
+
+def _lower(ast: Expr) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """Lower ``ast`` to node(xs, ok), its value elementwise over the array xs.
+
+    Every BinOp and Call node clears ``ok`` where its result is not finite:
+    these are the nodes at which :func:`evaluate` raises, so ``ok`` ends up
+    false exactly where the scalar evaluation would fail.
+    """
+    if isinstance(ast, Number):
+        value = ast.value
+        return lambda xs, ok: value
+    if isinstance(ast, Var):
+        return lambda xs, ok: xs
+    if isinstance(ast, Neg):
+        operand = _lower(ast.operand)
+        return lambda xs, ok: np.negative(operand(xs, ok))
+    if isinstance(ast, BinOp):
+        ufunc = _BINARY_UFUNCS[ast.op]
+        args = (_lower(ast.left), _lower(ast.right))
+    else:
+        ufunc = _CALL_UFUNCS.get(ast.name, _gamma_elementwise)
+        args = tuple(_lower(a) for a in ast.args)
+
+    def node(xs, ok):
+        value = ufunc(*[arg(xs, ok) for arg in args])
+        ok &= np.isfinite(value)
+        return value
+
+    return node
+
+
+def _compile(ast: Expr) -> Callable:
+    """``ast`` as a function of a float, by :func:`evaluate`, or of an array
+    of x, by numpy ufuncs over the whole array at once.
+
+    Where the array pass meets a non-finite intermediate, :func:`evaluate`
+    runs at that x, in array order: it raises the same
+    :class:`EvaluationError` as a point-by-point evaluation would, with
+    ``index`` set to the position of that x.
+    """
+    node = _lower(ast)
+
+    def fn(x):
+        if not isinstance(x, np.ndarray) or x.ndim == 0:
+            return evaluate(ast, x)
+        xs = x.astype(float, copy=False)
+        ok = np.ones(xs.shape, dtype=bool)
+        with np.errstate(all="ignore"):
+            values = np.array(np.broadcast_to(node(xs, ok), xs.shape), dtype=float)
+        for i in np.flatnonzero(~ok):
+            try:
+                values.flat[i] = evaluate(ast, float(xs.flat[i]))
+            except EvaluationError as exc:
+                exc.index = int(i)
+                raise
+        return values
+
+    return fn
+
+
+def _on_array(fn: Callable, xs: np.ndarray) -> np.ndarray:
+    """fn elementwise over xs: in one call when fn takes arrays, else point by
+    point (a DefcalcError then carries the position of the failing x as
+    ``index``)."""
+    try:
+        values = np.asarray(fn(xs), dtype=float)
+    except (TypeError, ValueError):  # fn takes scalars only
+        values = None
+    if values is not None and values.shape == xs.shape:
+        return values
+    values = np.empty(xs.shape)
+    for i, t in enumerate(xs.flat):
+        try:
+            values.flat[i] = fn(float(t))
+        except DefcalcError as exc:
+            exc.index = i
+            raise
+    return values
+
+
 # --- RealFunction --------------------------------------------------------
 
 
@@ -498,7 +607,9 @@ class RealFunction:
 
     ``derivative`` is the exact derivative when available (symbolic for
     parsed expressions, caller-supplied for closures); operators fall back to
-    a central-difference limit when it is None.
+    a central-difference limit when it is None.  Calling the function, or
+    :meth:`derivative_at`, takes a float or an array of x; a callable that
+    only takes scalars is then applied point by point.
     """
 
     value: Callable[[float], float]
@@ -506,8 +617,16 @@ class RealFunction:
     label: str = "f"
     source: Optional[str] = field(default=None, compare=False)
 
-    def __call__(self, x: float) -> float:
-        return self.value(x)
+    def __call__(self, x):
+        if not isinstance(x, np.ndarray) or x.ndim == 0:
+            return self.value(x)
+        return _on_array(self.value, x)
+
+    def derivative_at(self, x):
+        """The attached derivative at a float, or elementwise over an array of x."""
+        if not isinstance(x, np.ndarray) or x.ndim == 0:
+            return self.derivative(x)
+        return _on_array(self.derivative, x)
 
     @classmethod
     def from_callable(cls, f: Callable[[float], float], df=None, label: str = "f") -> "RealFunction":
@@ -516,16 +635,17 @@ class RealFunction:
     @classmethod
     def from_expression(cls, source: str) -> "RealFunction":
         """Parse ``source`` and attach its symbolic derivative when the tree
-        is differentiable (gamma/abs nodes leave derivative = None)."""
+        is differentiable (gamma/abs nodes leave derivative = None).  Both are
+        compiled once to numpy, so either evaluates a whole array of x in one
+        pass; a float x still goes through :func:`evaluate`."""
         ast = parse(source)
         try:
             dast = differentiate(ast)
         except UnsupportedDerivative:
             dast = None
-        derivative = (lambda x: evaluate(dast, x)) if dast is not None else None
         return cls(
-            value=lambda x: evaluate(ast, x),
-            derivative=derivative,
+            value=_compile(ast),
+            derivative=_compile(dast) if dast is not None else None,
             label=source,
             source=source,
         )

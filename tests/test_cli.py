@@ -76,6 +76,87 @@ class TestDerivCommand:
         assert code == 3
         assert "x = -1" in err
 
+    def test_failure_names_the_first_failing_x(self, capsys):
+        code, _, err = run_cli(
+            capsys, "deriv", "--op", "q", "--q", "0.5", "--fn", "1/(x-0.5)", "--grid", "0:1:5"
+        )
+        assert code == 3
+        assert "q operator at x = 0.5:" in err
+
+    def test_failure_in_a_later_probe_at_a_smaller_x(self, capsys):
+        # x = 1.99 fails in the first probe (x + 0.01 = 2), x = 1.01 only in
+        # the second (x - 0.01 = 1); the first grid x that fails is 1.01
+        code, _, err = run_cli(
+            capsys, "deriv", "--op", "classical", "--fn", "1/((x-1)*(x-2))",
+            "--grid", "1.01:1.99:99",
+        )
+        assert code == 3
+        assert "classical operator at x = 1.01:" in err
+
+    @pytest.mark.parametrize("grid", ["0:inf:3", "-inf:1:3", "0:nan:3"])
+    def test_non_finite_grid_end_is_config_error(self, capsys, grid):
+        code, out, err = run_cli(
+            capsys, "deriv", "--op", "q", "--q", "0.5", "--fn", "x", "--grid", grid
+        )
+        assert code == 2
+        assert out == ""
+        assert "--grid" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("deriv", "--op", "q", "--q", "nan", "--fn", "x^2", "--grid", "0:1:3"),
+            ("deriv", "--op", "hausdorff", "--zeta", "0.5", "--l0", "inf", "--fn", "x",
+             "--grid", "0:1:3"),
+            ("deriv", "--op", "classical", "--fn", "x", "--grid", "0:1:3", "--base-step", "nan"),
+            ("map", "--q", "0.5", "--l0", "inf"),
+        ],
+    )
+    def test_non_finite_parameter_is_config_error(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+
+    def test_non_finite_value_is_numerical_failure(self, capsys):
+        # sqrt(1 + x^2) overflows at x = 5e299
+        code, out, err = run_cli(
+            capsys, "deriv", "--op", "kappa", "--kappa", "1", "--fn", "x", "--grid", "0:1e300:3"
+        )
+        assert code == 3
+        assert out == ""
+        assert "x = 5e+299" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("deriv", "--op", "hausdorff", "--zeta", "0.5", "--l0", "0", "--fn", "x",
+             "--grid", "0:1:3"),
+            ("deriv", "--op", "yang", "--alpha", "0.5", "--l0", "0", "--fn", "x",
+             "--grid", "0:1:3"),
+            ("deriv", "--op", "gl", "--alpha", "0.5", "--h", "0.1", "--terms", "0",
+             "--fn", "x", "--grid", "0:1:3"),
+            ("solve", "--problem", "q", "--q", "0.5", "--tol", "0", "--grid", "0:1:11"),
+            ("solve", "--problem", "fractional", "--alpha", "0.5", "--h", "0",
+             "--grid", "0.2:1:11"),
+            ("map", "--zeta", "0.5", "--l0", "0"),
+            ("expand", "--zeta", "0.5", "--order", "0"),
+        ],
+    )
+    def test_zero_is_not_replaced_by_a_default(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+
+    def test_gl_chain_keeps_its_origin_node(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "deriv", "--op", "gl", "--fn", "1", "--alpha", "0.5", "--h", "0.1",
+            "--grid", "0.1:1:10",
+        )
+        assert code == 0
+        row = out.splitlines()[6].split(",")
+        assert float(row[0]) == pytest.approx(0.6)
+        assert float(row[1]) == pytest.approx(0.7133653706043902, rel=1e-14)
+
     def test_bad_grid_syntax(self, capsys):
         code, _, err = run_cli(
             capsys, "deriv", "--op", "classical", "--fn", "x", "--grid", "0:1"
@@ -106,6 +187,14 @@ class TestSolveCommand:
         assert code == 0
         residuals = [float(line.split(",")[3]) for line in out.strip().splitlines()[1:]]
         assert max(residuals) <= 5e-2
+
+    def test_fractional_problem_on_the_h_lattice(self, capsys):
+        # x = 1.662 is a multiple of h up to round-off: the chain's last node is 0
+        code, _, _ = run_cli(
+            capsys, "solve", "--problem", "fractional", "--alpha", "0.866", "--h", "0.001",
+            "--grid=0.2:1.662:41",
+        )
+        assert code == 0
 
     def test_domain_error_is_config_error(self, capsys):
         code, _, err = run_cli(
@@ -160,6 +249,12 @@ class TestMlCommand:
         code, out, _ = run_cli(capsys, "ml", "--alpha", "2", "--grid", "0:2:5")
         assert code == 0
         assert len(out.strip().splitlines()) == 6
+
+    def test_overflow_is_numerical_failure(self, capsys):
+        code, out, err = run_cli(capsys, "ml", "--alpha", "0.3", "--z", "8")
+        assert code == 3
+        assert out == ""
+        assert "overflow" in err
 
     def test_out_of_series_domain_is_numerical_failure(self, capsys):
         code, _, err = run_cli(capsys, "ml", "--alpha", "0.5", "--z", "11")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from defcalc import (
     Classical,
@@ -32,6 +34,8 @@ from defcalc import (
     yang_lfd,
 )
 from defcalc.derivative_ops import gl_weights
+
+EPS = float(np.finfo(float).eps)
 
 CORPUS = [
     RealFunction.from_expression(src) for src in ("x", "x^2", "sin(x)", "exp(x)")
@@ -246,6 +250,56 @@ class TestGrunwaldJumarie:
             gl_jumarie_derivative("x", 1.0, 0.5, 0.0)
 
 
+    def test_origin_node_on_the_lattice(self):
+        # 0.6 / 0.1 = 5.999999999999999: the chain still has its 7 nodes, down to 0
+        expected = 0.1**-0.5 * float(np.sum(gl_weights(0.5, 6)))
+        assert gl_jumarie_derivative("1", 0.6, 0.5, 0.1) == pytest.approx(expected, rel=1e-15)
+        # 0.3 - 3 * 0.1 = -5.6e-17 is clamped to 0 instead of failing in the square root
+        assert gl_jumarie_derivative("x^0.5", 0.3, 0.5, 0.1) > 0.0
+
+    @given(m=st.integers(1, 3000), h=st.floats(1e-3, 1.0), alpha=st.floats(0.05, 1.0))
+    def test_chain_length_on_the_lattice(self, m, h, alpha):
+        accumulated = 0.0
+        for _ in range(m):
+            accumulated += h
+        variants = (
+            m * h,
+            accumulated,
+            math.fsum([h] * m),
+            float(np.linspace(0.0, 2 * m * h, 2 * m + 1)[m]),
+            (10.0 * m * h) / 10.0,
+        )
+        # with f = 1 the sum is h^-alpha times the sum of the first n + 1
+        # weights, so equal values mean equal chain lengths n = m
+        expected = h**-alpha * np.dot(gl_weights(alpha, m), np.ones(m + 1))
+        for x in variants:
+            assert gl_jumarie_derivative("1", x, alpha, h) == expected
+            gl_jumarie_derivative("x^0.5", x, alpha, h)  # no node below 0
+
+    def test_scalar_only_callable(self):
+        f = RealFunction.from_callable(math.sqrt)  # math.sqrt rejects arrays
+        alpha, h = 0.5, 0.1
+        for x in (0.3, 0.55):
+            n = round(x / h) if x == 0.3 else 5
+            nodes = np.maximum(x - h * np.arange(n + 1), 0.0)
+            values = [math.sqrt(float(t)) for t in nodes]
+            expected = h**-alpha * np.dot(gl_weights(alpha, n), values)
+            assert gl_jumarie_derivative(f, x, alpha, h) == expected
+        xs = np.array([0.25, 0.3, 0.55])
+        assert np.array_equal(
+            gl_jumarie_derivative(f, xs, alpha, h),
+            [gl_jumarie_derivative(f, float(x), alpha, h) for x in xs],
+        )
+
+    def test_grid_equals_point_by_point(self):
+        f = RealFunction.from_expression("x^2 + exp(-x)")
+        xs = np.linspace(0.0, 1.0, 23)
+        assert np.array_equal(
+            gl_jumarie_derivative(f, xs, 0.7, 1e-2),
+            [gl_jumarie_derivative(f, float(x), 0.7, 1e-2) for x in xs],
+        )
+
+
 class TestRLPowerRule:
     def test_gamma_eq_alpha(self):
         for alpha in (0.3, 0.5, 0.8):
@@ -341,6 +395,16 @@ class TestEvaluateKind:
         )
 
     def test_kind_validation(self):
+        for make in (
+            lambda: QDeformed(math.nan),
+            lambda: Kaniadakis(math.inf),
+            lambda: Hausdorff(math.nan),
+            lambda: Hausdorff(0.5, math.inf),
+            lambda: GrunwaldJumarie(0.5, math.nan),
+            lambda: YangLFD(0.5, math.nan),
+        ):
+            with pytest.raises(ValueError):
+                make()
         with pytest.raises(ValueError):
             Hausdorff(0.5, 0.0)
         with pytest.raises(ValueError):
@@ -351,3 +415,48 @@ class TestEvaluateKind:
             GrunwaldJumarie(0.5, 1e-3, n_terms=0)
         with pytest.raises(ValueError):
             YangLFD(2.0)
+
+
+class TestOperatorsOverArrays:
+    # no exp/ln/pow node in f or f', so numpy and libm agree bit for bit on them
+    F = RealFunction.from_expression("sin(x)*x + cos(x)*sqrt(x)")
+    XS = np.linspace(0.2, 2.0, 37)
+
+    def point_by_point(self, op, *args):
+        return np.array([op(self.F, float(x), *args) for x in self.XS])
+
+    def test_bit_identical_where_no_power_is_taken(self):
+        for op, args in (
+            (q_derivative, (0.6,)),
+            (kaniadakis_derivative, (0.8,)),
+            (classical_derivative, ()),
+            (q_derivative_quotient, (0.6,)),
+        ):
+            assert np.array_equal(op(self.F, self.XS, *args), self.point_by_point(op, *args))
+
+    def test_power_prefactors_within_rounding(self):
+        hp = HausdorffParams(0.6, 1.3)
+        for op, args in ((hausdorff_derivative, (hp,)), (yang_lfd, (0.6, hp))):
+            want = self.point_by_point(op, *args)
+            # one ulp in the prefactor, at most one more in the product
+            assert np.all(np.abs(op(self.F, self.XS, *args) - want) <= 4 * EPS * np.abs(want))
+
+    def test_power_probes_within_quotient_rounding(self):
+        # a one-ulp change of a probe is divided by steps down to base_step / 16
+        # and weighted by the Richardson tableau: about 1e-12 relative
+        for op, args in ((hausdorff_quotient, (0.6,)), (conformable_derivative, (0.6,))):
+            want = self.point_by_point(op, *args)
+            assert np.all(np.abs(op(self.F, self.XS, *args) - want) <= 1e-10 * np.abs(want))
+
+    def test_evaluate_kind_takes_a_grid(self):
+        got = evaluate_kind(QDeformed(0.6), self.F, self.XS)
+        assert np.array_equal(got, q_derivative(self.F, self.XS, 0.6))
+
+    def test_domain_error_names_the_first_bad_x(self):
+        xs = np.array([0.5, -3.0, -4.0])
+        with pytest.raises(DomainError, match="got -3.0") as err:
+            hausdorff_derivative(self.F, xs, HausdorffParams(0.5, 1.0))
+        assert err.value.index == 1
+        with pytest.raises(DomainError) as err:
+            q_derivative_quotient("x", np.array([0.5, 1.5, 1.5]), 2.0, DiffSettings(base_step=0.5))
+        assert err.value.index == 1

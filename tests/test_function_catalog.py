@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +21,8 @@ from defcalc import (
 from defcalc.function_catalog import BinOp, Call, MAX_DEPTH, Neg, Number, Var
 
 from exprgen import ORACLE_SETTINGS, SAMPLE_POINTS, generate
+
+EPS = float(np.finfo(float).eps)
 
 
 class TestParse:
@@ -240,3 +243,123 @@ class TestRealFunction:
         assert as_real_function(f) is f
         with pytest.raises(TypeError):
             as_real_function(42)
+
+
+# --- the compiled array path against the scalar evaluator --------------------
+
+
+def _subtrees(node):
+    yield node
+    if isinstance(node, Neg):
+        yield from _subtrees(node.operand)
+    elif isinstance(node, BinOp):
+        yield from _subtrees(node.left)
+        yield from _subtrees(node.right)
+    elif isinstance(node, Call):
+        for arg in node.args:
+            yield from _subtrees(arg)
+
+
+def _inexact(node) -> bool:
+    """numpy's exp, log and power may differ from libm by one ulp."""
+    return any(
+        (isinstance(n, BinOp) and n.op == "^") or (isinstance(n, Call) and n.name in ("exp", "ln", "pow"))
+        for n in _subtrees(node)
+    )
+
+
+def _point_by_point(fn, xs):
+    """Reference: fn at each float x in turn; (values, None) or (None, (index, message))."""
+    values = []
+    for i, x in enumerate(xs):
+        try:
+            values.append(fn(float(x)))
+        except EvaluationError as exc:
+            return None, (i, str(exc))
+    return np.array(values), None
+
+
+def _whole_array(fn, xs):
+    try:
+        return fn(xs), None
+    except EvaluationError as exc:
+        return None, (exc.index, str(exc))
+
+
+def _assert_agree(scalar_fn, array_fn, tree, xs):
+    """Same failing x and message, or values equal bit for bit when ``tree``
+    has no exp/ln/pow node, else within 8 n eps V(x): n nodes, each of which
+    may add one ulp of V(x), the largest node magnitude at x."""
+    want, want_err = _point_by_point(scalar_fn, xs)
+    got, got_err = _whole_array(array_fn, xs)
+    assert got_err == want_err
+    if want is None:
+        return
+    if not _inexact(tree):
+        assert np.array_equal(got, want)
+        return
+    nodes = list(_subtrees(tree))
+    magnitude = np.array([max(abs(evaluate(n, float(x))) for n in nodes) for x in xs])
+    assert np.all(np.abs(got - want) <= 8.0 * len(nodes) * EPS * magnitude)
+
+
+SINGULAR_SOURCES = (
+    "ln(x)", "1/(x-1)", "sqrt(x-0.5)", "x^0.5", "gamma(x)", "exp(1/(x-1))", "pow(x, 1.5)",
+    "(x-1)^(-1)", "ln(abs(x))", "sin(x)/x", "1e300*exp(300*x)", "abs(x)^(x-1)",
+)
+WIDE_GRID = np.linspace(-3.0, 3.0, 241)
+
+
+class TestCompiledAgreement:
+    def test_generated_trees_and_derivatives(self):
+        xs = np.linspace(0.3, 2.3, 101)
+        for ast, dast in generate(60):
+            f = RealFunction.from_expression(to_source(ast))
+            _assert_agree(f, f, parse(to_source(ast)), xs)
+            _assert_agree(f.derivative, f.derivative_at, differentiate(parse(to_source(ast))), xs)
+
+    @pytest.mark.parametrize("source", SINGULAR_SOURCES)
+    def test_same_error_at_the_same_first_x(self, source):
+        f = RealFunction.from_expression(source)
+        want = _point_by_point(f, WIDE_GRID)[1]
+        assert want is not None, "the grid should cross a singularity"
+        assert _whole_array(f, WIDE_GRID)[1] == want
+
+    def test_generated_trees_across_singularities(self):
+        failing = 0
+        for ast, _ in generate(60, seed=11):
+            f = RealFunction.from_expression(to_source(ast))
+            _assert_agree(f, f, parse(to_source(ast)), WIDE_GRID)
+            failing += _point_by_point(f, WIDE_GRID)[1] is not None
+        assert failing >= 10  # the comparison covers the error path, not only values
+
+    @given(tree=_trees)
+    def test_arbitrary_trees(self, tree):
+        f = RealFunction.from_expression(to_source(tree))
+        want, want_err = _point_by_point(f, np.linspace(-2.0, 2.0, 41))
+        got, got_err = _whole_array(f, np.linspace(-2.0, 2.0, 41))
+        assert got_err == want_err
+        if want is not None and not _inexact(tree):
+            assert np.array_equal(got, want)
+
+    def test_scalar_inputs_use_the_scalar_evaluator(self):
+        f = RealFunction.from_expression("exp(x)*x^1.5")
+        ast = parse("exp(x)*x^1.5")
+        for x in (0.7, np.float64(0.7), np.array(0.7)):
+            assert f(x) == evaluate(ast, 0.7)
+
+    def test_constant_expression_fills_the_grid(self):
+        f = RealFunction.from_expression("2")
+        xs = np.linspace(0.0, 1.0, 5)
+        assert np.array_equal(f(xs), np.full(5, 2.0))
+        assert np.array_equal(f.derivative_at(xs), np.zeros(5))
+
+    def test_scalar_only_callable_is_applied_point_by_point(self):
+        f = RealFunction.from_callable(math.sin, df=math.cos)
+        xs = np.linspace(0.0, 1.0, 7)
+        assert np.array_equal(f(xs), [math.sin(float(x)) for x in xs])
+        assert np.array_equal(f.derivative_at(xs), [math.cos(float(x)) for x in xs])
+        g = RealFunction.from_samples([0.0, 1.0], [0.0, 2.0])
+        with pytest.raises(EvaluationError) as err:
+            g(np.array([0.5, 1.0, 1.5, 2.0]))
+        assert err.value.index == 2
