@@ -14,6 +14,7 @@ environment variable overrides the default format.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -95,11 +96,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return start, stop, points
 
 
-def _sig(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def _emit(config: RunConfig, params: dict, header: tuple[str, ...], rows, out) -> None:
+    """Write the table; ``rows`` are tuples of floats, one per header column."""
     if config.output_format == "json":
         payload = {
             "command": config.command,
@@ -109,9 +107,9 @@ def _emit(config: RunConfig, params: dict, header: tuple[str, ...], rows, out) -
         out.write(json.dumps(payload, indent=2))
         out.write("\n")
     else:
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(_sig(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        # "%.17g" % v and f"{v:.17g}" give the same bytes for every float
+        line = ",".join(["%.17g"] * len(header)) + "\n"
+        out.write(",".join(header) + "\n" + "".join([line % row for row in rows]))
 
 
 def _build_function(source: Optional[str]) -> RealFunction:
@@ -410,6 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser shared by every ``main`` call in the process, built on the
+    first.  ``parse_args`` leaves it unchanged and each call gets a fresh
+    Namespace, so no flag value carries over from one call to the next."""
+    return build_parser()
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.command == "selftest":
         return RunConfig(command="selftest")
@@ -450,9 +456,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -66,12 +66,12 @@ class DiffSettings:
     rel_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.base_step <= 0.0:
-            raise ValueError(f"base_step must be positive, got {self.base_step}")
+        if not (math.isfinite(self.base_step) and self.base_step > 0.0):
+            raise ValueError(f"base_step must be positive and finite, got {self.base_step}")
         if not 1 <= self.richardson_levels <= 6:
             raise ValueError(f"richardson_levels must be in 1..6, got {self.richardson_levels}")
-        if self.rel_tolerance <= 0.0:
-            raise ValueError(f"rel_tolerance must be positive, got {self.rel_tolerance}")
+        if not (math.isfinite(self.rel_tolerance) and self.rel_tolerance > 0.0):
+            raise ValueError(f"rel_tolerance must be positive and finite, got {self.rel_tolerance}")
 
 
 _DEFAULT_SETTINGS = DiffSettings()

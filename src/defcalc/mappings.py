@@ -110,9 +110,11 @@ def q_from_zeta(hp: HausdorffParams) -> MappingResult:
 
 def zeta_from_q(q: QParam | float, l0: float) -> MappingResult:
     """Scaling exponent induced by the entropic index: zeta = 1 - l0 (1 - q)."""
-    if l0 <= 0.0:
-        raise ValueError(f"l0 must be positive, got {l0}")
+    if not (math.isfinite(l0) and l0 > 0.0):
+        raise ValueError(f"l0 must be positive and finite, got {l0}")
     qv = q.q if isinstance(q, QParam) else float(q)
+    if not math.isfinite(qv):
+        raise ValueError(f"q must be finite, got {qv}")
     zeta = 1.0 - l0 * (1.0 - qv)
     return MappingResult(qv, zeta, l0, _second_order_bound(zeta, l0))
 

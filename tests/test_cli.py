@@ -1,11 +1,17 @@
+import io
 import json
 import math
+import subprocess
+import sys
+import threading
 import time
 
+import numpy as np
 import pytest
 
+import defcalc.cli as cli
 import defcalc.eigen_solvers
-from defcalc.cli import ENV_FORMAT, main
+from defcalc.cli import ENV_FORMAT, RunConfig, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -317,9 +323,6 @@ class TestSelftest:
 
 
 def test_module_entry_point():
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "defcalc.cli", "map", "--zeta", "0.5", "--l0", "2"],
         capture_output=True,
@@ -327,3 +330,189 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rows"][0]["q"] == 0.75
+
+
+@pytest.fixture
+def fresh_parser():
+    """Start and end with no shared parser built."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def run_each(capsys, calls, fresh: bool):
+    results = []
+    for argv in calls:
+        if fresh:
+            cli._parser.cache_clear()
+        results.append(run_cli(capsys, *argv))
+    return results
+
+
+class TestParserReuse:
+    CALLS = [
+        ("map", "--q", "0.5"),
+        ("map", "--zeta", "0.5"),
+        ("deriv", "--op", "hausdorff", "--zeta", "0.5", "--fn", "sin(x)", "--grid", "0.1:2:7"),
+        ("deriv", "--op", "q", "--q", "0.5", "--fn", "x", "--grid", "0:1:3", "--no-such-flag"),
+        ("--help",),
+        ("deriv", "--help"),
+        ("map", "--l0", "2", "--zeta", "0.25", "--format", "csv"),
+    ]
+
+    def test_interleaved_calls_match_fresh_parsers(self, capsys, fresh_parser):
+        shared = run_each(capsys, self.CALLS, fresh=False)
+        fresh = run_each(capsys, self.CALLS, fresh=True)
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, 0, 2, 0, 0, 0]
+        assert "--no-such-flag" in shared[3][2]
+        assert shared[4][1].startswith("usage: defcalc")
+
+    def test_flag_values_do_not_carry_over(self, capsys, fresh_parser):
+        run_cli(capsys, "map", "--q", "0.5")
+        code, out, _ = run_cli(capsys, "map", "--zeta", "0.5")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["params"] == {"zeta": 0.5}
+        assert payload["rows"][0]["zeta"] == 0.5
+        assert cli._parser().parse_args(["map", "--zeta", "0.5"]).q is None
+
+    def test_environment_format_is_read_per_call(self, capsys, monkeypatch, fresh_parser):
+        argv = ("deriv", "--op", "classical", "--fn", "x", "--grid", "0:1:2")
+        monkeypatch.setenv(ENV_FORMAT, "csv")
+        _, first, _ = run_cli(capsys, *argv)
+        monkeypatch.setenv(ENV_FORMAT, "json")
+        _, second, _ = run_cli(capsys, *argv)
+        monkeypatch.delenv(ENV_FORMAT)
+        _, third, _ = run_cli(capsys, *argv)
+        assert first.startswith("x,value\n")
+        assert json.loads(second)["command"] == "deriv"
+        assert third == first
+
+    def test_threads_write_the_same_files_as_serial_runs(self, tmp_path, fresh_parser):
+        ops = [
+            ("--op", "q", "--q", "0.5", "--fn", "x^2", "--grid", "0:2:301"),
+            ("--op", "hausdorff", "--zeta", "0.7", "--l0", "1.5", "--fn", "exp(x)",
+             "--grid", "0:3:401"),
+            ("--op", "kappa", "--kappa", "0.3", "--fn", "sin(x)", "--grid=-1:1:257"),
+            ("--op", "gl", "--alpha", "0.5", "--h", "0.01", "--fn", "x", "--grid", "0.05:1:33"),
+        ]
+
+        def argv(i, tag):
+            return ["deriv", *ops[i], "--output", str(tmp_path / f"{tag}{i}.csv")]
+
+        assert [main(argv(i, "serial")) for i in range(len(ops))] == [0] * len(ops)
+        # the parser is built under contention too
+        cli._parser.cache_clear()
+        start, codes = threading.Barrier(len(ops)), [None] * len(ops)
+
+        def work(i):
+            start.wait(timeout=30)
+            codes[i] = main(argv(i, "thread"))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(ops))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert codes == [0] * len(ops)
+        for i in range(len(ops)):
+            serial = (tmp_path / f"serial{i}.csv").read_bytes()
+            assert (tmp_path / f"thread{i}.csv").read_bytes() == serial
+
+
+class TestParserCost:
+    def test_import_builds_no_parser(self):
+        probe = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import defcalc.cli\n"
+            "print(len(built))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
+
+    def test_main_builds_the_parser_at_most_once(self, capsys, monkeypatch, fresh_parser):
+        built = []
+
+        def counting():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        for _ in range(5):
+            assert main(["map", "--q", "0.5"]) == 0
+            assert main(["expand", "--kappa", "1", "--order", "4"]) == 0
+            assert main(["map", "--bogus"]) == 2
+        capsys.readouterr()
+        assert len(built) <= 1
+
+
+# the per-value formatter the CSV writer replaced
+def _old_csv(header, rows):
+    lines = [",".join(header)]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e-300, 0.1, 2.0, 1e22, np.float64(1.0) / 3.0, -7.25e-5]
+
+HEADERS = {
+    "deriv": ("x", "value"),
+    "solve": ("x", "value", "closed_form", "residual"),
+    "map": ("q", "zeta", "l0", "first_order_residual_bound"),
+    "expand": ("x", "value"),
+    "ml": ("x", "value"),
+}
+
+
+class TestCsvBytes:
+    @pytest.mark.parametrize("command", sorted(HEADERS))
+    def test_matches_the_per_value_format(self, command):
+        header = HEADERS[command]
+        n = len(EDGE_VALUES)
+        rows = [tuple(EDGE_VALUES[(i + j) % n] for j in range(len(header))) for i in range(n)]
+        out = io.StringIO()
+        cli._emit(RunConfig(command=command), {}, header, rows, out)
+        assert out.getvalue() == _old_csv(header, rows)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("deriv", "--op", "q", "--q", "0.5", "--fn", "x^2", "--grid", "0:1:4"),
+            ("solve", "--problem", "q", "--q", "0.5", "--grid", "0:1:11"),
+            ("solve", "--problem", "hausdorff", "--zeta", "0.5", "--grid", "0:1:11"),
+            ("solve", "--problem", "fractional", "--alpha", "0.5", "--grid", "0.2:1:11"),
+            ("map", "--q", "0.5"),
+            ("map", "--zeta", "0.5", "--l0", "2"),
+            ("expand", "--zeta", "0.5", "--order", "3"),
+            ("expand", "--kappa", "1", "--order", "4"),
+            ("ml", "--alpha", "0.5", "--z", "1"),
+            ("ml", "--alpha", "0.5", "--grid", "0:1:3"),
+        ],
+    )
+    def test_every_emitted_cell_is_a_float(self, capsys, monkeypatch, argv):
+        seen = []
+        emit = cli._emit
+
+        def capture(config, params, header, rows, out):
+            seen.extend(rows)
+            emit(config, params, header, rows, out)
+
+        monkeypatch.setattr(cli, "_emit", capture)
+        assert main(list(argv)) == 0
+        capsys.readouterr()
+        assert seen
+        assert all(isinstance(v, float) for row in seen for v in row)

@@ -70,6 +70,13 @@ class TestClassicalDerivative:
         with pytest.raises(ValueError):
             DiffSettings(rel_tolerance=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_settings_reject_non_finite(self, value):
+        with pytest.raises(ValueError, match="base_step"):
+            DiffSettings(base_step=value)
+        with pytest.raises(ValueError, match="rel_tolerance"):
+            DiffSettings(rel_tolerance=value)
+
 
 class TestQDerivative:
     def test_classical_reduction(self):

@@ -8,6 +8,7 @@ from defcalc import (
     DomainError,
     HausdorffParams,
     MappingResult,
+    QParam,
     RealFunction,
     SeriesExpansion,
     conformable_hausdorff_check,
@@ -93,6 +94,16 @@ class TestMapping:
     def test_l0_validation(self):
         with pytest.raises(ValueError):
             zeta_from_q(0.5, 0.0)
+
+    @pytest.mark.parametrize("l0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_l0_rejected(self, l0):
+        with pytest.raises(ValueError, match="l0"):
+            zeta_from_q(QParam(0.5), l0)
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_non_finite_q_rejected(self, q):
+        with pytest.raises(ValueError, match="q must be finite"):
+            zeta_from_q(q, 1.0)
 
 
 class TestFirstOrderAgreement:
