@@ -315,20 +315,26 @@ def _run_ml(config: RunConfig, out) -> int:
         raise ConfigError("ml requires --alpha")
     if (opt.get("z") is None) == (config.grid is None):
         raise ConfigError("ml needs exactly one of --z or --grid")
-    zs = [opt["z"]] if opt.get("z") is not None else list(np.linspace(*config.grid))
-    rows = []
-    for z in zs:
-        z = float(z)
+    zs = np.array([opt["z"]]) if opt.get("z") is not None else np.linspace(*config.grid)
+    # A failure names the first z that fails, as in _run_deriv: the part of
+    # the grid before a failure runs again, and an overflow there comes first.
+    failure, end, values = None, zs.size, zs[:0]
+    while end > 0:
         try:
-            value = mittag_leffler(z, alpha, MLSeriesConfig())
+            values = mittag_leffler(zs[:end], alpha, MLSeriesConfig())
+            break
         except DefcalcError as exc:
-            print(f"numerical failure: ml at z = {z}: {exc}", file=sys.stderr)
-            return 3
-        if not math.isfinite(value):
-            print(f"numerical failure: ml at z = {z}: the series overflowed to {value}",
-                  file=sys.stderr)
-            return 3
-        rows.append((z, value))
+            failure, end = exc, 0 if exc.index is None else exc.index
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(np.argmax(bad))
+        print(f"numerical failure: ml at z = {zs[i]}: the series overflowed to {values[i]}",
+              file=sys.stderr)
+        return 3
+    if failure is not None:
+        print(f"numerical failure: ml at z = {zs[end]}: {failure}", file=sys.stderr)
+        return 3
+    rows = list(zip(zs.tolist(), values.tolist()))
     params = {k: v for k, v in opt.items() if v is not None}
     _emit(config, params, ("x", "value"), rows, out)
     return 0

@@ -26,7 +26,7 @@ from .derivative_ops import (
 )
 from .errors import DomainError, StepFailure
 from .function_catalog import RealFunction
-from .special_functions import HausdorffParams, balankin_exp, mittag_leffler_array
+from .special_functions import HausdorffParams, balankin_exp, mittag_leffler
 
 __all__ = [
     "EigenProblem",
@@ -257,9 +257,9 @@ def verify_fractional_eigen(
 
     def eigenfunction(t):
         # array-aware so that each GL chain evaluates its nodes in one call
-        return mittag_leffler_array(np.asarray(t, dtype=float) ** alpha, alpha)
+        return mittag_leffler(np.asarray(t, dtype=float) ** alpha, alpha)
 
     shifted = RealFunction(value=lambda t: eigenfunction(t) - 1.0, label="E_alpha(x^alpha) - 1")
     numeric = gl_jumarie_derivative(shifted, grid, alpha, h)
-    closed = [float(eigenfunction(x)) for x in grid]
+    closed = eigenfunction(grid)
     return _make_report(grid, numeric, closed)

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import defcalc
 import defcalc.cli as cli
 import defcalc.eigen_solvers
 from defcalc.cli import ENV_FORMAT, RunConfig, build_parser, main
@@ -265,6 +266,47 @@ class TestMlCommand:
     def test_out_of_series_domain_is_numerical_failure(self, capsys):
         code, _, err = run_cli(capsys, "ml", "--alpha", "0.5", "--z", "11")
         assert code == 3
+
+    @staticmethod
+    def per_z_stderr(alpha: float, zs) -> str:
+        """What a loop of one float call per z prints for the first failing z."""
+        for z in zs:
+            z = float(z)
+            try:
+                value = defcalc.mittag_leffler(z, alpha)
+            except defcalc.DefcalcError as exc:
+                return f"numerical failure: ml at z = {z}: {exc}\n"
+            if not math.isfinite(value):
+                return f"numerical failure: ml at z = {z}: the series overflowed to {value}\n"
+        return ""
+
+    @pytest.mark.parametrize("alpha, grid, expected", [
+        # 8 overflows to inf, then 9 and 10 fail in the series
+        ("0.3", "6:10:5", "numerical failure: ml at z = 8.0: the series overflowed to inf\n"),
+        ("0.5", "-11:0:3", "numerical failure: ml at z = -11.0: "
+                           "mittag_leffler series domain is |z| <= 10, got -11.0\n"),
+        ("0.3", "9.5:10:3", "numerical failure: ml at z = 9.5: mittag_leffler did not "
+                            "converge within 10000 terms (z=9.5, alpha=0.3)\n"),
+        ("0.3", "-10:11:8", "numerical failure: ml at z = -10.0: mittag_leffler did not "
+                            "converge within 10000 terms (z=-10.0, alpha=0.3)\n"),
+        ("0.3", "4:11:8", "numerical failure: ml at z = 8.0: the series overflowed to inf\n"),
+    ])
+    def test_grid_failure_names_the_first_failing_z(self, capsys, alpha, grid, expected):
+        code, out, err = run_cli(capsys, "ml", "--alpha", alpha, f"--grid={grid}")
+        assert (code, out, err) == (3, "", expected)
+        start, stop, points = grid.split(":")
+        zs = np.linspace(float(start), float(stop), int(points))
+        assert err == self.per_z_stderr(float(alpha), zs)
+
+    @pytest.mark.parametrize("alpha, z, code", [
+        ("1", "1", 0), ("0.5", "-8", 0), ("2", "-10", 0), ("0.3", "8", 3), ("0.3", "10", 3),
+        ("0.5", "11", 3), ("0.5", "-10.5", 3), ("-1", "1", 3), ("0", "1", 3),
+    ])
+    def test_single_z_exit_codes(self, capsys, alpha, z, code):
+        got, out, err = run_cli(capsys, "ml", "--alpha", alpha, "--z", z)
+        assert got == code
+        assert err == self.per_z_stderr(float(alpha), [float(z)])
+        assert (out == "") == (code != 0)
 
 
 class TestOutputPolicy:

@@ -44,6 +44,19 @@ class TestGamma:
         with pytest.raises(PoleError):
             gamma(x)
 
+    @pytest.mark.parametrize("x", [142.3, 150.5, 171.0, 171.6, -0.5, -2.3, -7.7, -20.25, -170.5])
+    def test_matches_math_gamma_and_mpmath(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        assert gamma(x) == math.gamma(x)
+        with mpmath.workdps(40):
+            exact = mpmath.gamma(mpmath.mpf(x))
+        assert math.isfinite(gamma(x))
+        assert abs(gamma(x) - float(exact)) <= 1e-13 * abs(float(exact))
+
+    @pytest.mark.parametrize("x", [171.7, 200.0, 1e300, 1e-310, math.inf])
+    def test_inf_only_past_the_double_range(self, x):
+        assert gamma(x) == math.inf
+
 
 class TestGenBinomial:
     def test_base_cases(self):
@@ -82,12 +95,11 @@ class TestMittagLeffler:
             assert mittag_leffler(x * x, 2.0) == pytest.approx(math.cosh(x), rel=1e-8)
 
     def test_array_matches_scalar(self):
-        # the array form truncates on the collective criterion, so agreement
-        # is to roundoff rather than bitwise
+        # every element stops on its own criterion, so agreement is bitwise
         z = np.linspace(-2.0, 2.0, 17)
         vec = mittag_leffler_array(z, 0.7)
         for zi, vi in zip(z, vec):
-            assert vi == pytest.approx(mittag_leffler(float(zi), 0.7), rel=1e-13)
+            assert vi == mittag_leffler(float(zi), 0.7)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -105,6 +117,121 @@ class TestMittagLeffler:
             MLSeriesConfig(rel_tolerance=1e-3)
         with pytest.raises(ValueError):
             MLSeriesConfig(max_terms=10)
+
+
+def _scalar_series(z, alpha, tol=1e-12, max_terms=10_000, stop_on_overflow=True):
+    """The scalar recurrence written out: (value, None), or (None, message) for
+    an exhausted budget.  With stop_on_overflow the loop ends at the first
+    non-finite term, which can never qualify."""
+    total = term = 1.0
+    streak = 0
+    for k in range(max_terms):
+        ratio = math.exp(math.lgamma(alpha * k + 1.0) - math.lgamma(alpha * k + alpha + 1.0))
+        term *= z * ratio
+        total += term
+        if abs(term) < tol * abs(total):
+            streak += 1
+            if streak >= 2:
+                return total, None
+        else:
+            streak = 0
+            if stop_on_overflow and not math.isfinite(term):
+                break
+    return None, f"mittag_leffler did not converge within {max_terms} terms (z={z}, alpha={alpha})"
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+class TestMittagLefflerArray:
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75, 1.0, 1.5, 2.0])
+    def test_bit_equal_to_the_scalar_recurrence(self, alpha):
+        z = np.linspace(-10.0, 10.0, 401)
+        reference = [_scalar_series(zi, alpha) for zi in z.tolist()]
+        converged = [i for i, (value, _) in enumerate(reference) if value is not None]
+        expected = [reference[i][0] for i in converged]
+        np.testing.assert_array_equal(_bits(mittag_leffler(z[converged], alpha)), _bits(expected))
+        # each element alone, through the float path
+        for i in converged[::10]:
+            assert _bits(mittag_leffler(float(z[i]), alpha)) == _bits(reference[i][0])
+
+    def test_first_failure_over_the_whole_grid(self):
+        # alpha = 0.3 fails at both ends of [-10, 10]; the error names the first z
+        z = np.linspace(-10.0, 10.0, 401)
+        failing = [i for i, zi in enumerate(z.tolist()) if _scalar_series(zi, 0.3)[0] is None]
+        with pytest.raises(ConvergenceError) as info:
+            mittag_leffler(z[::-1], 0.3)
+        assert info.value.index == 400 - failing[-1]
+        assert str(info.value) == _scalar_series(float(z[failing[-1]]), 0.3)[1]
+
+    def test_large_array_bit_equal(self):
+        # more active elements than one block holds: one term per block
+        z = np.linspace(0.0, 3.0, 20_001) ** 0.6
+        expected = [_scalar_series(zi, 0.6)[0] for zi in z[::97].tolist()]
+        np.testing.assert_array_equal(_bits(mittag_leffler(z, 0.6)[::97]), _bits(expected))
+
+    def test_float_in_float_out(self):
+        assert type(mittag_leffler(0.5, 0.7)) is float
+        assert type(mittag_leffler(np.float64(0.5), 0.7)) is float
+        assert type(mittag_leffler(2, 1.0)) is float
+
+    def test_zero_d_and_empty_arrays(self):
+        zero_d = mittag_leffler(np.array(0.5), 0.7)
+        assert isinstance(zero_d, np.ndarray) and zero_d.shape == ()
+        assert _bits(zero_d) == _bits(mittag_leffler(0.5, 0.7))
+        empty = mittag_leffler(np.array([]), 0.7)
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+        grid = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+        np.testing.assert_array_equal(mittag_leffler(grid, 0.7).ravel(),
+                                      mittag_leffler(grid.ravel(), 0.7))
+
+    def test_alias(self):
+        assert mittag_leffler_array is mittag_leffler
+
+    def test_domain_error_index(self):
+        with pytest.raises(DomainError, match=r"got -10\.5$") as info:
+            mittag_leffler(np.array([0.0, 1.0, -10.5, 12.0]), 0.5)
+        assert info.value.index == 2
+        with pytest.raises(DomainError) as info:
+            mittag_leffler(np.array([1.0, 2.0]), 0.0)
+        assert info.value.index == 0
+        with pytest.raises(DomainError) as info:
+            mittag_leffler(10.5, 0.5)
+        assert info.value.index is None
+        assert str(info.value) == "mittag_leffler series domain is |z| <= 10, got 10.5"
+
+    def test_convergence_error_index(self):
+        # z = 10 fails in the series before z = 11 leaves the domain
+        with pytest.raises(ConvergenceError) as info:
+            mittag_leffler(np.array([1.0, 2.0, 10.0, 11.0]), 0.3)
+        assert info.value.index == 2
+        assert "(z=10.0, alpha=0.3)" in str(info.value)
+        cfg = MLSeriesConfig(rel_tolerance=1e-12, max_terms=50)
+        with pytest.raises(ConvergenceError) as info:
+            mittag_leffler(np.array([0.5, 1.0, 10.0, 9.0]), 0.5, cfg)
+        assert info.value.index == 2
+        assert str(info.value) == _scalar_series(10.0, 0.5, max_terms=50)[1]
+        with pytest.raises(ConvergenceError) as info:
+            mittag_leffler(10.0, 0.3)
+        assert info.value.index is None
+
+    @pytest.mark.parametrize("z", [10.0, 9.5, -10.0])
+    def test_overflow_exit_has_the_full_budget_message(self, z):
+        value, message = _scalar_series(z, 0.3, stop_on_overflow=False)
+        assert value is None
+        with pytest.raises(ConvergenceError) as info:
+            mittag_leffler(z, 0.3)
+        assert str(info.value) == message
+        with pytest.raises(ConvergenceError) as info:
+            mittag_leffler(np.array([0.0, z]), 0.3)
+        assert str(info.value) == message and info.value.index == 1
+
+    def test_total_overflow_is_returned(self):
+        # the terms stay finite while the sum passes the double range
+        assert mittag_leffler(8.0, 0.3) == math.inf
+        assert np.array_equal(mittag_leffler(np.array([1.0, 8.0]), 0.3),
+                              [_scalar_series(1.0, 0.3)[0], math.inf])
 
 
 class TestStretchedExp:
