@@ -19,32 +19,19 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import selftest as selftest_module
 from .deformed_algebra import QParam
-from .derivative_ops import (
-    Classical,
-    Conformable,
-    DerivativeKind,
-    DiffSettings,
-    GrunwaldJumarie,
-    Hausdorff,
-    Kaniadakis,
-    QDeformed,
-    YangLFD,
-    evaluate_kind,
-    hausdorff_quotient,
-    q_derivative_quotient,
-)
+from .derivative_ops import OPERATORS, DerivativeKind, DiffSettings
 from .eigen_solvers import solve_hausdorff_eigen, solve_q_eigen, verify_fractional_eigen
 from .errors import DefcalcError, DomainError, ParseError
 from .function_catalog import RealFunction
 from .mappings import expand_hausdorff_prefactor, kappa_expansion, q_from_zeta, zeta_from_q
-from .special_functions import HausdorffParams, MLSeriesConfig, mittag_leffler
+from .special_functions import HausdorffParams, mittag_leffler
 
 ENV_FORMAT = "DEFCALC_OUTPUT_FORMAT"
 
@@ -138,83 +125,63 @@ def _given(opt: dict, flag: str, default):
     return default if value is None else value
 
 
-def _operator_from_options(op: str, opt: dict) -> DerivativeKind:
-    def need(flag: str) -> float:
-        if opt.get(flag) is None:
-            raise ConfigError(f"--op {op} requires --{flag}")
-        return opt[flag]
-
-    if op == "classical":
-        return Classical()
-    if op == "q":
-        return QDeformed(need("q"))
-    if op == "kappa":
-        return Kaniadakis(need("kappa"))
-    if op == "hausdorff":
-        return Hausdorff(need("zeta"), _given(opt, "l0", 1.0))
-    if op == "conformable":
-        return Conformable(need("alpha"))
-    if op == "gl":
-        return GrunwaldJumarie(need("alpha"), need("h"), opt.get("terms"))
-    if op == "yang":
-        return YangLFD(need("alpha"), _given(opt, "l0", 1.0))
-    raise ConfigError(f"unknown operator {op!r}")
+def _from_options(cls, opt: dict, who: str):
+    """``cls`` built from the flags its dataclass fields name; a field with no
+    default needs its flag, else ``who`` requires it."""
+    values = {}
+    for param in fields(cls):
+        flag = param.metadata.get("flag", param.name)
+        if opt.get(flag) is not None:
+            values[param.name] = opt[flag]
+        elif param.default is MISSING:
+            raise ConfigError(f"{who} requires --{flag}")
+    return cls(**values)
 
 
-def _validate_grid_domain(kind: DerivativeKind, form: str, xs: np.ndarray) -> None:
-    lo = float(xs[0])
-    if isinstance(kind, Hausdorff) and form == "closed" and lo <= -kind.l0:
-        raise ConfigError(f"--grid enters x <= -l0 = {-kind.l0}, outside the operator domain")
-    if isinstance(kind, Hausdorff) and form == "quotient" and lo <= 0.0:
-        raise ConfigError("--grid must stay at x > 0 for the quotient form")
-    if isinstance(kind, Conformable) and lo <= 0.0:
-        raise ConfigError("--grid must stay at t > 0 for the conformable operator")
-    if isinstance(kind, GrunwaldJumarie) and lo < 0.0:
-        raise ConfigError("--grid must stay at x >= 0 for the GL chain")
-    if isinstance(kind, YangLFD) and lo <= -kind.l0:
-        raise ConfigError(f"--grid enters x <= -l0 = {-kind.l0}, outside the operator domain")
+def _run_grid(compute: Callable, xs: np.ndarray, where: str, overflow: str):
+    """``compute(xs)``, or None after printing the failure at the first x that
+    fails (``where`` names it) or holds a non-finite value.
 
-
-def _run_deriv(config: RunConfig, out) -> int:
-    opt = config.options
-    kind = config.operator
-    form = opt.get("form", "closed")
-    if form == "quotient" and not isinstance(kind, (QDeformed, Hausdorff)):
-        raise ConfigError("--form quotient applies only to --op q and --op hausdorff")
-    f = _build_function(config.function_source)
-    start, stop, points = config.grid
-    xs = np.linspace(start, stop, points)
-    _validate_grid_domain(kind, form, xs)
-
-    def operator(grid: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            if form == "quotient" and isinstance(kind, QDeformed):
-                return q_derivative_quotient(f, grid, kind.q, config.tolerances)
-            if form == "quotient" and isinstance(kind, Hausdorff):
-                return hausdorff_quotient(f, grid, kind.zeta, config.tolerances)
-            return evaluate_kind(kind, f, grid, config.tolerances)
-
-    # A failure names the first grid x that fails.  The probe arrays run one
-    # after another, so a failure at a smaller x may sit in a later probe:
-    # the part of the grid before a failure runs again until it passes.
-    failure, end, values = None, points, xs[:0]
+    An error need not name the first failing x: the probe arrays of a limit
+    form run one after another, and the Mittag-Leffler series reports a
+    non-convergence before an out-of-domain z.  So the part of the grid before
+    a failure runs again until it passes; a non-finite value there comes first.
+    """
+    failure, end, values = None, xs.size, xs[:0]
     while end > 0:
         try:
-            values = operator(xs[:end])
+            with np.errstate(all="ignore"):
+                values = compute(xs[:end])
             break
         except DefcalcError as exc:
             failure, end = exc, 0 if exc.index is None else exc.index
     bad = ~np.isfinite(values)
     if bad.any():
         i = int(np.argmax(bad))
-        print(
-            f"numerical failure: {opt['op']} operator at x = {xs[i]}: non-finite value {values[i]}",
-            file=sys.stderr,
-        )
-        return 3
+        print(f"numerical failure: {where} = {xs[i]}: {overflow} {values[i]}", file=sys.stderr)
+        return None
     if failure is not None:
-        print(f"numerical failure: {opt['op']} operator at x = {xs[end]}: {failure}",
-              file=sys.stderr)
+        print(f"numerical failure: {where} = {xs[end]}: {failure}", file=sys.stderr)
+        return None
+    return values
+
+
+def _run_deriv(config: RunConfig, out) -> int:
+    opt = config.options
+    kind = config.operator
+    form = opt.get("form", "closed")
+    way = getattr(OPERATORS[opt["op"]], form)
+    if way is None:
+        names = " and ".join(f"--op {name}" for name, op in OPERATORS.items() if op.quotient)
+        raise ConfigError(f"--form quotient applies only to {names}")
+    f = _build_function(config.function_source)
+    xs = np.linspace(*config.grid)
+    message = way.rejects(kind, float(xs[0]))
+    if message:
+        raise ConfigError(message)
+    values = _run_grid(lambda grid: way.evaluate(kind, f, grid, config.tolerances), xs,
+                       f"{opt['op']} operator at x", "non-finite value")
+    if values is None:
         return 3
     rows = list(zip(xs.tolist(), values.tolist()))
     params = {"op": opt.get("op"), "form": form, "fn": config.function_source}
@@ -230,13 +197,10 @@ def _run_solve(config: RunConfig, out) -> int:
     tol = _given(opt, "tol", 1e-10)
     try:
         if problem == "q":
-            if opt.get("q") is None:
-                raise ConfigError("--problem q requires --q")
-            report = solve_q_eigen(opt["q"], (start, stop), points, tol)
+            q = _from_options(QParam, opt, "--problem q")
+            report = solve_q_eigen(q, (start, stop), points, tol)
         elif problem == "hausdorff":
-            if opt.get("zeta") is None:
-                raise ConfigError("--problem hausdorff requires --zeta")
-            hp = HausdorffParams(opt["zeta"], _given(opt, "l0", 1.0))
+            hp = _from_options(HausdorffParams, opt, "--problem hausdorff")
             report = solve_hausdorff_eigen(hp, (start, stop), points, tol)
         elif problem == "fractional":
             if opt.get("alpha") is None:
@@ -295,9 +259,8 @@ def _run_expand(config: RunConfig, out) -> int:
     order = opt["order"]
     try:
         if has_zeta:
-            expansion = expand_hausdorff_prefactor(
-                HausdorffParams(opt["zeta"], _given(opt, "l0", 1.0)), order
-            )
+            hp = _from_options(HausdorffParams, opt, "expand")
+            expansion = expand_hausdorff_prefactor(hp, order)
         else:
             expansion = kappa_expansion(opt["kappa"], order)
     except ValueError as exc:
@@ -316,23 +279,9 @@ def _run_ml(config: RunConfig, out) -> int:
     if (opt.get("z") is None) == (config.grid is None):
         raise ConfigError("ml needs exactly one of --z or --grid")
     zs = np.array([opt["z"]]) if opt.get("z") is not None else np.linspace(*config.grid)
-    # A failure names the first z that fails, as in _run_deriv: the part of
-    # the grid before a failure runs again, and an overflow there comes first.
-    failure, end, values = None, zs.size, zs[:0]
-    while end > 0:
-        try:
-            values = mittag_leffler(zs[:end], alpha, MLSeriesConfig())
-            break
-        except DefcalcError as exc:
-            failure, end = exc, 0 if exc.index is None else exc.index
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i = int(np.argmax(bad))
-        print(f"numerical failure: ml at z = {zs[i]}: the series overflowed to {values[i]}",
-              file=sys.stderr)
-        return 3
-    if failure is not None:
-        print(f"numerical failure: ml at z = {zs[end]}: {failure}", file=sys.stderr)
+    values = _run_grid(lambda z: mittag_leffler(z, alpha), zs, "ml at z",
+                       "the series overflowed to")
+    if values is None:
         return 3
     rows = list(zip(zs.tolist(), values.tolist()))
     params = {k: v for k, v in opt.items() if v is not None}
@@ -374,19 +323,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", required=grid_required, help="start:stop:points")
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--output", default=None, help="write the table to this file")
-        p.add_argument("--base-step", type=_finite_float, default=1e-2)
-        p.add_argument("--levels", type=int, default=4)
-        p.add_argument("--rel-tol", type=_finite_float, default=1e-8)
 
     p = sub.add_parser("deriv", help="evaluate a derivative operator over a grid")
-    p.add_argument("--op", required=True,
-                   choices=("classical", "q", "kappa", "hausdorff", "conformable", "gl", "yang"))
+    p.add_argument("--op", required=True, choices=tuple(OPERATORS))
     p.add_argument("--fn", required=True, help="expression in x")
     p.add_argument("--form", choices=("closed", "quotient"), default="closed")
     for flag in ("--q", "--kappa", "--zeta", "--l0", "--alpha", "--h"):
         p.add_argument(flag, type=_finite_float, default=None)
     p.add_argument("--terms", type=int, default=None)
     add_common(p, grid_required=True)
+    p.add_argument("--base-step", type=_finite_float, default=1e-2)
+    p.add_argument("--levels", type=int, default=4)
 
     p = sub.add_parser("solve", help="verify an eigen-equation and emit residuals")
     p.add_argument("--problem", required=True, choices=("q", "hausdorff", "fractional"))
@@ -433,20 +380,17 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     grid = _parse_grid(args.grid) if getattr(args, "grid", None) else None
     if args.command in ("deriv", "solve") and grid is None:
         raise ConfigError("--grid is required")
-    try:
-        tolerances = DiffSettings(args.base_step, args.levels, args.rel_tol)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     options = {
         name: getattr(args, name)
         for name in ("op", "form", "problem", "q", "kappa", "zeta", "l0", "alpha",
                      "h", "terms", "tol", "order", "z")
         if hasattr(args, name)
     }
-    operator = None
+    operator, tolerances = None, DiffSettings()
     if args.command == "deriv":
         try:
-            operator = _operator_from_options(args.op, options)
+            tolerances = DiffSettings(args.base_step, args.levels)
+            operator = _from_options(OPERATORS[args.op].kind, options, f"--op {args.op}")
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     return RunConfig(
@@ -469,10 +413,7 @@ def main(argv=None) -> int:
     try:
         config = config_from_args(args)
         return run(config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
+    except (ConfigError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DefcalcError as exc:

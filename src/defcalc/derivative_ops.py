@@ -16,19 +16,22 @@ as an alternating binomial chain anchored at the origin.
 Every operator takes x as a float or as a 1-d array; over an array, each
 closed form is one elementwise product prefactor(xs) * f'(xs), and each
 limit form evaluates every probe step as one array.
+
+``OPERATORS`` describes each operator once: its parameters, its closed and
+quotient forms and the lowest grid x each form accepts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from .deformed_algebra import KappaParam, QParam, q_difference
 from .errors import DefcalcError, DomainError
-from .function_catalog import RealFunction, as_real_function
+from .function_catalog import as_real_function
 from .special_functions import HausdorffParams, gamma
 
 __all__ = [
@@ -54,65 +57,39 @@ __all__ = [
     "yang_lfd",
     "jumarie_taylor_eval",
     "evaluate_kind",
+    "Form",
+    "Operator",
+    "OPERATORS",
 ]
 
 
 @dataclass(frozen=True)
 class DiffSettings:
-    """Numerical limit policy: initial step, Richardson depth, agreement tolerance."""
+    """Numerical limit policy: initial step and Richardson depth."""
 
     base_step: float = 1e-2
     richardson_levels: int = 4
-    rel_tolerance: float = 1e-8
 
     def __post_init__(self):
         if not (math.isfinite(self.base_step) and self.base_step > 0.0):
             raise ValueError(f"base_step must be positive and finite, got {self.base_step}")
         if not 1 <= self.richardson_levels <= 6:
             raise ValueError(f"richardson_levels must be in 1..6, got {self.richardson_levels}")
-        if not (math.isfinite(self.rel_tolerance) and self.rel_tolerance > 0.0):
-            raise ValueError(f"rel_tolerance must be positive and finite, got {self.rel_tolerance}")
 
 
 _DEFAULT_SETTINGS = DiffSettings()
 
 
-# --- Operator kinds (tagged choice) ---------------------------------------
+# --- Operator kinds: the dataclass fields are the operator's parameters ------
+
+QDeformed = QParam
+Kaniadakis = KappaParam
+Hausdorff = HausdorffParams
 
 
 @dataclass(frozen=True)
 class Classical:
     pass
-
-
-@dataclass(frozen=True)
-class QDeformed:
-    q: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.q):
-            raise ValueError(f"QDeformed requires a finite q, got {self.q}")
-
-
-@dataclass(frozen=True)
-class Kaniadakis:
-    kappa: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.kappa):
-            raise ValueError(f"Kaniadakis requires a finite kappa, got {self.kappa}")
-
-
-@dataclass(frozen=True)
-class Hausdorff:
-    zeta: float
-    l0: float = 1.0
-
-    def __post_init__(self):
-        if not math.isfinite(self.zeta):
-            raise ValueError(f"Hausdorff requires a finite zeta, got {self.zeta}")
-        if not (math.isfinite(self.l0) and self.l0 > 0.0):
-            raise ValueError(f"Hausdorff requires finite l0 > 0, got {self.l0}")
 
 
 @dataclass(frozen=True)
@@ -128,7 +105,8 @@ class Conformable:
 class GrunwaldJumarie:
     alpha: float
     h: float
-    n_terms: Optional[int] = None  # optional cap on the chain length
+    # optional cap on the chain length, set by --terms
+    n_terms: Optional[int] = field(default=None, metadata={"flag": "terms"})
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
@@ -200,10 +178,13 @@ def classical_derivative(f, x, settings: DiffSettings | None = None):
     return _richardson(quotients, p=2)
 
 
-def _fprime(f: RealFunction, x, settings: DiffSettings):
+def _closed_form(f, x, settings: DiffSettings | None, prefactor):
+    """prefactor * f'(x), the form every local operator shares; f' is
+    symbolic where f has a derivative, else a central difference."""
+    f = as_real_function(f)
     if f.derivative is not None:
-        return f.derivative_at(x)
-    return classical_derivative(f, x, settings)
+        return prefactor * f.derivative_at(x)
+    return prefactor * classical_derivative(f, x, settings or _DEFAULT_SETTINGS)
 
 
 # --- Closed-form operators -------------------------------------------------
@@ -211,10 +192,8 @@ def _fprime(f: RealFunction, x, settings: DiffSettings):
 
 def q_derivative(f, x, q: QParam | float, settings: DiffSettings | None = None):
     """q-deformed derivative [1 + (1-q) x] f'(x); classical derivative at q = 1."""
-    f = as_real_function(f)
     qv = q.q if isinstance(q, QParam) else float(q)
-    s = settings or _DEFAULT_SETTINGS
-    return (1.0 + (1.0 - qv) * x) * _fprime(f, x, s)
+    return _closed_form(f, x, settings, 1.0 + (1.0 - qv) * x)
 
 
 def q_derivative_quotient(f, x, q: QParam | float, settings: DiffSettings | None = None):
@@ -234,10 +213,8 @@ def q_derivative_quotient(f, x, q: QParam | float, settings: DiffSettings | None
 
 def hausdorff_derivative(f, x, hp: HausdorffParams, settings: DiffSettings | None = None):
     """Hausdorff (fractal-metric) derivative (x/l0 + 1)^(1-zeta) f'(x) for x > -l0."""
-    f = as_real_function(f)
     _reject(x <= -hp.l0, x, f"hausdorff_derivative requires x > -l0 = {-hp.l0}")
-    s = settings or _DEFAULT_SETTINGS
-    return (x / hp.l0 + 1.0) ** (1.0 - hp.zeta) * _fprime(f, x, s)
+    return _closed_form(f, x, settings, (x / hp.l0 + 1.0) ** (1.0 - hp.zeta))
 
 
 def hausdorff_quotient(f, x, zeta: float, settings: DiffSettings | None = None):
@@ -260,10 +237,8 @@ def hausdorff_quotient(f, x, zeta: float, settings: DiffSettings | None = None):
 
 def kaniadakis_derivative(f, x, kappa: KappaParam | float, settings: DiffSettings | None = None):
     """Kaniadakis derivative sqrt(1 + kappa^2 x^2) f'(x); classical at kappa = 0."""
-    f = as_real_function(f)
     k = kappa.kappa if isinstance(kappa, KappaParam) else float(kappa)
-    s = settings or _DEFAULT_SETTINGS
-    return np.sqrt(1.0 + k * k * x * x) * _fprime(f, x, s)
+    return _closed_form(f, x, settings, np.sqrt(1.0 + k * k * x * x))
 
 
 def conformable_derivative(f, t, alpha: float, settings: DiffSettings | None = None):
@@ -361,10 +336,8 @@ def yang_lfd(f, x, alpha: float, hp: HausdorffParams, settings: DiffSettings | N
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"yang_lfd requires 0 < alpha <= 1, got {alpha}")
-    f = as_real_function(f)
     _reject(x <= -hp.l0, x, f"yang_lfd requires x > -l0 = {-hp.l0}")
-    s = settings or _DEFAULT_SETTINGS
-    return gamma(alpha + 1.0) * (x / hp.l0 + 1.0) ** (1.0 - alpha) * _fprime(f, x, s)
+    return _closed_form(f, x, settings, gamma(alpha + 1.0) * (x / hp.l0 + 1.0) ** (1.0 - alpha))
 
 
 def jumarie_taylor_eval(
@@ -388,24 +361,79 @@ def jumarie_taylor_eval(
     return total
 
 
-# --- Dispatch by operator kind ---------------------------------------------
+# --- The operator table -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Form:
+    """One form of an operator, ``evaluate(kind, f, x, settings)``, and the
+    lowest grid x it accepts: x > bound(kind), or x >= bound(kind) when not
+    ``strict`` (no bound if None).  ``message`` is the CLI's ``--grid`` error
+    below it, where ``{bound}`` stands for the bound."""
+
+    evaluate: Callable
+    bound: Optional[Callable[[DerivativeKind], float]] = None
+    strict: bool = True
+    message: str = ""
+
+    def rejects(self, kind: DerivativeKind, x: float) -> Optional[str]:
+        """The message if x lies below the lowest grid x, else None."""
+        if self.bound is None:
+            return None
+        bound = self.bound(kind)
+        if x <= bound if self.strict else x < bound:
+            return self.message.format(bound=bound)
+        return None
+
+
+@dataclass(frozen=True)
+class Operator:
+    """An entry of :data:`OPERATORS`.  The fields of ``kind`` are the
+    operator's parameters; a field's ``flag`` metadata names its CLI flag
+    where that differs from the field name."""
+
+    kind: type
+    closed: Form
+    quotient: Optional[Form] = None
+
+
+_BELOW_MINUS_L0 = "--grid enters x <= -l0 = {bound}, outside the operator domain"
+
+# Keyed by the CLI's --op name.  Each form calls the public operator by its
+# module-global name, so a wrapper installed on the module sees the call.
+OPERATORS: dict[str, Operator] = {
+    "classical": Operator(Classical, Form(lambda k, f, x, s: classical_derivative(f, x, s))),
+    "q": Operator(
+        QDeformed,
+        Form(lambda k, f, x, s: q_derivative(f, x, k.q, s)),
+        Form(lambda k, f, x, s: q_derivative_quotient(f, x, k.q, s)),
+    ),
+    "kappa": Operator(Kaniadakis, Form(lambda k, f, x, s: kaniadakis_derivative(f, x, k.kappa, s))),
+    "hausdorff": Operator(
+        Hausdorff,
+        Form(lambda k, f, x, s: hausdorff_derivative(f, x, k, s), lambda k: -k.l0,
+             message=_BELOW_MINUS_L0),
+        Form(lambda k, f, x, s: hausdorff_quotient(f, x, k.zeta, s), lambda k: 0.0,
+             message="--grid must stay at x > 0 for the quotient form"),
+    ),
+    "conformable": Operator(Conformable, Form(
+        lambda k, f, x, s: conformable_derivative(f, x, k.alpha, s), lambda k: 0.0,
+        message="--grid must stay at t > 0 for the conformable operator")),
+    "gl": Operator(GrunwaldJumarie, Form(
+        lambda k, f, x, s: gl_jumarie_derivative(f, x, k.alpha, k.h, k.n_terms), lambda k: 0.0,
+        strict=False, message="--grid must stay at x >= 0 for the GL chain")),
+    "yang": Operator(YangLFD, Form(
+        lambda k, f, x, s: yang_lfd(f, x, k.alpha, HausdorffParams(k.alpha, k.l0), s),
+        lambda k: -k.l0, message=_BELOW_MINUS_L0)),
+}
+
+_BY_KIND = {op.kind: op for op in OPERATORS.values()}
 
 
 def evaluate_kind(kind: DerivativeKind, f, x, settings: DiffSettings | None = None):
-    """Evaluate any tagged operator at a point or over an array of x (closed
-    form where one exists)."""
-    if isinstance(kind, Classical):
-        return classical_derivative(f, x, settings)
-    if isinstance(kind, QDeformed):
-        return q_derivative(f, x, kind.q, settings)
-    if isinstance(kind, Kaniadakis):
-        return kaniadakis_derivative(f, x, kind.kappa, settings)
-    if isinstance(kind, Hausdorff):
-        return hausdorff_derivative(f, x, HausdorffParams(kind.zeta, kind.l0), settings)
-    if isinstance(kind, Conformable):
-        return conformable_derivative(f, x, kind.alpha, settings)
-    if isinstance(kind, GrunwaldJumarie):
-        return gl_jumarie_derivative(f, x, kind.alpha, kind.h, kind.n_terms)
-    if isinstance(kind, YangLFD):
-        return yang_lfd(f, x, kind.alpha, HausdorffParams(kind.alpha, kind.l0), settings)
-    raise TypeError(f"unknown derivative kind: {kind!r}")
+    """Evaluate any tagged operator at a point or over an array of x, in its
+    closed form."""
+    op = _BY_KIND.get(type(kind))
+    if op is None:
+        raise TypeError(f"unknown derivative kind: {kind!r}")
+    return op.closed.evaluate(kind, f, x, settings)

@@ -20,7 +20,6 @@ from .deformed_algebra import q_exp
 from .derivative_ops import (
     DerivativeKind,
     GrunwaldJumarie,
-    Hausdorff,
     QDeformed,
     gl_jumarie_derivative,
 )
@@ -222,9 +221,7 @@ def solve_hausdorff_eigen(
     fractal-metric exponential (initial value fixed by the closed form)."""
     if domain[0] <= -hp.l0:
         raise DomainError(f"domain must lie inside (-l0, inf) = ({-hp.l0}, inf)")
-    problem = EigenProblem(
-        Hausdorff(hp.zeta, hp.l0), tuple(domain), balankin_exp(domain[0], hp), grid_points
-    )
+    problem = EigenProblem(hp, tuple(domain), balankin_exp(domain[0], hp), grid_points)
     grid = problem.grid()
     zeta, l0 = hp.zeta, hp.l0
     sol = integrate_ode(

@@ -31,7 +31,6 @@ from .errors import (
     DefcalcError,
     EvaluationError,
     ParseError,
-    PoleError,
     UnsupportedDerivative,
 )
 
@@ -144,16 +143,6 @@ def _tokenize(source: str) -> list[_Token]:
 
 
 # --- Parser --------------------------------------------------------------
-
-
-def _depth(node: Expr) -> int:
-    if isinstance(node, (Number, Var)):
-        return 1
-    if isinstance(node, Neg):
-        return 1 + _depth(node.operand)
-    if isinstance(node, BinOp):
-        return 1 + max(_depth(node.left), _depth(node.right))
-    return 1 + max((_depth(a) for a in node.args), default=0)
 
 
 # Recursion ceiling while parsing: any tree of depth <= MAX_DEPTH needs at
@@ -356,7 +345,7 @@ def evaluate(ast: Expr, x: float) -> float:
             value = abs(u)
         else:  # pow
             value = math.pow(u, args[1])
-    except (ValueError, OverflowError, ZeroDivisionError, PoleError) as exc:
+    except (ValueError, OverflowError, ZeroDivisionError, DefcalcError) as exc:
         raise EvaluationError(
             f"{ast.name} undefined for argument {tuple(args)}", ast, tuple(args)
         ) from exc
@@ -512,7 +501,7 @@ _CALL_UFUNCS = {
 def _gamma_or_nan(u: float) -> float:
     try:
         return special_functions.gamma(u)
-    except (ValueError, OverflowError, ZeroDivisionError, PoleError):
+    except DefcalcError:  # a pole, or -inf
         return math.nan
 
 

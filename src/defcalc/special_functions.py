@@ -66,10 +66,12 @@ class HausdorffParams:
 def gamma(x: float) -> float:
     """Gamma function: :func:`math.gamma`, and inf past the double range.
 
-    Non-positive integer arguments (within 1e-12) raise :class:`PoleError`.
-    Where Gamma(x) exceeds the largest double (x > 171.62, or 0 < x < 5.6e-309)
-    the result is inf.
+    Non-positive integer arguments (within 1e-12) raise :class:`PoleError`,
+    and -inf raises :class:`DomainError`.  Where Gamma(x) exceeds the largest
+    double (x > 171.62, or 0 < x < 5.6e-309) the result is inf.
     """
+    if x == -math.inf:
+        raise DomainError("gamma is undefined at x = -inf")
     if x <= 0.0 and abs(x - round(x)) < _POLE_EPS:
         raise PoleError(f"gamma pole at non-positive integer x = {x}")
     try:

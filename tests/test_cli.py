@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import io
 import json
 import math
@@ -13,6 +15,7 @@ import defcalc
 import defcalc.cli as cli
 import defcalc.eigen_solvers
 from defcalc.cli import ENV_FORMAT, RunConfig, build_parser, main
+from defcalc.derivative_ops import OPERATORS
 
 
 def run_cli(capsys, *argv):
@@ -172,6 +175,94 @@ class TestDerivCommand:
         assert "--grid" in err
 
 
+# A value for every operator flag; l0 = 2 moves the Hausdorff and Yang bound off -1.
+TABLE_FLAGS = {"q": "0.5", "kappa": "0.5", "zeta": "0.5", "l0": "2", "alpha": "0.5", "h": "0.1",
+               "terms": "3"}
+
+
+def _flags(op):
+    return [f.metadata.get("flag", f.name) for f in dataclasses.fields(OPERATORS[op].kind)]
+
+
+def _deriv(op, flags, start, form="closed"):
+    argv = ["deriv", "--op", op, "--form", form, "--fn", "x^2", f"--grid={start!r}:1:3"]
+    for flag in flags:
+        argv += [f"--{flag}", TABLE_FLAGS[flag]]
+    return argv
+
+
+class TestOperatorTable:
+    REQUIRED = [
+        (op, f.metadata.get("flag", f.name))
+        for op, entry in OPERATORS.items()
+        for f in dataclasses.fields(entry.kind)
+        if f.default is dataclasses.MISSING
+    ]
+    # The per-operator grid checks the table replaced, at l0 = 2: the lowest x
+    # bound, whether the bound itself is rejected, and the --grid message.
+    DOMAIN_RULES = {
+        ("hausdorff", "closed"):
+            (-2.0, True, "--grid enters x <= -l0 = -2.0, outside the operator domain"),
+        ("hausdorff", "quotient"): (0.0, True, "--grid must stay at x > 0 for the quotient form"),
+        ("conformable", "closed"):
+            (0.0, True, "--grid must stay at t > 0 for the conformable operator"),
+        ("gl", "closed"): (0.0, False, "--grid must stay at x >= 0 for the GL chain"),
+        ("yang", "closed"):
+            (-2.0, True, "--grid enters x <= -l0 = -2.0, outside the operator domain"),
+    }
+    BOUNDED = [
+        (op, form)
+        for op, entry in OPERATORS.items()
+        for form in ("closed", "quotient")
+        if getattr(entry, form) is not None and getattr(entry, form).bound is not None
+    ]
+
+    def test_op_choices_are_the_table_keys_in_order(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        op = next(a for a in sub.choices["deriv"]._actions if a.dest == "op")
+        assert list(op.choices) == list(OPERATORS)
+        assert list(OPERATORS) == ["classical", "q", "kappa", "hausdorff", "conformable", "gl",
+                                   "yang"]
+
+    def test_required_flags(self):
+        assert self.REQUIRED == [("q", "q"), ("kappa", "kappa"), ("hausdorff", "zeta"),
+                                 ("conformable", "alpha"), ("gl", "alpha"), ("gl", "h"),
+                                 ("yang", "alpha")]
+
+    @pytest.mark.parametrize("op,flag", REQUIRED)
+    def test_missing_parameter_message(self, capsys, op, flag):
+        flags = [f for f in _flags(op) if f != flag]
+        code, out, err = run_cli(capsys, *_deriv(op, flags, 0.5))
+        assert (code, out, err) == (2, "", f"error: --op {op} requires --{flag}\n")
+
+    @pytest.mark.parametrize("op", list(OPERATORS))
+    def test_every_flag_given_runs(self, capsys, op):
+        code, out, _ = run_cli(capsys, *_deriv(op, _flags(op), 0.5))
+        assert code == 0
+        assert out.startswith("x,value\n")
+
+    def test_domain_rules(self):
+        assert sorted(self.BOUNDED) == sorted(self.DOMAIN_RULES)
+
+    @pytest.mark.parametrize("op,form", BOUNDED)
+    def test_domain_rule_at_its_bound(self, capsys, op, form):
+        bound, strict, message = self.DOMAIN_RULES[op, form]
+        outside = bound if strict else float(np.nextafter(bound, -np.inf))
+        inside = float(np.nextafter(bound, np.inf)) if strict else bound
+        code, out, err = run_cli(capsys, *_deriv(op, _flags(op), outside, form))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        code, out, err = run_cli(capsys, *_deriv(op, _flags(op), inside, form))
+        assert code == 0, err
+        assert float(out.splitlines()[1].split(",")[0]) == inside
+
+    @pytest.mark.parametrize("op", [op for op, entry in OPERATORS.items() if entry.quotient is None])
+    def test_quotient_form_only_where_the_table_has_one(self, capsys, op):
+        code, out, err = run_cli(capsys, *_deriv(op, _flags(op), 0.5, "quotient"))
+        assert (code, out, err) == (
+            2, "", "error: --form quotient applies only to --op q and --op hausdorff\n"
+        )
+
+
 class TestSolveCommand:
     def test_q_problem_csv(self, capsys):
         code, out, err = run_cli(
@@ -209,6 +300,15 @@ class TestSolveCommand:
             "--grid", "-2:1:11",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--base-step", "--levels"])
+    def test_deriv_only_flags_are_rejected(self, capsys, flag):
+        code, out, err = run_cli(
+            capsys, "solve", "--problem", "q", "--q", "0.5", "--grid", "0:1:11", flag, "0.1"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {flag}" in err
 
 
 class TestMapCommand:

@@ -53,6 +53,10 @@ class TestGamma:
         assert math.isfinite(gamma(x))
         assert abs(gamma(x) - float(exact)) <= 1e-13 * abs(float(exact))
 
+    def test_minus_inf_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="-inf"):
+            gamma(-math.inf)
+
     @pytest.mark.parametrize("x", [171.7, 200.0, 1e300, 1e-310, math.inf])
     def test_inf_only_past_the_double_range(self, x):
         assert gamma(x) == math.inf
