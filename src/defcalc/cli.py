@@ -29,7 +29,7 @@ from .deformed_algebra import QParam
 from .derivative_ops import OPERATORS, DerivativeKind, DiffSettings
 from .eigen_solvers import solve_hausdorff_eigen, solve_q_eigen, verify_fractional_eigen
 from .errors import DefcalcError, DomainError, ParseError
-from .function_catalog import RealFunction
+from .function_catalog import BUILTINS, RealFunction
 from .mappings import expand_hausdorff_prefactor, kappa_expansion, q_from_zeta, zeta_from_q
 from .special_functions import HausdorffParams, mittag_leffler
 
@@ -43,9 +43,9 @@ expression syntax for --fn (single free variable x):
   power      = atom , [ "^" , unary ] ;          (right-associative)
   atom       = number | "x" | call | "(" , expression , ")" ;
   call       = builtin , "(" , expression , { "," , expression } , ")" ;
-  builtin    = exp | ln | sin | cos | sqrt | gamma | abs | pow
+  builtin    = %s
 examples: "x^2", "exp(-x^2/2)", "sin(x)*sqrt(1+x^2)"
-"""
+""" % " | ".join(BUILTINS)
 
 
 class ConfigError(Exception):

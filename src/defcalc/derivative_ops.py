@@ -149,8 +149,15 @@ def _richardson(values: Sequence, p: int, r: float = 2.0):
     return vals[-1]
 
 
-def _steps(settings: DiffSettings) -> list[float]:
-    return [settings.base_step * 0.5**j for j in range(settings.richardson_levels + 1)]
+def _limit(quotient: Callable, settings: DiffSettings | None, p: int, cap=None):
+    """The Richardson limit, error powers p, 2p, ..., of quotient(h) over the
+    probe steps h = base 2^-j, j = 0..richardson_levels, where base is
+    base_step, capped at ``cap`` (elementwise over an array) when given."""
+    s = settings or _DEFAULT_SETTINGS
+    base = s.base_step
+    if cap is not None:
+        base = min(base, cap) if np.ndim(cap) == 0 else np.minimum(base, cap)
+    return _richardson([quotient(base * 0.5**j) for j in range(s.richardson_levels + 1)], p)
 
 
 def _reject(bad, x, message: str) -> None:
@@ -172,10 +179,8 @@ def classical_derivative(f, x, settings: DiffSettings | None = None):
     Serves as the numerical fallback wherever a symbolic derivative is not
     available.  Requires f evaluable on [x - base_step, x + base_step].
     """
-    s = settings or _DEFAULT_SETTINGS
     f = as_real_function(f)
-    quotients = [(f(x + h) - f(x - h)) / (2.0 * h) for h in _steps(s)]
-    return _richardson(quotients, p=2)
+    return _limit(lambda h: (f(x + h) - f(x - h)) / (2.0 * h), settings, 2)
 
 
 def _closed_form(f, x, settings: DiffSettings | None, prefactor):
@@ -202,13 +207,8 @@ def q_derivative_quotient(f, x, q: QParam | float, settings: DiffSettings | None
     Richardson-extrapolated.  Raises :class:`DomainError` if a probe hits the
     deformed-difference singularity y = 1/(q-1)."""
     f = as_real_function(f)
-    s = settings or _DEFAULT_SETTINGS
     fx = f(x)
-    quotients = []
-    for h in _steps(s):
-        y = x - h
-        quotients.append((fx - f(y)) / q_difference(x, y, q))
-    return _richardson(quotients, p=1)
+    return _limit(lambda h: (fx - f(x - h)) / q_difference(x, x - h, q), settings, 1)
 
 
 def hausdorff_derivative(f, x, hp: HausdorffParams, settings: DiffSettings | None = None):
@@ -222,17 +222,14 @@ def hausdorff_quotient(f, x, zeta: float, settings: DiffSettings | None = None):
     limit of (f(x') - f(x)) / (x'^zeta - x^zeta) with x' -> x from above.
 
     By the chain rule this equals x^(1-zeta) f'(x) / zeta; it needs x > 0.
+    The probes start at min(base_step, x/4): a step much larger than x would
+    make x'^zeta - x^zeta non-smooth in it, outside the Richardson tableau.
     """
     f = as_real_function(f)
     _reject(x <= 0.0, x, "hausdorff_quotient requires x > 0")
-    s = settings or _DEFAULT_SETTINGS
     fx = f(x)
     xz = x**zeta
-    quotients = []
-    for h in _steps(s):
-        xp = x + h
-        quotients.append((f(xp) - fx) / (xp**zeta - xz))
-    return _richardson(quotients, p=1)
+    return _limit(lambda h: (f(x + h) - fx) / ((x + h) ** zeta - xz), settings, 1, x / 4.0)
 
 
 def kaniadakis_derivative(f, x, kappa: KappaParam | float, settings: DiffSettings | None = None):
@@ -251,11 +248,9 @@ def conformable_derivative(f, t, alpha: float, settings: DiffSettings | None = N
         raise ValueError(f"conformable_derivative requires 0 < alpha <= 1, got {alpha}")
     _reject(t <= 0.0, t, "conformable_derivative requires t > 0")
     f = as_real_function(f)
-    s = settings or _DEFAULT_SETTINGS
     ft = f(t)
     scale = t ** (1.0 - alpha)
-    quotients = [(f(t + eps * scale) - ft) / eps for eps in _steps(s)]
-    return _richardson(quotients, p=1)
+    return _limit(lambda eps: (f(t + eps * scale) - ft) / eps, settings, 1)
 
 
 # --- Grunwald-Letnikov / Jumarie chain ------------------------------------

@@ -8,21 +8,25 @@ Grammar (EBNF, also published in the README):
     power      = atom , [ "^" , unary ] ;          (* right-associative *)
     atom       = number | "x" | call | "(" , expression , ")" ;
     call       = builtin , "(" , expression , { "," , expression } , ")" ;
-    builtin    = "exp" | "ln" | "sin" | "cos" | "sqrt" | "gamma" | "abs" | "pow" ;
+    builtin    = (* a name in BUILTINS *) ;
     number     = digits , [ "." , [ digits ] ] , [ exponent ]
                | "." , digits , [ exponent ] ;
     exponent   = ( "e" | "E" ) , [ "+" | "-" ] , digits ;
+    digits     = ( "0" | "1" | ... | "9" ) , { "0" | "1" | ... | "9" } ;
 
-"^" binds tighter than unary minus, so -x^2 parses as -(x^2).  All builtins
-take one argument except pow, which takes two.  The single free variable is
+"^" binds tighter than unary minus, so -x^2 parses as -(x^2).  Each
+builtin's arity, like its float and numpy functions and its derivative rule,
+comes from the operation table ``_OPERATIONS``.  The single free variable is
 x.  Parsed trees are limited to depth 64.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -51,7 +55,6 @@ __all__ = [
     "as_real_function",
 ]
 
-BUILTINS = ("exp", "ln", "sin", "cos", "sqrt", "gamma", "abs", "pow")
 MAX_DEPTH = 64
 
 
@@ -89,56 +92,76 @@ class Call:
 Expr = Union[Number, Var, Neg, BinOp, Call]
 
 
-# --- Lexer ---------------------------------------------------------------
-
-_OPERATORS = set("+-*/^(),")
+# --- Operations ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class _Token:
+class _Operation:
+    """A binary operator or builtin: its float function, its numpy elementwise
+    function, its arity and, for a builtin, its derivative rule (u, du) ->
+    d/dx name(u), or None where the engine has none."""
+
+    scalar: Callable
+    ufunc: Callable
+    arity: int = 1
+    derivative: Optional[Callable[[Expr, Expr], Expr]] = None
+
+
+def _gamma_or_nan(u: float) -> float:
+    try:
+        return special_functions.gamma(u)
+    except DefcalcError:  # a pole, or -inf
+        return math.nan
+
+
+# Keyed by operator symbol or builtin name.  gamma is called through its
+# module-global name, so a wrapper installed on special_functions sees it.
+_OPERATIONS: dict[str, _Operation] = {
+    "+": _Operation(operator.add, np.add, 2),
+    "-": _Operation(operator.sub, np.subtract, 2),
+    "*": _Operation(operator.mul, np.multiply, 2),
+    "/": _Operation(operator.truediv, np.divide, 2),
+    "^": _Operation(math.pow, np.power, 2),
+    "exp": _Operation(math.exp, np.exp, 1, lambda u, du: _mul(Call("exp", (u,)), du)),
+    "ln": _Operation(math.log, np.log, 1, lambda u, du: _div(du, u)),
+    "sin": _Operation(math.sin, np.sin, 1, lambda u, du: _mul(Call("cos", (u,)), du)),
+    "cos": _Operation(math.cos, np.cos, 1, lambda u, du: _mul(Neg(Call("sin", (u,))), du)),
+    "sqrt": _Operation(math.sqrt, np.sqrt, 1,
+                       lambda u, du: _div(du, _mul(_num(2.0), Call("sqrt", (u,))))),
+    "gamma": _Operation(lambda u: special_functions.gamma(u),
+                        np.vectorize(_gamma_or_nan, otypes=[float])),
+    "abs": _Operation(abs, np.abs),
+    "pow": _Operation(math.pow, np.power, 2),
+}
+BUILTINS = tuple(name for name in _OPERATIONS if name.isalpha())
+
+
+# --- Lexer ---------------------------------------------------------------
+
+# Digits are ASCII only; an exponent needs its digits ("2e" is 2, then the
+# name e).  finditer skips what no group matches: exactly the characters
+# str.isspace accepts, since "bad" takes every other one.
+_TOKEN = re.compile(
+    r"(?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>[^\W\d]\w*)"
+    rf"|(?P<op>[{re.escape(''.join(n for n in _OPERATIONS if n not in BUILTINS))}(),])"
+    r"|(?P<bad>\S)"
+)
+
+
+class _Token(NamedTuple):
     kind: str  # "number" | "ident" | "op" | "end"
-    text: str
+    text: str  # a single operator character only for an "op" token
     pos: int
 
 
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            if i < n and source[i] == ".":
-                i += 1
-                while i < n and source[i].isdigit():
-                    i += 1
-            if i < n and source[i] in "eE":
-                j = i + 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j < n and source[j].isdigit():
-                    i = j
-                    while i < n and source[i].isdigit():
-                        i += 1
-            tokens.append(_Token("number", source[start:i], start))
-            continue
-        if c.isalpha() or c == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            tokens.append(_Token("ident", source[start:i], start))
-            continue
-        if c in _OPERATORS:
-            tokens.append(_Token("op", c, i))
-            i += 1
-            continue
-        raise ParseError(i, "a number, name, or operator", repr(c))
-    tokens.append(_Token("end", "end of input", n))
+    for match in _TOKEN.finditer(source):
+        if match.lastgroup == "bad":
+            raise ParseError(match.start(), "a number, name, or operator", repr(match.group()))
+        tokens.append(_Token(match.lastgroup, match.group(), match.start()))
+    tokens.append(_Token("end", "end of input", len(source)))
     return tokens
 
 
@@ -149,6 +172,11 @@ def _tokenize(source: str) -> list[_Token]:
 # most ~2 nested productions per level, so this bound only trips on inputs
 # that could not yield a legal tree anyway (and keeps the stack shallow).
 _NESTING_LIMIT = 2 * MAX_DEPTH + 8
+
+# Binding power of the left-associative operators ("^" is right-associative,
+# in power()).  Like every test of a token's text below, this needs no kind
+# check: no number, name or end token has an operator's text.
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
 class _Parser:
@@ -186,20 +214,17 @@ class _Parser:
     def expression(self) -> tuple[Expr, int]:
         self.enter()
         try:
-            node, depth = self.term()
-            while self.peek().kind == "op" and self.peek().text in "+-":
-                op = self.advance()
-                rhs, rdepth = self.term()
-                node, depth = self.guard(BinOp(op.text, node, rhs), max(depth, rdepth) + 1, op.pos)
-            return node, depth
+            return self.binary(1)
         finally:
             self.nesting -= 1
 
-    def term(self) -> tuple[Expr, int]:
+    def binary(self, floor: int) -> tuple[Expr, int]:
+        """Unary operands joined by the operators binding at least ``floor``,
+        grouped to the left: a sum of products from floor 1, a product from 2."""
         node, depth = self.unary()
-        while self.peek().kind == "op" and self.peek().text in "*/":
+        while _BINDING.get(self.peek().text, 0) >= floor:
             op = self.advance()
-            rhs, rdepth = self.unary()
+            rhs, rdepth = self.binary(_BINDING[op.text] + 1)
             node, depth = self.guard(BinOp(op.text, node, rhs), max(depth, rdepth) + 1, op.pos)
         return node, depth
 
@@ -207,7 +232,7 @@ class _Parser:
         self.enter()
         try:
             tok = self.peek()
-            if tok.kind == "op" and tok.text == "-":
+            if tok.text == "-":
                 self.advance()
                 node, depth = self.unary()
                 return self.guard(Neg(node), depth + 1, tok.pos)
@@ -218,7 +243,7 @@ class _Parser:
     def power(self) -> tuple[Expr, int]:
         node, depth = self.atom()
         tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
+        if tok.text == "^":
             self.advance()
             rhs, rdepth = self.unary()  # right-associative exponent
             return self.guard(BinOp("^", node, rhs), max(depth, rdepth) + 1, tok.pos)
@@ -236,40 +261,35 @@ class _Parser:
             if tok.text in BUILTINS:
                 return self.call(tok)
             raise ParseError(tok.pos, "x or a builtin function name", tok.text)
-        if tok.kind == "op" and tok.text == "(":
+        if self.peek().text == "(":
             self.advance()
             node, depth = self.expression()
-            if not (self.peek().kind == "op" and self.peek().text == ")"):
+            if self.peek().text != ")":
                 self.fail("')'")
             self.advance()
             return node, depth
         self.fail("an operand")
 
     def call(self, name_tok: _Token) -> tuple[Expr, int]:
-        if not (self.peek().kind == "op" and self.peek().text == "("):
+        if self.peek().text != "(":
             self.fail(f"'(' after {name_tok.text}")
         self.advance()
-        args: list[Expr] = []
-        depths: list[int] = []
-        node, depth = self.expression()
-        args.append(node)
-        depths.append(depth)
-        while self.peek().kind == "op" and self.peek().text == ",":
+        parsed = [self.expression()]
+        while self.peek().text == ",":
             self.advance()
-            node, depth = self.expression()
-            args.append(node)
-            depths.append(depth)
-        if not (self.peek().kind == "op" and self.peek().text == ")"):
+            parsed.append(self.expression())
+        if self.peek().text != ")":
             self.fail("')' or ','")
         closing = self.advance()
-        arity = 2 if name_tok.text == "pow" else 1
-        if len(args) != arity:
+        arity = _OPERATIONS[name_tok.text].arity
+        if len(parsed) != arity:
             raise ParseError(
                 name_tok.pos,
                 f"{name_tok.text} with {arity} argument{'s' if arity > 1 else ''}",
-                f"{len(args)} arguments",
+                f"{len(parsed)} arguments",
             )
-        return self.guard(Call(name_tok.text, tuple(args)), max(depths) + 1, closing.pos)
+        args, depths = zip(*parsed)
+        return self.guard(Call(name_tok.text, args), max(depths) + 1, closing.pos)
 
 
 def parse(source: str) -> Expr:
@@ -288,12 +308,6 @@ def parse(source: str) -> Expr:
 # --- Evaluation ----------------------------------------------------------
 
 
-def _check_finite(value: float, node: Expr, x: float) -> float:
-    if not math.isfinite(value):
-        raise EvaluationError(f"non-finite result from {to_source(node)} at x = {x}", node, x)
-    return value
-
-
 def evaluate(ast: Expr, x: float) -> float:
     """Evaluate the expression at x.
 
@@ -307,49 +321,20 @@ def evaluate(ast: Expr, x: float) -> float:
     if isinstance(ast, Neg):
         return -evaluate(ast.operand, x)
     if isinstance(ast, BinOp):
-        a = evaluate(ast.left, x)
-        b = evaluate(ast.right, x)
-        try:
-            if ast.op == "+":
-                value = a + b
-            elif ast.op == "-":
-                value = a - b
-            elif ast.op == "*":
-                value = a * b
-            elif ast.op == "/":
-                value = a / b
-            else:  # ^
-                value = math.pow(a, b)
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            raise EvaluationError(
-                f"{to_source(ast)} undefined for arguments ({a}, {b})", ast, (a, b)
-            ) from exc
-        return _check_finite(value, ast, x)
-    # Call
-    args = [evaluate(a, x) for a in ast.args]
-    u = args[0]
+        name, args = ast.op, (evaluate(ast.left, x), evaluate(ast.right, x))
+    else:
+        name, args = ast.name, tuple([evaluate(a, x) for a in ast.args])
     try:
-        if ast.name == "exp":
-            value = math.exp(u)
-        elif ast.name == "ln":
-            value = math.log(u)
-        elif ast.name == "sin":
-            value = math.sin(u)
-        elif ast.name == "cos":
-            value = math.cos(u)
-        elif ast.name == "sqrt":
-            value = math.sqrt(u)
-        elif ast.name == "gamma":
-            value = special_functions.gamma(u)
-        elif ast.name == "abs":
-            value = abs(u)
-        else:  # pow
-            value = math.pow(u, args[1])
+        value = _OPERATIONS[name].scalar(*args)
     except (ValueError, OverflowError, ZeroDivisionError, DefcalcError) as exc:
-        raise EvaluationError(
-            f"{ast.name} undefined for argument {tuple(args)}", ast, tuple(args)
-        ) from exc
-    return _check_finite(value, ast, x)
+        if isinstance(ast, BinOp):
+            message = f"{to_source(ast)} undefined for arguments ({args[0]}, {args[1]})"
+        else:
+            message = f"{name} undefined for argument {args}"
+        raise EvaluationError(message, ast, args) from exc
+    if not math.isfinite(value):
+        raise EvaluationError(f"non-finite result from {to_source(ast)} at x = {x}", ast, x)
+    return value
 
 
 # --- Symbolic differentiation --------------------------------------------
@@ -411,8 +396,8 @@ def differentiate(ast: Expr) -> Expr:
     """Symbolic derivative d/dx as a new expression tree.
 
     Power with a non-constant exponent is rewritten through exp(b ln a),
-    which restricts the domain to a > 0.  gamma and abs are not
-    differentiable here and raise :class:`UnsupportedDerivative`.
+    which restricts the domain to a > 0.  A builtin whose table entry has no
+    derivative rule raises :class:`UnsupportedDerivative`.
     """
     if isinstance(ast, Number):
         return _num(0.0)
@@ -437,17 +422,10 @@ def differentiate(ast: Expr) -> Expr:
         return _diff_power(ast.args[0], ast.args[1])
     u = ast.args[0]
     du = differentiate(u)
-    if ast.name == "exp":
-        return _mul(Call("exp", (u,)), du)
-    if ast.name == "ln":
-        return _div(du, u)
-    if ast.name == "sin":
-        return _mul(Call("cos", (u,)), du)
-    if ast.name == "cos":
-        return _mul(Neg(Call("sin", (u,))), du)
-    if ast.name == "sqrt":
-        return _div(du, _mul(_num(2.0), Call("sqrt", (u,))))
-    raise UnsupportedDerivative(f"{ast.name} is not differentiable in this engine")
+    rule = _OPERATIONS[ast.name].derivative
+    if rule is None:
+        raise UnsupportedDerivative(f"{ast.name} is not differentiable in this engine")
+    return rule(u, du)
 
 
 def _diff_power(base: Expr, exponent: Expr) -> Expr:
@@ -486,27 +464,6 @@ def to_source(ast: Expr) -> str:
 
 # --- Compilation to numpy ------------------------------------------------
 
-_BINARY_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
-_CALL_UFUNCS = {
-    "exp": np.exp,
-    "ln": np.log,
-    "sin": np.sin,
-    "cos": np.cos,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-    "pow": np.power,
-}
-
-
-def _gamma_or_nan(u: float) -> float:
-    try:
-        return special_functions.gamma(u)
-    except DefcalcError:  # a pole, or -inf
-        return math.nan
-
-
-_gamma_elementwise = np.vectorize(_gamma_or_nan, otypes=[float])
-
 
 def _lower(ast: Expr) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Lower ``ast`` to node(xs, ok), its value elementwise over the array xs.
@@ -524,11 +481,10 @@ def _lower(ast: Expr) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         operand = _lower(ast.operand)
         return lambda xs, ok: np.negative(operand(xs, ok))
     if isinstance(ast, BinOp):
-        ufunc = _BINARY_UFUNCS[ast.op]
-        args = (_lower(ast.left), _lower(ast.right))
+        name, args = ast.op, (_lower(ast.left), _lower(ast.right))
     else:
-        ufunc = _CALL_UFUNCS.get(ast.name, _gamma_elementwise)
-        args = tuple(_lower(a) for a in ast.args)
+        name, args = ast.name, tuple(map(_lower, ast.args))
+    ufunc = _OPERATIONS[name].ufunc
 
     def node(xs, ok):
         value = ufunc(*[arg(xs, ok) for arg in args])
@@ -567,18 +523,20 @@ def _compile(ast: Expr) -> Callable:
     return fn
 
 
-def _on_array(fn: Callable, xs: np.ndarray) -> np.ndarray:
-    """fn elementwise over xs: in one call when fn takes arrays, else point by
-    point (a DefcalcError then carries the position of the failing x as
-    ``index``)."""
+def _apply(fn: Callable, x):
+    """fn at a float, or elementwise over an array of x: in one call when fn
+    takes arrays, else point by point (a DefcalcError then carries the
+    position of the failing x as ``index``)."""
+    if not isinstance(x, np.ndarray) or x.ndim == 0:
+        return fn(x)
     try:
-        values = np.asarray(fn(xs), dtype=float)
+        values = np.asarray(fn(x), dtype=float)
     except (TypeError, ValueError):  # fn takes scalars only
         values = None
-    if values is not None and values.shape == xs.shape:
+    if values is not None and values.shape == x.shape:
         return values
-    values = np.empty(xs.shape)
-    for i, t in enumerate(xs.flat):
+    values = np.empty(x.shape)
+    for i, t in enumerate(x.flat):
         try:
             values.flat[i] = fn(float(t))
         except DefcalcError as exc:
@@ -607,15 +565,11 @@ class RealFunction:
     source: Optional[str] = field(default=None, compare=False)
 
     def __call__(self, x):
-        if not isinstance(x, np.ndarray) or x.ndim == 0:
-            return self.value(x)
-        return _on_array(self.value, x)
+        return _apply(self.value, x)
 
     def derivative_at(self, x):
         """The attached derivative at a float, or elementwise over an array of x."""
-        if not isinstance(x, np.ndarray) or x.ndim == 0:
-            return self.derivative(x)
-        return _on_array(self.derivative, x)
+        return _apply(self.derivative, x)
 
     @classmethod
     def from_callable(cls, f: Callable[[float], float], df=None, label: str = "f") -> "RealFunction":
@@ -624,7 +578,8 @@ class RealFunction:
     @classmethod
     def from_expression(cls, source: str) -> "RealFunction":
         """Parse ``source`` and attach its symbolic derivative when the tree
-        is differentiable (gamma/abs nodes leave derivative = None).  Both are
+        is differentiable (a builtin without a derivative rule leaves
+        derivative = None).  Both are
         compiled once to numpy, so either evaluates a whole array of x in one
         pass; a float x still goes through :func:`evaluate`."""
         ast = parse(source)

@@ -145,6 +145,14 @@ class TestHausdorffQuotient:
         with pytest.raises(DomainError):
             hausdorff_quotient("x", 0.0, 0.5)
 
+    def test_chain_rule_below_the_base_step(self):
+        # x^(1-zeta) f'(x) / zeta, at x where a probe x + base_step would be far from x
+        xs = np.array([1e-6, 1e-3, 1e-2])
+        expected = xs**0.5 * 2.0 * xs / 0.5
+        assert hausdorff_quotient("x^2", xs, 0.5) == pytest.approx(expected, rel=1e-8)
+        for x, value in zip(xs, expected):
+            assert hausdorff_quotient("x^2", float(x), 0.5) == pytest.approx(value, rel=1e-8)
+
 
 class TestKaniadakisDerivative:
     def test_classical_reduction(self):

@@ -18,7 +18,7 @@ from defcalc import (
     parse,
     to_source,
 )
-from defcalc.function_catalog import BinOp, Call, MAX_DEPTH, Neg, Number, Var
+from defcalc.function_catalog import BinOp, Call, MAX_DEPTH, Neg, Number, Var, _tokenize
 
 from exprgen import ORACLE_SETTINGS, SAMPLE_POINTS, generate
 
@@ -77,6 +77,36 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse(bad)
         assert 0 <= err.value.position <= len(bad) + 1
+
+    @pytest.mark.parametrize("source,tokens", [
+        ("2e", [("number", "2", 0), ("ident", "e", 1)]),  # no exponent without digits
+        ("2e-x", [("number", "2", 0), ("ident", "e", 1), ("op", "-", 2), ("ident", "x", 3)]),
+        ("1.e5", [("number", "1.e5", 0)]),
+        (".5E-3", [("number", ".5E-3", 0)]),
+        ("\tx\n*\r2 ", [("ident", "x", 1), ("op", "*", 3), ("number", "2", 5)]),
+        ("x  ", [("ident", "x", 0)]),
+        ("1..2", [("number", "1.", 0), ("number", ".2", 2)]),
+        ("x٣_1", [("ident", "x٣_1", 0)]),
+    ])
+    def test_tokens(self, source, tokens):
+        assert [(t.kind, t.text, t.pos) for t in _tokenize(source)] == tokens + [
+            ("end", "end of input", len(source))
+        ]
+
+    @pytest.mark.parametrize("source,position,expected,found", [
+        ("2e", 1, "end of input", "e"),
+        ("1..2", 2, "end of input", ".2"),
+        ("x @", 2, "a number, name, or operator", "'@'"),
+        ("2²*x", 1, "end of input", "²"),  # ² is a digit to str.isdigit, not to float()
+        ("٣*x", 0, "a number, name, or operator", "'٣'"),  # digits are ASCII only
+        ("½", 0, "x or a builtin function name", "½"),
+    ])
+    def test_error_positions(self, source, position, expected, found):
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert (err.value.position, err.value.expected, err.value.found) == (
+            position, expected, found
+        )
 
 
 class TestEvaluate:
