@@ -20,13 +20,13 @@ import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable, Optional
+from typing import Callable, Optional, get_type_hints
 
 import numpy as np
 
 from . import selftest as selftest_module
 from .deformed_algebra import QParam
-from .derivative_ops import OPERATORS, DerivativeKind, DiffSettings
+from .derivative_ops import OPERATORS, DiffSettings
 from .eigen_solvers import solve_hausdorff_eigen, solve_q_eigen, verify_fractional_eigen
 from .errors import DefcalcError, DomainError, ParseError
 from .function_catalog import BUILTINS, RealFunction
@@ -54,16 +54,22 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One batch invocation: command, operator, function, grid, output policy."""
+    """One batch invocation: command, grid, output policy and every flag's value."""
 
     command: str
-    operator: Optional[DerivativeKind] = None
-    function_source: Optional[str] = None
     grid: Optional[tuple[float, float, int]] = None
     output_format: str = "csv"
     output_path: Optional[str] = None
-    tolerances: DiffSettings = field(default_factory=DiffSettings)
     options: dict = field(default_factory=dict, compare=False)
+
+
+# The flags a table's JSON "params" lists when given, in this order.
+_PARAMS = ("op", "form", "fn", "problem", "q", "kappa", "zeta", "l0", "alpha", "h", "terms",
+           "tol", "order", "z")
+
+
+def _params(opt: dict) -> dict:
+    return {name: opt[name] for name in _PARAMS if opt.get(name) is not None}
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -119,6 +125,43 @@ def _finite_float(text: str) -> float:
     return value
 
 
+# The argparse type of a flag, by the annotation of the field it sets.
+_FLAG_TYPES = {float: _finite_float, Optional[int]: int}
+
+
+def _param_flags(classes) -> dict:
+    """``--flag`` -> argparse type for each field of ``classes``, in order of
+    first use; a field's ``flag`` metadata names a flag other than its name."""
+    flags = {}
+    for cls in classes:
+        hints = get_type_hints(cls)
+        for param in fields(cls):
+            flag = "--" + param.metadata.get("flag", param.name)
+            flags.setdefault(flag, _FLAG_TYPES[hints[param.name]])
+    return flags
+
+
+@dataclass(frozen=True)
+class _Fractional:
+    """The parameters of ``solve --problem fractional``, which
+    :func:`verify_fractional_eigen` checks."""
+
+    alpha: float
+    h: float = 1e-3
+
+
+# Keyed by --problem: the class whose fields are the problem's parameters, and
+# solve(params, domain, points, tol), which calls the solver by its
+# module-global name so that a wrapper installed on the module sees the call.
+_PROBLEMS: dict[str, tuple[type, Callable]] = {
+    "q": (QParam, lambda p, domain, n, tol: solve_q_eigen(p, domain, n, tol)),
+    "hausdorff": (HausdorffParams,
+                  lambda p, domain, n, tol: solve_hausdorff_eigen(p, domain, n, tol)),
+    "fractional": (_Fractional,
+                   lambda p, domain, n, tol: verify_fractional_eigen(p.alpha, domain, n, p.h)),
+}
+
+
 def _given(opt: dict, flag: str, default):
     """The flag's value, or ``default`` when the flag was not given."""
     value = opt.get(flag)
@@ -168,48 +211,39 @@ def _run_grid(compute: Callable, xs: np.ndarray, where: str, overflow: str):
 
 def _run_deriv(config: RunConfig, out) -> int:
     opt = config.options
-    kind = config.operator
-    form = opt.get("form", "closed")
-    way = getattr(OPERATORS[opt["op"]], form)
+    name = opt["op"]
+    op = OPERATORS[name]
+    try:
+        settings = DiffSettings(opt["base_step"], opt["levels"])
+        kind = _from_options(op.kind, opt, f"--op {name}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    way = getattr(op, opt["form"])
     if way is None:
-        names = " and ".join(f"--op {name}" for name, op in OPERATORS.items() if op.quotient)
+        names = " and ".join(f"--op {key}" for key, entry in OPERATORS.items() if entry.quotient)
         raise ConfigError(f"--form quotient applies only to {names}")
-    f = _build_function(config.function_source)
+    f = _build_function(opt["fn"])
     xs = np.linspace(*config.grid)
     message = way.rejects(kind, float(xs[0]))
     if message:
         raise ConfigError(message)
-    values = _run_grid(lambda grid: way.evaluate(kind, f, grid, config.tolerances), xs,
-                       f"{opt['op']} operator at x", "non-finite value")
+    values = _run_grid(lambda grid: way.evaluate(kind, f, grid, settings), xs,
+                       f"{name} operator at x", "non-finite value")
     if values is None:
         return 3
     rows = list(zip(xs.tolist(), values.tolist()))
-    params = {"op": opt.get("op"), "form": form, "fn": config.function_source}
-    params.update({k: v for k, v in opt.items() if k not in ("op", "form") and v is not None})
-    _emit(config, params, ("x", "value"), rows, out)
+    _emit(config, _params(opt), ("x", "value"), rows, out)
     return 0
 
 
 def _run_solve(config: RunConfig, out) -> int:
     opt = config.options
-    problem = opt.get("problem")
+    problem = opt["problem"]
+    cls, solve = _PROBLEMS[problem]
     start, stop, points = config.grid
-    tol = _given(opt, "tol", 1e-10)
     try:
-        if problem == "q":
-            q = _from_options(QParam, opt, "--problem q")
-            report = solve_q_eigen(q, (start, stop), points, tol)
-        elif problem == "hausdorff":
-            hp = _from_options(HausdorffParams, opt, "--problem hausdorff")
-            report = solve_hausdorff_eigen(hp, (start, stop), points, tol)
-        elif problem == "fractional":
-            if opt.get("alpha") is None:
-                raise ConfigError("--problem fractional requires --alpha")
-            report = verify_fractional_eigen(
-                opt["alpha"], (start, stop), points, _given(opt, "h", 1e-3)
-            )
-        else:
-            raise ConfigError(f"unknown --problem {problem!r}")
+        report = solve(_from_options(cls, opt, f"--problem {problem}"), (start, stop), points,
+                       _given(opt, "tol", 1e-10))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     except DomainError as exc:
@@ -222,13 +256,12 @@ def _run_solve(config: RunConfig, out) -> int:
         (x, y_num, y_closed, abs(y_num - y_closed) / abs(y_closed))
         for x, y_num, y_closed in report.grid
     ]
-    params = {k: v for k, v in opt.items() if v is not None}
     print(
         f"max_rel_residual = {report.max_rel_residual:.3e}, "
         f"rms_rel_residual = {report.rms_rel_residual:.3e}",
         file=sys.stderr,
     )
-    _emit(config, params, ("x", "value", "closed_form", "residual"), rows, out)
+    _emit(config, _params(opt), ("x", "value", "closed_form", "residual"), rows, out)
     return 0
 
 
@@ -237,17 +270,15 @@ def _run_map(config: RunConfig, out) -> int:
     has_zeta, has_q = opt.get("zeta") is not None, opt.get("q") is not None
     if has_zeta == has_q:
         raise ConfigError("map needs exactly one of --zeta or --q")
-    l0 = _given(opt, "l0", 1.0)
     try:
         if has_zeta:
-            result = q_from_zeta(HausdorffParams(opt["zeta"], l0))
+            result = q_from_zeta(_from_options(HausdorffParams, opt, "map"))
         else:
-            result = zeta_from_q(QParam(opt["q"]), l0)
+            result = zeta_from_q(opt["q"], _given(opt, "l0", 1.0))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rows = [(result.q, result.zeta, result.l0, result.first_order_residual_bound)]
-    params = {k: v for k, v in opt.items() if v is not None}
-    _emit(config, params, ("q", "zeta", "l0", "first_order_residual_bound"), rows, out)
+    _emit(config, _params(opt), ("q", "zeta", "l0", "first_order_residual_bound"), rows, out)
     return 0
 
 
@@ -266,8 +297,7 @@ def _run_expand(config: RunConfig, out) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rows = [(float(k), c) for k, c in enumerate(expansion.coefficients)]
-    params = {k: v for k, v in opt.items() if v is not None}
-    _emit(config, params, ("x", "value"), rows, out)
+    _emit(config, _params(opt), ("x", "value"), rows, out)
     return 0
 
 
@@ -284,8 +314,7 @@ def _run_ml(config: RunConfig, out) -> int:
     if values is None:
         return 3
     rows = list(zip(zs.tolist(), values.tolist()))
-    params = {k: v for k, v in opt.items() if v is not None}
-    _emit(config, params, ("x", "value"), rows, out)
+    _emit(config, _params(opt), ("x", "value"), rows, out)
     return 0
 
 
@@ -328,17 +357,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", required=True, choices=tuple(OPERATORS))
     p.add_argument("--fn", required=True, help="expression in x")
     p.add_argument("--form", choices=("closed", "quotient"), default="closed")
-    for flag in ("--q", "--kappa", "--zeta", "--l0", "--alpha", "--h"):
-        p.add_argument(flag, type=_finite_float, default=None)
-    p.add_argument("--terms", type=int, default=None)
+    for flag, kind in _param_flags(op.kind for op in OPERATORS.values()).items():
+        p.add_argument(flag, type=kind, default=None)
     add_common(p, grid_required=True)
     p.add_argument("--base-step", type=_finite_float, default=1e-2)
     p.add_argument("--levels", type=int, default=4)
 
     p = sub.add_parser("solve", help="verify an eigen-equation and emit residuals")
-    p.add_argument("--problem", required=True, choices=("q", "hausdorff", "fractional"))
-    for flag in ("--q", "--zeta", "--l0", "--alpha", "--h", "--tol"):
-        p.add_argument(flag, type=_finite_float, default=None)
+    p.add_argument("--problem", required=True, choices=tuple(_PROBLEMS))
+    for flag, kind in _param_flags(cls for cls, _ in _PROBLEMS.values()).items():
+        p.add_argument(flag, type=kind, default=None)
+    p.add_argument("--tol", type=_finite_float, default=None)
     add_common(p, grid_required=True)
 
     p = sub.add_parser("map", help="bridge the entropic index q and scaling exponent zeta")
@@ -380,29 +409,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     grid = _parse_grid(args.grid) if getattr(args, "grid", None) else None
     if args.command in ("deriv", "solve") and grid is None:
         raise ConfigError("--grid is required")
-    options = {
-        name: getattr(args, name)
-        for name in ("op", "form", "problem", "q", "kappa", "zeta", "l0", "alpha",
-                     "h", "terms", "tol", "order", "z")
-        if hasattr(args, name)
-    }
-    operator, tolerances = None, DiffSettings()
-    if args.command == "deriv":
-        try:
-            tolerances = DiffSettings(args.base_step, args.levels)
-            operator = _from_options(OPERATORS[args.op].kind, options, f"--op {args.op}")
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    return RunConfig(
-        command=args.command,
-        operator=operator,
-        function_source=getattr(args, "fn", None),
-        grid=grid,
-        output_format=fmt,
-        output_path=args.output,
-        tolerances=tolerances,
-        options=options,
-    )
+    return RunConfig(command=args.command, grid=grid, output_format=fmt,
+                     output_path=args.output, options=vars(args))
 
 
 def main(argv=None) -> int:

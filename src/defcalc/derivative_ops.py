@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .deformed_algebra import KappaParam, QParam, q_difference
+from .deformed_algebra import KappaParam, QParam, _as_kappa, _as_q, q_difference
 from .errors import DefcalcError, DomainError
 from .function_catalog import as_real_function
 from .special_functions import HausdorffParams, gamma
@@ -93,24 +93,29 @@ class Classical:
 
 
 @dataclass(frozen=True)
-class Conformable:
+class _Order:
+    """An operator of order alpha, 0 < alpha <= 1."""
+
     alpha: float
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"Conformable requires 0 < alpha <= 1, got {self.alpha}")
+            raise ValueError(f"{type(self).__name__} requires 0 < alpha <= 1, got {self.alpha}")
 
 
 @dataclass(frozen=True)
-class GrunwaldJumarie:
-    alpha: float
+class Conformable(_Order):
+    pass
+
+
+@dataclass(frozen=True)
+class GrunwaldJumarie(_Order):
     h: float
     # optional cap on the chain length, set by --terms
     n_terms: Optional[int] = field(default=None, metadata={"flag": "terms"})
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"GrunwaldJumarie requires 0 < alpha <= 1, got {self.alpha}")
+        super().__post_init__()
         if not (math.isfinite(self.h) and self.h > 0.0):
             raise ValueError(f"GrunwaldJumarie requires finite h > 0, got {self.h}")
         if self.n_terms is not None and self.n_terms < 1:
@@ -118,13 +123,11 @@ class GrunwaldJumarie:
 
 
 @dataclass(frozen=True)
-class YangLFD:
-    alpha: float
+class YangLFD(_Order):
     l0: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"YangLFD requires 0 < alpha <= 1, got {self.alpha}")
+        super().__post_init__()
         if not (math.isfinite(self.l0) and self.l0 > 0.0):
             raise ValueError(f"YangLFD requires finite l0 > 0, got {self.l0}")
 
@@ -157,7 +160,12 @@ def _limit(quotient: Callable, settings: DiffSettings | None, p: int, cap=None):
     base = s.base_step
     if cap is not None:
         base = min(base, cap) if np.ndim(cap) == 0 else np.minimum(base, cap)
-    return _richardson([quotient(base * 0.5**j) for j in range(s.richardson_levels + 1)], p)
+    try:
+        values = [quotient(base * 0.5**j) for j in range(s.richardson_levels + 1)]
+    except ZeroDivisionError as exc:  # at a float x; over an array the quotient is inf or nan
+        raise DomainError("the difference quotient divides by zero: a probe step is lost "
+                          "to round-off at this x") from exc
+    return _richardson(values, p)
 
 
 def _reject(bad, x, message: str) -> None:
@@ -197,8 +205,7 @@ def _closed_form(f, x, settings: DiffSettings | None, prefactor):
 
 def q_derivative(f, x, q: QParam | float, settings: DiffSettings | None = None):
     """q-deformed derivative [1 + (1-q) x] f'(x); classical derivative at q = 1."""
-    qv = q.q if isinstance(q, QParam) else float(q)
-    return _closed_form(f, x, settings, 1.0 + (1.0 - qv) * x)
+    return _closed_form(f, x, settings, 1.0 + (1.0 - _as_q(q).q) * x)
 
 
 def q_derivative_quotient(f, x, q: QParam | float, settings: DiffSettings | None = None):
@@ -225,6 +232,7 @@ def hausdorff_quotient(f, x, zeta: float, settings: DiffSettings | None = None):
     The probes start at min(base_step, x/4): a step much larger than x would
     make x'^zeta - x^zeta non-smooth in it, outside the Richardson tableau.
     """
+    HausdorffParams(zeta)  # checks zeta
     f = as_real_function(f)
     _reject(x <= 0.0, x, "hausdorff_quotient requires x > 0")
     fx = f(x)
@@ -234,7 +242,7 @@ def hausdorff_quotient(f, x, zeta: float, settings: DiffSettings | None = None):
 
 def kaniadakis_derivative(f, x, kappa: KappaParam | float, settings: DiffSettings | None = None):
     """Kaniadakis derivative sqrt(1 + kappa^2 x^2) f'(x); classical at kappa = 0."""
-    k = kappa.kappa if isinstance(kappa, KappaParam) else float(kappa)
+    k = _as_kappa(kappa).kappa
     return _closed_form(f, x, settings, np.sqrt(1.0 + k * k * x * x))
 
 
@@ -244,8 +252,7 @@ def conformable_derivative(f, t, alpha: float, settings: DiffSettings | None = N
     Evaluated on a halving eps sequence with Richardson extrapolation; equals
     t^(1-alpha) f'(t) for classically differentiable f.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"conformable_derivative requires 0 < alpha <= 1, got {alpha}")
+    Conformable(alpha)  # checks alpha
     _reject(t <= 0.0, t, "conformable_derivative requires t > 0")
     f = as_real_function(f)
     ft = f(t)
@@ -279,14 +286,11 @@ def gl_jumarie_derivative(f, x, alpha: float, h: float, n_terms: Optional[int] =
     The chain is anchored at the origin: N = floor(x/h), or round(x/h) when
     x is a multiple of h up to round-off, and the last node is clamped to 0,
     so the lower terminal of the underlying fractional derivative is 0.
-    ``n_terms`` optionally caps the chain length.  Requires 0 < alpha <= 1,
+    ``n_terms`` (>= 1) optionally caps the chain length.  Requires 0 < alpha <= 1,
     h > 0, x >= 0.  Over an array of x the weights are built once, for the
     longest chain, and each chain evaluates f on its nodes as one array.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"gl_jumarie_derivative requires 0 < alpha <= 1, got {alpha}")
-    if not (math.isfinite(h) and h > 0.0):
-        raise ValueError(f"gl_jumarie_derivative requires finite h > 0, got {h}")
+    GrunwaldJumarie(alpha, h, n_terms)  # checks the parameters
     _reject(x < 0.0, x, "gl_jumarie_derivative requires x >= 0")
     f = as_real_function(f)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
@@ -329,8 +333,7 @@ def yang_lfd(f, x, alpha: float, hp: HausdorffParams, settings: DiffSettings | N
     pointwise fractional limit into a Hausdorff derivative with scaling
     exponent alpha, dilated by the constant Gamma(alpha+1).
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"yang_lfd requires 0 < alpha <= 1, got {alpha}")
+    YangLFD(alpha, hp.l0)  # checks alpha
     _reject(x <= -hp.l0, x, f"yang_lfd requires x > -l0 = {-hp.l0}")
     return _closed_form(f, x, settings, gamma(alpha + 1.0) * (x / hp.l0 + 1.0) ** (1.0 - alpha))
 
@@ -400,10 +403,10 @@ OPERATORS: dict[str, Operator] = {
     "classical": Operator(Classical, Form(lambda k, f, x, s: classical_derivative(f, x, s))),
     "q": Operator(
         QDeformed,
-        Form(lambda k, f, x, s: q_derivative(f, x, k.q, s)),
-        Form(lambda k, f, x, s: q_derivative_quotient(f, x, k.q, s)),
+        Form(lambda k, f, x, s: q_derivative(f, x, k, s)),
+        Form(lambda k, f, x, s: q_derivative_quotient(f, x, k, s)),
     ),
-    "kappa": Operator(Kaniadakis, Form(lambda k, f, x, s: kaniadakis_derivative(f, x, k.kappa, s))),
+    "kappa": Operator(Kaniadakis, Form(lambda k, f, x, s: kaniadakis_derivative(f, x, k, s))),
     "hausdorff": Operator(
         Hausdorff,
         Form(lambda k, f, x, s: hausdorff_derivative(f, x, k, s), lambda k: -k.l0,

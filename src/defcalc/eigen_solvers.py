@@ -16,13 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .deformed_algebra import q_exp
-from .derivative_ops import (
-    DerivativeKind,
-    GrunwaldJumarie,
-    QDeformed,
-    gl_jumarie_derivative,
-)
+from .deformed_algebra import QParam, _as_q, q_exp
+from .derivative_ops import DerivativeKind, GrunwaldJumarie, gl_jumarie_derivative
 from .errors import DomainError, StepFailure
 from .function_catalog import RealFunction
 from .special_functions import HausdorffParams, balankin_exp, mittag_leffler
@@ -199,18 +194,19 @@ def integrate_ode(
 
 
 def solve_q_eigen(
-    q: float, domain: tuple[float, float], grid_points: int, tol: float = 1e-10
+    q: QParam | float, domain: tuple[float, float], grid_points: int, tol: float = 1e-10
 ) -> EigenReport:
     """Integrate dy/dx = y^q and compare against the q-exponential."""
-    qv = q.q if hasattr(q, "q") else float(q)
-    problem = EigenProblem(QDeformed(qv), tuple(domain), q_exp(domain[0], qv), grid_points)
+    qp = _as_q(q)
+    qv = qp.q
+    problem = EigenProblem(qp, tuple(domain), q_exp(domain[0], qp), grid_points)
     if problem.y0 <= 0.0:
         raise DomainError(f"domain start {domain[0]} is outside the q-exponential support")
     if 1.0 + (1.0 - qv) * domain[1] <= 0.0:
         raise DomainError(f"domain end {domain[1]} is outside the q-exponential support")
     grid = problem.grid()
     sol = integrate_ode(lambda x, y: y**qv, problem.domain, problem.y0, tol, grid)
-    closed = [q_exp(float(x), qv) for x in grid]
+    closed = [q_exp(float(x), qp) for x in grid]
     return _make_report(grid, sol.at_grid, closed)
 
 

@@ -18,9 +18,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .deformed_algebra import QParam
+from .deformed_algebra import QParam, _as_kappa, _as_q
 from .derivative_ops import (
     DiffSettings,
+    _closed_form,
     conformable_derivative,
     hausdorff_derivative,
     yang_lfd,
@@ -110,13 +111,9 @@ def q_from_zeta(hp: HausdorffParams) -> MappingResult:
 
 def zeta_from_q(q: QParam | float, l0: float) -> MappingResult:
     """Scaling exponent induced by the entropic index: zeta = 1 - l0 (1 - q)."""
-    if not (math.isfinite(l0) and l0 > 0.0):
-        raise ValueError(f"l0 must be positive and finite, got {l0}")
-    qv = q.q if isinstance(q, QParam) else float(q)
-    if not math.isfinite(qv):
-        raise ValueError(f"q must be finite, got {qv}")
-    zeta = 1.0 - l0 * (1.0 - qv)
-    return MappingResult(qv, zeta, l0, _second_order_bound(zeta, l0))
+    qv = _as_q(q).q
+    hp = HausdorffParams(1.0 - l0 * (1.0 - qv), l0)
+    return MappingResult(qv, hp.zeta, l0, _second_order_bound(hp.zeta, l0))
 
 
 class FirstOrderAgreement(NamedTuple):
@@ -145,7 +142,7 @@ def kappa_expansion(kappa, order: int) -> SeriesExpansion:
     c_{2m} = C(1/2, m) k^(2m), every odd coefficient exactly zero."""
     if order < 2:
         raise ValueError(f"order must be >= 2, got {order}")
-    k = kappa.kappa if hasattr(kappa, "kappa") else float(kappa)
+    k = _as_kappa(kappa).kappa
     coeffs = [0.0] * (order + 1)
     for m in range(order // 2 + 1):
         coeffs[2 * m] = gen_binomial(0.5, m) * k ** (2 * m)
@@ -172,8 +169,7 @@ def conformable_hausdorff_check(
     times the Hausdorff derivative with zeta = alpha.  The two agree for
     differentiable f, so rel_diff stays within the settings tolerance.
     """
-    if l0 <= 0.0:
-        raise ValueError(f"l0 must be positive, got {l0}")
+    hp = HausdorffParams(zeta=alpha, l0=l0)
     t = 1.0 + x / l0
     if t <= 0.0:
         raise DomainError(f"requires 1 + x/l0 > 0, got {t}")
@@ -186,7 +182,7 @@ def conformable_hausdorff_check(
         label=f"{f.label} in t = 1 + x/l0",
     )
     lhs = conformable_derivative(g, t, alpha, settings)
-    rhs = l0 * hausdorff_derivative(f, x, HausdorffParams(zeta=alpha, l0=l0), settings)
+    rhs = l0 * hausdorff_derivative(f, x, hp, settings)
     rel_diff = abs(lhs - rhs) / abs(rhs) if rhs != 0.0 else abs(lhs)
     return ConformableHausdorff(lhs, rhs, rel_diff)
 
@@ -201,13 +197,8 @@ def yang_hausdorff_check(
     """Ratio of the Yang local fractional derivative to the Hausdorff
     derivative with zeta = alpha; equals Gamma(alpha + 1) identically."""
     f = as_real_function(f)
-    s = settings or DiffSettings()
-    fp = f.derivative(x) if f.derivative is not None else None
-    if fp is None:
-        from .derivative_ops import classical_derivative
-
-        fp = classical_derivative(f, x, s)
+    fp = _closed_form(f, x, settings, 1.0)
     if abs(fp) < 1e-14:
         raise DegenerateInput(f"f'(x) = {fp} at x = {x}; ratio undefined")
     matched = HausdorffParams(zeta=alpha, l0=hp.l0)
-    return yang_lfd(f, x, alpha, matched, s) / hausdorff_derivative(f, x, matched, s)
+    return yang_lfd(f, x, alpha, matched, settings) / hausdorff_derivative(f, x, matched, settings)

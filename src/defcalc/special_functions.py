@@ -220,8 +220,9 @@ def mittag_leffler(z, alpha: float, cfg: MLSeriesConfig | None = None):
     def z_at(i: int):
         return z if scalar else float(flat[i])
 
-    if alpha <= 0.0:
-        raise failure(DomainError, f"mittag_leffler requires alpha > 0, got {alpha}",
+    if not 0.0 < alpha < math.inf:
+        need = "finite alpha" if alpha > 0.0 else "alpha > 0"
+        raise failure(DomainError, f"mittag_leffler requires {need}, got {alpha}",
                       0 if flat.size else None)
     outside = np.abs(flat) > 10.0
     end = int(outside.argmax()) if outside.any() else flat.size

@@ -344,6 +344,68 @@ class TestSolveCommand:
         assert f"unrecognized arguments: {flag}" in err
 
 
+class TestParserOptions:
+    """Each subcommand's option strings, in --help order, and argparse types."""
+
+    F = "_finite_float"
+    OPTIONS = {
+        "deriv": [("-h --help", None), ("--op", None), ("--fn", None), ("--form", None),
+                  ("--q", F), ("--kappa", F), ("--zeta", F), ("--l0", F), ("--alpha", F),
+                  ("--h", F), ("--terms", "int"), ("--grid", None), ("--format", None),
+                  ("--output", None), ("--base-step", F), ("--levels", "int")],
+        "solve": [("-h --help", None), ("--problem", None), ("--q", F), ("--zeta", F),
+                  ("--l0", F), ("--alpha", F), ("--h", F), ("--tol", F), ("--grid", None),
+                  ("--format", None), ("--output", None)],
+        "map": [("-h --help", None), ("--q", F), ("--zeta", F), ("--l0", F), ("--grid", None),
+                ("--format", None), ("--output", None)],
+        "expand": [("-h --help", None), ("--zeta", F), ("--l0", F), ("--kappa", F),
+                   ("--order", "int"), ("--grid", None), ("--format", None), ("--output", None)],
+        "ml": [("-h --help", None), ("--alpha", F), ("--z", F), ("--grid", None),
+               ("--format", None), ("--output", None)],
+        "selftest": [("-h --help", None)],
+    }
+
+    @staticmethod
+    def subparsers():
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        return sub.choices
+
+    def test_option_strings_order_and_types(self):
+        got = {
+            name: [(" ".join(a.option_strings), getattr(a.type, "__name__", None))
+                   for a in p._actions]
+            for name, p in self.subparsers().items()
+        }
+        assert got == self.OPTIONS
+
+    def test_problem_choices(self):
+        problem = next(a for a in self.subparsers()["solve"]._actions if a.dest == "problem")
+        assert list(problem.choices) == ["q", "hausdorff", "fractional"]
+
+    @pytest.mark.parametrize("problem,flag", [("q", "q"), ("hausdorff", "zeta"),
+                                              ("fractional", "alpha")])
+    def test_solve_missing_parameter_message(self, capsys, problem, flag):
+        code, out, err = run_cli(capsys, "solve", "--problem", problem, "--grid", "0.2:1:11")
+        assert (code, out, err) == (2, "", f"error: --problem {problem} requires --{flag}\n")
+
+    def test_json_params_key_order(self, capsys):
+        code, out, _ = run_cli(capsys, "expand", "--kappa", "1", "--l0", "2", "--format", "json")
+        assert code == 0
+        assert list(json.loads(out)["params"]) == ["kappa", "l0", "order"]
+        code, out, _ = run_cli(
+            capsys, "deriv", "--terms", "3", "--h", "0.1", "--alpha", "0.5", "--l0", "2",
+            "--zeta", "0.5", "--kappa", "1", "--q", "0.5", "--op", "gl", "--fn", "x",
+            "--grid", "0.5:1:2", "--form", "closed", "--format", "json",
+        )
+        assert code == 0
+        assert list(json.loads(out)["params"]) == ["op", "form", "fn", "q", "kappa", "zeta",
+                                                   "l0", "alpha", "h", "terms"]
+
+    def test_fractional_h_default(self, capsys):
+        argv = ("solve", "--problem", "fractional", "--alpha", "0.5", "--grid", "0.2:1:11")
+        assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--h", "0.001")
+
+
 class TestMapCommand:
     def test_defaults_to_json_with_q_field(self, capsys):
         code, out, _ = run_cli(capsys, "map", "--zeta", "1", "--l0", "1")

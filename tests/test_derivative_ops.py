@@ -145,6 +145,19 @@ class TestHausdorffQuotient:
         with pytest.raises(DomainError):
             hausdorff_quotient("x", 0.0, 0.5)
 
+    def test_probe_steps_lost_to_round_off(self):
+        # at x = 5e-324 the probe base x/4 rounds to 0: a typed error at a float
+        # x, a NaN over an array (which the CLI reports as a non-finite value)
+        with pytest.raises(DomainError, match="probe step is lost to round-off"):
+            hausdorff_quotient("x^2", 5e-324, 0.5)
+        with np.errstate(all="ignore"):
+            values = hausdorff_quotient("x^2", np.array([5e-324, 1.0]), 0.5)
+        assert math.isnan(values[0])
+        assert values[1] == pytest.approx(4.0, rel=1e-8)
+        # x - h == x for every probe step at x = 1e20
+        with pytest.raises(DomainError, match="probe step is lost to round-off"):
+            q_derivative_quotient("x", 1e20, 0.5)
+
     def test_chain_rule_below_the_base_step(self):
         # x^(1-zeta) f'(x) / zeta, at x where a probe x + base_step would be far from x
         xs = np.array([1e-6, 1e-3, 1e-2])

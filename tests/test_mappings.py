@@ -211,6 +211,11 @@ class TestYangHausdorffCheck:
         ]
         assert max(ratios) - min(ratios) <= 1e-10
 
+    def test_central_difference_where_f_has_no_derivative(self):
+        f = RealFunction(value=math.sin)
+        ratio = yang_hausdorff_check(0.5, HausdorffParams(0.5, 1.0), f, 1.0)
+        assert ratio == pytest.approx(gamma(1.5), rel=1e-12)
+
     def test_degenerate_slope(self):
         with pytest.raises(DegenerateInput):
             yang_hausdorff_check(0.5, HausdorffParams(0.5, 1.0), "x^2", 0.0)

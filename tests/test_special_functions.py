@@ -111,6 +111,15 @@ class TestMittagLeffler:
         with pytest.raises(DomainError):
             mittag_leffler(10.5, 0.5)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_alpha_is_rejected_up_front(self, alpha):
+        # not a ConvergenceError after max_terms terms
+        with pytest.raises(DomainError, match="^mittag_leffler requires"):
+            mittag_leffler(1.0, alpha)
+        with pytest.raises(DomainError, match="^mittag_leffler requires") as info:
+            mittag_leffler(np.array([1.0, 2.0]), alpha)
+        assert info.value.index == 0
+
     def test_exhausted_budget(self):
         # z = 10, alpha = 0.5 needs far more than 50 terms
         with pytest.raises(ConvergenceError):
