@@ -8,12 +8,17 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 Grid tables print as CSV (header ``x,value[,closed_form,residual]``) or JSON
 (object with ``command``, ``params``, ``rows``); values carry 17 significant
 digits so repeated runs are byte-identical.  The DEFCALC_OUTPUT_FORMAT
-environment variable overrides the default format.
+environment variable overrides the default format.  The table, on stdout or
+in the ``--output`` file, is written only when the command succeeds.  A
+parameter flag that is not a field of the class the command builds exits 2;
+``--l0`` with ``deriv --op hausdorff --form quotient`` (a field that form
+does not read) and ``--tol`` (no class's field) are accepted.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -25,7 +30,7 @@ from typing import Callable, Optional, get_type_hints
 import numpy as np
 
 from . import selftest as selftest_module
-from .deformed_algebra import QParam
+from .deformed_algebra import KappaParam, QParam
 from .derivative_ops import OPERATORS, DiffSettings
 from .eigen_solvers import solve_hausdorff_eigen, solve_q_eigen, verify_fractional_eigen
 from .errors import DefcalcError, DomainError, ParseError
@@ -63,9 +68,10 @@ class RunConfig:
     options: dict = field(default_factory=dict, compare=False)
 
 
+# The flags that set a field of a parameter class.
+_PARAM_FLAGS = ("q", "kappa", "zeta", "l0", "alpha", "h", "terms")
 # The flags a table's JSON "params" lists when given, in this order.
-_PARAMS = ("op", "form", "fn", "problem", "q", "kappa", "zeta", "l0", "alpha", "h", "terms",
-           "tol", "order", "z")
+_PARAMS = ("op", "form", "fn", "problem", *_PARAM_FLAGS, "tol", "order", "z")
 
 
 def _params(opt: dict) -> dict:
@@ -170,20 +176,25 @@ def _given(opt: dict, flag: str, default):
 
 def _from_options(cls, opt: dict, who: str):
     """``cls`` built from the flags its dataclass fields name; a field with no
-    default needs its flag, else ``who`` requires it."""
-    values = {}
+    default needs its flag, else ``who`` requires it, and ``who`` takes no
+    other parameter flag."""
+    values, taken = {}, set()
     for param in fields(cls):
         flag = param.metadata.get("flag", param.name)
+        taken.add(flag)
         if opt.get(flag) is not None:
             values[param.name] = opt[flag]
         elif param.default is MISSING:
             raise ConfigError(f"{who} requires --{flag}")
+    for flag in _PARAM_FLAGS:
+        if flag not in taken and opt.get(flag) is not None:
+            raise ConfigError(f"{who} does not take --{flag}")
     return cls(**values)
 
 
 def _run_grid(compute: Callable, xs: np.ndarray, where: str, overflow: str):
-    """``compute(xs)``, or None after printing the failure at the first x that
-    fails (``where`` names it) or holds a non-finite value.
+    """``compute(xs)``; a :class:`DefcalcError` names the first x that fails
+    (``where`` names it) or holds a non-finite value.
 
     An error need not name the first failing x: the probe arrays of a limit
     form run one after another, and the Mittag-Leffler series reports a
@@ -201,23 +212,18 @@ def _run_grid(compute: Callable, xs: np.ndarray, where: str, overflow: str):
     bad = ~np.isfinite(values)
     if bad.any():
         i = int(np.argmax(bad))
-        print(f"numerical failure: {where} = {xs[i]}: {overflow} {values[i]}", file=sys.stderr)
-        return None
+        raise DefcalcError(f"{where} = {xs[i]}: {overflow} {values[i]}")
     if failure is not None:
-        print(f"numerical failure: {where} = {xs[end]}: {failure}", file=sys.stderr)
-        return None
+        raise DefcalcError(f"{where} = {xs[end]}: {failure}") from failure
     return values
 
 
-def _run_deriv(config: RunConfig, out) -> int:
+def _run_deriv(config: RunConfig):
     opt = config.options
     name = opt["op"]
     op = OPERATORS[name]
-    try:
-        settings = DiffSettings(opt["base_step"], opt["levels"])
-        kind = _from_options(op.kind, opt, f"--op {name}")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    settings = DiffSettings(opt["base_step"], opt["levels"])
+    kind = _from_options(op.kind, opt, f"--op {name}")
     way = getattr(op, opt["form"])
     if way is None:
         names = " and ".join(f"--op {key}" for key, entry in OPERATORS.items() if entry.quotient)
@@ -229,14 +235,10 @@ def _run_deriv(config: RunConfig, out) -> int:
         raise ConfigError(message)
     values = _run_grid(lambda grid: way.evaluate(kind, f, grid, settings), xs,
                        f"{name} operator at x", "non-finite value")
-    if values is None:
-        return 3
-    rows = list(zip(xs.tolist(), values.tolist()))
-    _emit(config, _params(opt), ("x", "value"), rows, out)
-    return 0
+    return ("x", "value"), list(zip(xs.tolist(), values.tolist()))
 
 
-def _run_solve(config: RunConfig, out) -> int:
+def _run_solve(config: RunConfig):
     opt = config.options
     problem = opt["problem"]
     cls, solve = _PROBLEMS[problem]
@@ -244,14 +246,11 @@ def _run_solve(config: RunConfig, out) -> int:
     try:
         report = solve(_from_options(cls, opt, f"--problem {problem}"), (start, stop), points,
                        _given(opt, "tol", 1e-10))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     except DomainError as exc:
         # the solvers reject out-of-domain grids up front; that is a config error
         raise ConfigError(f"--grid outside the problem domain: {exc}") from exc
     except DefcalcError as exc:
-        print(f"numerical failure: solve --problem {problem}: {exc}", file=sys.stderr)
-        return 3
+        raise DefcalcError(f"solve --problem {problem}: {exc}") from exc
     rows = [
         (x, y_num, y_closed, abs(y_num - y_closed) / abs(y_closed))
         for x, y_num, y_closed in report.grid
@@ -261,47 +260,36 @@ def _run_solve(config: RunConfig, out) -> int:
         f"rms_rel_residual = {report.rms_rel_residual:.3e}",
         file=sys.stderr,
     )
-    _emit(config, _params(opt), ("x", "value", "closed_form", "residual"), rows, out)
-    return 0
+    return ("x", "value", "closed_form", "residual"), rows
 
 
-def _run_map(config: RunConfig, out) -> int:
+def _run_map(config: RunConfig):
     opt = config.options
     has_zeta, has_q = opt.get("zeta") is not None, opt.get("q") is not None
     if has_zeta == has_q:
         raise ConfigError("map needs exactly one of --zeta or --q")
-    try:
-        if has_zeta:
-            result = q_from_zeta(_from_options(HausdorffParams, opt, "map"))
-        else:
-            result = zeta_from_q(opt["q"], _given(opt, "l0", 1.0))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if has_zeta:
+        result = q_from_zeta(_from_options(HausdorffParams, opt, "map"))
+    else:
+        result = zeta_from_q(opt["q"], _given(opt, "l0", 1.0))
     rows = [(result.q, result.zeta, result.l0, result.first_order_residual_bound)]
-    _emit(config, _params(opt), ("q", "zeta", "l0", "first_order_residual_bound"), rows, out)
-    return 0
+    return ("q", "zeta", "l0", "first_order_residual_bound"), rows
 
 
-def _run_expand(config: RunConfig, out) -> int:
+def _run_expand(config: RunConfig):
     opt = config.options
     has_zeta, has_kappa = opt.get("zeta") is not None, opt.get("kappa") is not None
     if has_zeta == has_kappa:
         raise ConfigError("expand needs exactly one of --zeta or --kappa")
-    order = opt["order"]
-    try:
-        if has_zeta:
-            hp = _from_options(HausdorffParams, opt, "expand")
-            expansion = expand_hausdorff_prefactor(hp, order)
-        else:
-            expansion = kappa_expansion(opt["kappa"], order)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    rows = [(float(k), c) for k, c in enumerate(expansion.coefficients)]
-    _emit(config, _params(opt), ("x", "value"), rows, out)
-    return 0
+    if has_zeta:
+        expansion = expand_hausdorff_prefactor(_from_options(HausdorffParams, opt, "expand"),
+                                               opt["order"])
+    else:
+        expansion = kappa_expansion(_from_options(KappaParam, opt, "expand"), opt["order"])
+    return ("x", "value"), [(float(k), c) for k, c in enumerate(expansion.coefficients)]
 
 
-def _run_ml(config: RunConfig, out) -> int:
+def _run_ml(config: RunConfig):
     opt = config.options
     alpha = opt.get("alpha")
     if alpha is None:
@@ -311,15 +299,14 @@ def _run_ml(config: RunConfig, out) -> int:
     zs = np.array([opt["z"]]) if opt.get("z") is not None else np.linspace(*config.grid)
     values = _run_grid(lambda z: mittag_leffler(z, alpha), zs, "ml at z",
                        "the series overflowed to")
-    if values is None:
-        return 3
-    rows = list(zip(zs.tolist(), values.tolist()))
-    _emit(config, _params(opt), ("x", "value"), rows, out)
-    return 0
+    return ("x", "value"), list(zip(zs.tolist(), values.tolist()))
 
 
 def run(config: RunConfig) -> int:
-    """Execute a validated RunConfig; deterministic output for fixed input."""
+    """Execute a validated RunConfig; deterministic output for fixed input.
+
+    Each handler returns its table ``(header, rows)`` or raises; the table is
+    written, and ``--output`` opened, only after it is complete."""
     if config.command == "selftest":
         failures = selftest_module.run_selftest()
         return 0 if failures == 0 else 1
@@ -333,10 +320,14 @@ def run(config: RunConfig) -> int:
     handler = handlers.get(config.command)
     if handler is None:
         raise ConfigError(f"unknown command {config.command!r}")
-    if config.output_path:
-        with open(config.output_path, "w", newline="") as out:
-            return handler(config, out)
-    return handler(config, sys.stdout)
+    try:
+        header, rows = handler(config)
+    except ValueError as exc:  # a parameter set's own check
+        raise ConfigError(str(exc)) from exc
+    with (open(config.output_path, "w", newline="") if config.output_path
+          else contextlib.nullcontext(sys.stdout)) as out:
+        _emit(config, _params(config.options), header, rows, out)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

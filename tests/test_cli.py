@@ -20,6 +20,11 @@ from defcalc.derivative_ops import OPERATORS
 from defcalc.function_catalog import BUILTINS
 
 
+# A q eigen-solve whose RKF45 step underflows as 1 + (1 - q) x nears 0 at x = 1.
+SOLVE_UNDERFLOW = ("solve", "--problem", "q", "--q", "2", "--grid", "0:0.999999999999:11",
+                   "--tol", "1e-12")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -334,6 +339,12 @@ class TestSolveCommand:
         )
         assert code == 2
 
+    def test_step_underflow_is_numerical_failure(self, capsys):
+        code, out, err = run_cli(capsys, *SOLVE_UNDERFLOW)
+        assert (code, out) == (3, "")
+        # the x at which the step underflows depends on libm
+        assert err.startswith("numerical failure: solve --problem q: step size underflow at x = ")
+
     @pytest.mark.parametrize("flag", ["--base-step", "--levels"])
     def test_deriv_only_flags_are_rejected(self, capsys, flag):
         code, out, err = run_cli(
@@ -389,17 +400,49 @@ class TestParserOptions:
         assert (code, out, err) == (2, "", f"error: --problem {problem} requires --{flag}\n")
 
     def test_json_params_key_order(self, capsys):
-        code, out, _ = run_cli(capsys, "expand", "--kappa", "1", "--l0", "2", "--format", "json")
+        code, out, _ = run_cli(capsys, "expand", "--l0", "2", "--zeta", "0.5", "--format", "json")
         assert code == 0
-        assert list(json.loads(out)["params"]) == ["kappa", "l0", "order"]
+        assert list(json.loads(out)["params"]) == ["zeta", "l0", "order"]
         code, out, _ = run_cli(
-            capsys, "deriv", "--terms", "3", "--h", "0.1", "--alpha", "0.5", "--l0", "2",
-            "--zeta", "0.5", "--kappa", "1", "--q", "0.5", "--op", "gl", "--fn", "x",
-            "--grid", "0.5:1:2", "--form", "closed", "--format", "json",
+            capsys, "deriv", "--terms", "3", "--h", "0.1", "--alpha", "0.5", "--op", "gl",
+            "--fn", "x", "--grid", "0.5:1:2", "--form", "closed", "--format", "json",
         )
         assert code == 0
-        assert list(json.loads(out)["params"]) == ["op", "form", "fn", "q", "kappa", "zeta",
-                                                   "l0", "alpha", "h", "terms"]
+        assert list(json.loads(out)["params"]) == ["op", "form", "fn", "alpha", "h", "terms"]
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("solve", "--problem", "fractional", "--alpha", "0.5", "--zeta", "3", "--tol",
+              "1e-3", "--grid", "0.2:1:11", "--format", "json"),
+             "--problem fractional does not take --zeta"),
+            (("solve", "--problem", "q", "--q", "0.5", "--alpha", "0.2", "--grid", "0:1:11"),
+             "--problem q does not take --alpha"),
+            (("solve", "--problem", "hausdorff", "--zeta", "0.5", "--h", "0.1",
+              "--grid", "0:1:11"), "--problem hausdorff does not take --h"),
+            (("expand", "--kappa", "1", "--l0", "2"), "expand does not take --l0"),
+            (("deriv", "--op", "classical", "--q", "0.5", "--fn", "x", "--grid", "0:1:3"),
+             "--op classical does not take --q"),
+            (("deriv", "--op", "gl", "--alpha", "0.5", "--h", "0.1", "--l0", "2", "--fn", "x",
+              "--grid", "0:1:3"), "--op gl does not take --l0"),
+            (("deriv", "--op", "hausdorff", "--zeta", "0.5", "--terms", "3", "--fn", "x",
+              "--grid", "0:1:3"), "--op hausdorff does not take --terms"),
+        ],
+    )
+    def test_unread_parameter_flag_is_config_error(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv,extra",
+        [
+            (("deriv", "--op", "hausdorff", "--form", "quotient", "--zeta", "0.5", "--fn", "x^2",
+              "--grid", "0.5:1:3"), ("--l0", "2")),
+            (("solve", "--problem", "fractional", "--alpha", "0.5", "--grid", "0.2:1:11"),
+             ("--tol", "1e-3")),
+        ],
+    )
+    def test_flags_the_form_does_not_read_are_accepted(self, capsys, argv, extra):
+        assert run_cli(capsys, *argv, *extra) == run_cli(capsys, *argv)
 
     def test_fractional_h_default(self, capsys):
         argv = ("solve", "--problem", "fractional", "--alpha", "0.5", "--grid", "0.2:1:11")
@@ -537,6 +580,23 @@ class TestOutputPolicy:
         )
         assert code == 0
         assert path.read_text().splitlines()[0] == "x,value"
+
+    @pytest.mark.parametrize(
+        "code,argv",
+        [
+            (2, ("deriv", "--op", "q", "--q", "0.5", "--fn", "x +", "--grid", "0:1:3")),
+            (3, ("ml", "--alpha", "0.3", "--z", "8")),
+            (3, SOLVE_UNDERFLOW),
+        ],
+    )
+    def test_failed_run_leaves_the_output_file_untouched(self, capsys, tmp_path, code, argv):
+        path = tmp_path / "table.csv"
+        path.write_bytes(b"1,2\n")
+        assert main([*argv, "--output", str(path)]) == code
+        assert path.read_bytes() == b"1,2\n"
+        assert main(["deriv", "--op", "classical", "--fn", "x", "--grid", "0:1:3",
+                     "--output", str(path)]) == 0
+        assert path.read_text().startswith("x,value\n")
 
 
 class TestSelftest:
