@@ -306,7 +306,8 @@ def run(config: RunConfig) -> int:
     """Execute a validated RunConfig; deterministic output for fixed input.
 
     Each handler returns its table ``(header, rows)`` or raises; the table is
-    written, and ``--output`` opened, only after it is complete."""
+    written, and ``--output`` opened, only after it is complete.  An
+    ``--output`` that cannot be opened is a configuration error."""
     if config.command == "selftest":
         failures = selftest_module.run_selftest()
         return 0 if failures == 0 else 1
@@ -324,9 +325,13 @@ def run(config: RunConfig) -> int:
         header, rows = handler(config)
     except ValueError as exc:  # a parameter set's own check
         raise ConfigError(str(exc)) from exc
-    with (open(config.output_path, "w", newline="") if config.output_path
-          else contextlib.nullcontext(sys.stdout)) as out:
-        _emit(config, _params(config.options), header, rows, out)
+    try:
+        out = (open(config.output_path, "w", newline="") if config.output_path
+               else contextlib.nullcontext(sys.stdout))
+    except OSError as exc:
+        raise ConfigError(f"cannot write --output {config.output_path}: {exc.strerror}") from exc
+    with out as stream:
+        _emit(config, _params(config.options), header, rows, stream)
     return 0
 
 

@@ -86,10 +86,8 @@ def q_difference(x, y, q: QParam | float):
     singular = 1.0 / (qp.q - 1.0)
     near = abs(y - singular) < 1e-12
     if near.any() if isinstance(near, np.ndarray) else near:
-        exc = DomainError(f"q_difference singular at y = 1/(q-1) = {singular}")
-        if isinstance(near, np.ndarray):
-            exc.index = int(near.argmax())
-        raise exc
+        raise DomainError(f"q_difference singular at y = 1/(q-1) = {singular}",
+                          index=int(near.argmax()) if isinstance(near, np.ndarray) else None)
     return (x - y) / (1.0 + (1.0 - qp.q) * y)
 
 

@@ -170,15 +170,9 @@ def _limit(quotient: Callable, settings: DiffSettings | None, p: int, cap=None):
 
 def _reject(bad, x, message: str) -> None:
     """Raise DomainError where ``bad`` holds, naming the first such x."""
-    if not isinstance(bad, np.ndarray):
-        if bad:
-            raise DomainError(f"{message}, got {x}")
-        return
-    if bad.any():
-        index = int(bad.argmax())
-        exc = DomainError(f"{message}, got {x[index]}")
-        exc.index = index
-        raise exc
+    if bad.any() if isinstance(bad, np.ndarray) else bad:
+        index = int(bad.argmax()) if isinstance(bad, np.ndarray) else None
+        raise DomainError(f"{message}, got {x if index is None else x[index]}", index=index)
 
 
 def classical_derivative(f, x, settings: DiffSettings | None = None):

@@ -9,10 +9,13 @@ class DefcalcError(Exception):
     """Base class for all toolkit errors.
 
     ``index`` is the position of the failing x when the error comes from an
-    evaluation over an array of x, else None.
+    evaluation over an array of x, else None.  It is set when the error is
+    built, ``DomainError(message, index=i)``, or by a point-by-point caller.
     """
 
-    index: Optional[int] = None
+    def __init__(self, *args, index: Optional[int] = None):
+        super().__init__(*args)
+        self.index = index
 
 
 class DomainError(DefcalcError):

@@ -96,10 +96,11 @@ def gen_binomial(alpha: float, k: int) -> float:
 
 
 # Largest block of terms in the array series, and terms x elements per block
-# (one term per block from 16384 active elements on; three float buffers of
-# that many cells at most).  Below _ML_ACCUMULATE_BELOW active elements a
-# block is summed by two accumulate calls (about 4 ns per cell); from there on
-# by two ufunc calls per term.
+# (one term per block above 8192 active elements; three float buffers of
+# max(16384, z.size) cells at most).  Below _ML_ACCUMULATE_BELOW active
+# elements a block is summed by two accumulate calls, each about 2.5 ns per
+# cell at any width; from there on by two ufunc calls per term, together
+# about 1.2 ns per cell at 1,000 elements (2-vCPU Xeon, numpy 2.4.6).
 _ML_BLOCK = 64
 _ML_BLOCK_CELLS = 16384
 _ML_ACCUMULATE_BELOW = 256
@@ -121,20 +122,20 @@ def _ml_series(z: np.ndarray, alpha: float, cfg: MLSeriesConfig) -> tuple[np.nda
     blocks laid out (term, element), one row per term, and the stopping test
     runs on a whole block at once.  The first block reaches the term at which
     the largest |z| falls below rel_tolerance twice (enough for every z >= 0);
-    later blocks double.  The active set is compacted once more than half of
-    it has finished.  A non-finite term stays non-finite and never
-    qualifies, so its element fails at once.
+    later blocks double.  After each block the active set keeps only the
+    elements that neither finished nor failed and lie before the first
+    failure.  A non-finite term stays non-finite and never qualifies, so its
+    element fails at once.
 
     Returns the totals and the index of the first element that fails (-1 if
     none); elements after that index may be left unsummed.
     """
     tol = cfg.rel_tolerance
     out = np.empty(z.size)
-    pos = np.arange(z.size)  # position in z of each active element
-    zs, term, total = z.copy(), np.ones(z.size), np.ones(z.size)
-    streak = np.zeros(z.size, dtype=bool)  # the last term qualified
-    live = np.ones(z.size, dtype=bool)  # active and not finished
-    first_fail = z.size
+    # the active set: position in z, z, last term, partial sum, last term qualified
+    pos, zs, term, total = np.arange(z.size), z, np.ones(z.size), np.ones(z.size)
+    streak = np.zeros(z.size, dtype=bool)
+    first_fail = -1
     ratios: list[float] = []
     lead, lead_small = 1.0, 0  # |term| of the largest |z| and its run below tol
     z_max = float(np.max(np.abs(z))) if z.size else 0.0
@@ -143,7 +144,7 @@ def _ml_series(z: np.ndarray, alpha: float, cfg: MLSeriesConfig) -> tuple[np.nda
     buffers = np.empty((3, cells))
     k = 0
     with np.errstate(all="ignore"):
-        while k < cfg.max_terms and live.any():
+        while k < cfg.max_terms and pos.size:
             m = pos.size
             cap = max(1, min(_ML_BLOCK, _ML_BLOCK_CELLS // m, cfg.max_terms - k))
             while len(ratios) < k + cap and lead_small < 2:
@@ -167,32 +168,25 @@ def _ml_series(z: np.ndarray, alpha: float, cfg: MLSeriesConfig) -> tuple[np.nda
                     np.multiply(term, row, out=row)
                     np.add(total, row, out=running)
                     term, total = row, running
-            term = term.copy()  # the next block overwrites these buffers
-            total = total.copy()
+            term = term.copy()  # |terms| below overwrites this row
             small = np.empty((b + 1, m), dtype=bool)
             small[0] = streak
             np.abs(totals, out=bound)
             bound *= tol
             np.less(np.abs(terms, out=terms), bound, out=small[1:])
             stop = small[1:] & small[:-1]
-            hit = np.logical_or.reduce(stop, axis=0) & live
+            hit = np.logical_or.reduce(stop, axis=0)
             if hit.any():
                 done = np.flatnonzero(hit)
                 out[pos[done]] = totals[stop[:, done].argmax(axis=0), done]
-                live[done] = False
-            failed = live & ~np.isfinite(term)
-            if failed.any():
-                first_fail = min(first_fail, int(pos[failed.argmax()]))
-                live &= ~failed & (pos < first_fail)
-            streak = small[-1]
+            failed = ~hit & ~np.isfinite(term)
+            if failed.any():  # pos ascends: the first failure and all after it drop out
+                i = int(failed.argmax())
+                first_fail, hit = int(pos[i]), hit[:i]
+            keep = np.flatnonzero(~hit)
+            pos, zs, term, total, streak = (a[keep] for a in (pos, zs, term, total, small[-1]))
             k += b
-            if 2 * np.count_nonzero(live) < m:
-                keep = np.flatnonzero(live)
-                pos, zs, term, total = pos[keep], zs[keep], term[keep], total[keep]
-                streak, live = streak[keep], live[keep]
-    if live.any():  # the budget ran out
-        first_fail = min(first_fail, int(pos[live.argmax()]))
-    return out, first_fail if first_fail < z.size else -1
+    return out, int(pos[0]) if pos.size else first_fail  # pos left: the budget ran out
 
 
 def mittag_leffler(z, alpha: float, cfg: MLSeriesConfig | None = None):
@@ -211,28 +205,23 @@ def mittag_leffler(z, alpha: float, cfg: MLSeriesConfig | None = None):
     scalar = not isinstance(z, np.ndarray) and np.ndim(z) == 0
     flat = np.asarray(z, dtype=float).ravel()
 
-    def failure(error, message: str, index):
-        exc = error(message)
-        if not scalar:
-            exc.index = index
-        return exc
-
     def z_at(i: int):
         return z if scalar else float(flat[i])
 
     if not 0.0 < alpha < math.inf:
         need = "finite alpha" if alpha > 0.0 else "alpha > 0"
-        raise failure(DomainError, f"mittag_leffler requires {need}, got {alpha}",
-                      0 if flat.size else None)
+        raise DomainError(f"mittag_leffler requires {need}, got {alpha}",
+                          index=None if scalar or not flat.size else 0)
     outside = np.abs(flat) > 10.0
     end = int(outside.argmax()) if outside.any() else flat.size
     values, failed = _ml_series(flat[:end], alpha, cfg)
     if failed >= 0:
-        raise failure(ConvergenceError, f"mittag_leffler did not converge within "
-                      f"{cfg.max_terms} terms (z={z_at(failed)}, alpha={alpha})", failed)
+        raise ConvergenceError(f"mittag_leffler did not converge within {cfg.max_terms} terms "
+                               f"(z={z_at(failed)}, alpha={alpha})",
+                               index=None if scalar else failed)
     if end < flat.size:
-        raise failure(DomainError, f"mittag_leffler series domain is |z| <= 10, got {z_at(end)}",
-                      end)
+        raise DomainError(f"mittag_leffler series domain is |z| <= 10, got {z_at(end)}",
+                          index=None if scalar else end)
     return float(values[0]) if scalar else values.reshape(np.shape(z))
 
 

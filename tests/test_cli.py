@@ -134,6 +134,16 @@ class TestDerivCommand:
         assert code == 3
         assert "classical operator at x = 1.01:" in err
 
+    def test_gl_chain_failure_names_its_grid_x(self, capsys):
+        # the chain at x = 0.8 is the first with a node where 0.75 - x < 0
+        code, out, err = run_cli(
+            capsys, "deriv", "--op", "gl", "--alpha", "0.5", "--h", "0.1",
+            "--fn", "sqrt(0.75-x)", "--grid", "0.5:1:6",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical failure: gl operator at x = 0.8: "
+                              "sqrt undefined for argument (-0.05")
+
     @pytest.mark.parametrize("grid", ["0:inf:3", "-inf:1:3", "0:nan:3"])
     def test_non_finite_grid_end_is_config_error(self, capsys, grid):
         code, out, err = run_cli(
@@ -333,11 +343,24 @@ class TestSolveCommand:
         assert code == 0
 
     def test_domain_error_is_config_error(self, capsys):
-        code, _, err = run_cli(
+        # "--grid=" keeps argparse from reading the negative start as a flag
+        code, out, err = run_cli(
             capsys, "solve", "--problem", "hausdorff", "--zeta", "0.5", "--l0", "1",
-            "--grid", "-2:1:11",
+            "--grid=-2:1:11",
         )
-        assert code == 2
+        assert (code, out, err) == (
+            2, "", "error: --grid outside the problem domain: "
+                   "domain must lie inside (-l0, inf) = (-1.0, inf)\n"
+        )
+
+    def test_q_domain_error_is_config_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "solve", "--problem", "q", "--q", "0.5", "--grid=-3:1:11"
+        )
+        assert (code, out, err) == (
+            2, "", "error: --grid outside the problem domain: "
+                   "domain start -3.0 is outside the q-exponential support\n"
+        )
 
     def test_step_underflow_is_numerical_failure(self, capsys):
         code, out, err = run_cli(capsys, *SOLVE_UNDERFLOW)
@@ -597,6 +620,14 @@ class TestOutputPolicy:
         assert main(["deriv", "--op", "classical", "--fn", "x", "--grid", "0:1:3",
                      "--output", str(path)]) == 0
         assert path.read_text().startswith("x,value\n")
+
+    def test_unopenable_output_is_config_error(self, capsys, tmp_path):
+        path = tmp_path / "no-such-dir" / "table.csv"
+        code, out, err = run_cli(capsys, "deriv", "--op", "classical", "--fn", "x",
+                                 "--grid", "0:1:3", "--output", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write --output {path}: No such file or directory\n"
+        assert not path.parent.exists()
 
 
 class TestSelftest:

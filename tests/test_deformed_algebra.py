@@ -41,6 +41,14 @@ class TestQDifference:
             q_difference(1.0, -2.0 + 1e-13, 0.5)
         assert math.isfinite(q_difference(1.0, -1.9, 0.5))
 
+    def test_singular_index_is_set_for_arrays_only(self):
+        with pytest.raises(DomainError, match=r"= -2\.0$") as err:
+            q_difference(1.0, -2.0, 0.5)
+        assert err.value.index is None
+        with pytest.raises(DomainError, match=r"= -2\.0$") as err:
+            q_difference(1.0, np.array([0.0, 1.0, -2.0, 3.0, -2.0]), 0.5)
+        assert err.value.index == 2
+
     def test_accepts_qparam(self):
         assert q_difference(2.0, 1.0, QParam(0.5)) == q_difference(2.0, 1.0, 0.5)
 

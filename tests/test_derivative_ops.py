@@ -10,6 +10,7 @@ from defcalc import (
     Conformable,
     DiffSettings,
     DomainError,
+    EvaluationError,
     GrunwaldJumarie,
     Hausdorff,
     HausdorffParams,
@@ -324,6 +325,13 @@ class TestGrunwaldJumarie:
             [gl_jumarie_derivative(f, float(x), 0.7, 1e-2) for x in xs],
         )
 
+    def test_failing_chain_carries_its_grid_index(self):
+        # the chain at xs[3] = 0.8 is the first with a node where 0.75 - x < 0;
+        # the expression's own index (the node's place in the chain) is replaced
+        with pytest.raises(EvaluationError, match="sqrt undefined") as err:
+            gl_jumarie_derivative("sqrt(0.75-x)", np.linspace(0.5, 1.0, 6), 0.5, 0.1)
+        assert err.value.index == 3
+
 
 class TestRLPowerRule:
     def test_gamma_eq_alpha(self):
@@ -494,3 +502,18 @@ class TestOperatorsOverArrays:
         with pytest.raises(DomainError) as err:
             q_derivative_quotient("x", np.array([0.5, 1.5, 1.5]), 2.0, DiffSettings(base_step=0.5))
         assert err.value.index == 1
+
+    @pytest.mark.parametrize("op,args", [
+        pytest.param(hausdorff_derivative, (HausdorffParams(0.5, 1.0),), id="hausdorff"),
+        pytest.param(hausdorff_quotient, (0.5,), id="hausdorff_quotient"),
+        pytest.param(conformable_derivative, (0.5,), id="conformable"),
+        pytest.param(gl_jumarie_derivative, (0.5, 0.1), id="gl"),
+        pytest.param(yang_lfd, (0.5, HausdorffParams(0.5, 1.0)), id="yang"),
+    ])
+    def test_domain_error_index_is_set_for_arrays_only(self, op, args):
+        with pytest.raises(DomainError, match=r"got -1\.0$") as err:
+            op("x", -1.0, *args)
+        assert err.value.index is None
+        with pytest.raises(DomainError, match=r"got -1\.0$") as err:
+            op("x", np.array([0.5, 1.0, -1.0, 2.0, -3.0]), *args)
+        assert err.value.index == 2
