@@ -10,9 +10,10 @@ Grid tables print as CSV (header ``x,value[,closed_form,residual]``) or JSON
 digits so repeated runs are byte-identical.  The DEFCALC_OUTPUT_FORMAT
 environment variable overrides the default format.  The table, on stdout or
 in the ``--output`` file, is written only when the command succeeds.  A
-parameter flag that is not a field of the class the command builds exits 2;
-``--l0`` with ``deriv --op hausdorff --form quotient`` (a field that form
-does not read) and ``--tol`` (no class's field) are accepted.
+parameter flag that the command does not read exits 2: one that is not a
+field of the class the command builds, a field its form does not read
+(``--l0`` with ``deriv --op hausdorff --form quotient``), or ``--tol`` where
+the solve takes no tolerance (``solve --problem fractional``).
 """
 
 from __future__ import annotations
@@ -68,10 +69,11 @@ class RunConfig:
     options: dict = field(default_factory=dict, compare=False)
 
 
-# The flags that set a field of a parameter class.
-_PARAM_FLAGS = ("q", "kappa", "zeta", "l0", "alpha", "h", "terms")
+# The flags that set a field of a parameter class, and --tol, which sets the
+# tolerance of an ODE solve.
+_PARAM_FLAGS = ("q", "kappa", "zeta", "l0", "alpha", "h", "terms", "tol")
 # The flags a table's JSON "params" lists when given, in this order.
-_PARAMS = ("op", "form", "fn", "problem", *_PARAM_FLAGS, "tol", "order", "z")
+_PARAMS = ("op", "form", "fn", "problem", *_PARAM_FLAGS, "order", "z")
 
 
 def _params(opt: dict) -> dict:
@@ -156,14 +158,15 @@ class _Fractional:
     h: float = 1e-3
 
 
-# Keyed by --problem: the class whose fields are the problem's parameters, and
-# solve(params, domain, points, tol), which calls the solver by its
-# module-global name so that a wrapper installed on the module sees the call.
-_PROBLEMS: dict[str, tuple[type, Callable]] = {
-    "q": (QParam, lambda p, domain, n, tol: solve_q_eigen(p, domain, n, tol)),
-    "hausdorff": (HausdorffParams,
+# Keyed by --problem: the class whose fields are the problem's parameters, the
+# flags the solve reads besides them, and solve(params, domain, points, tol),
+# which calls the solver by its module-global name so that a wrapper installed
+# on the module sees the call.
+_PROBLEMS: dict[str, tuple[type, tuple[str, ...], Callable]] = {
+    "q": (QParam, ("tol",), lambda p, domain, n, tol: solve_q_eigen(p, domain, n, tol)),
+    "hausdorff": (HausdorffParams, ("tol",),
                   lambda p, domain, n, tol: solve_hausdorff_eigen(p, domain, n, tol)),
-    "fractional": (_Fractional,
+    "fractional": (_Fractional, (),
                    lambda p, domain, n, tol: verify_fractional_eigen(p.alpha, domain, n, p.h)),
 }
 
@@ -174,13 +177,17 @@ def _given(opt: dict, flag: str, default):
     return default if value is None else value
 
 
-def _from_options(cls, opt: dict, who: str):
-    """``cls`` built from the flags its dataclass fields name; a field with no
-    default needs its flag, else ``who`` requires it, and ``who`` takes no
-    other parameter flag."""
-    values, taken = {}, set()
+def _from_options(cls, opt: dict, who: str, extra=(), unread=(), unread_by: str = ""):
+    """``cls`` built from the flags its dataclass fields name, less the fields
+    named in ``unread``; a field with no default needs its flag, else ``who``
+    requires it.  ``who`` takes no other parameter flag but ``extra``, and
+    ``unread_by`` does not take the flags of ``unread``."""
+    values, taken, skipped = {}, set(extra), set()
     for param in fields(cls):
         flag = param.metadata.get("flag", param.name)
+        if param.name in unread:
+            skipped.add(flag)
+            continue
         taken.add(flag)
         if opt.get(flag) is not None:
             values[param.name] = opt[flag]
@@ -188,7 +195,7 @@ def _from_options(cls, opt: dict, who: str):
             raise ConfigError(f"{who} requires --{flag}")
     for flag in _PARAM_FLAGS:
         if flag not in taken and opt.get(flag) is not None:
-            raise ConfigError(f"{who} does not take --{flag}")
+            raise ConfigError(f"{unread_by if flag in skipped else who} does not take --{flag}")
     return cls(**values)
 
 
@@ -208,7 +215,9 @@ def _run_grid(compute: Callable, xs: np.ndarray, where: str, overflow: str):
                 values = compute(xs[:end])
             break
         except DefcalcError as exc:
-            failure, end = exc, 0 if exc.index is None else exc.index
+            # an index outside the part just run counts positions in another array
+            inside = exc.index is not None and 0 <= exc.index < end
+            failure, end = exc, exc.index if inside else 0
     bad = ~np.isfinite(values)
     if bad.any():
         i = int(np.argmax(bad))
@@ -223,11 +232,12 @@ def _run_deriv(config: RunConfig):
     name = opt["op"]
     op = OPERATORS[name]
     settings = DiffSettings(opt["base_step"], opt["levels"])
-    kind = _from_options(op.kind, opt, f"--op {name}")
     way = getattr(op, opt["form"])
     if way is None:
         names = " and ".join(f"--op {key}" for key, entry in OPERATORS.items() if entry.quotient)
         raise ConfigError(f"--form quotient applies only to {names}")
+    kind = _from_options(op.kind, opt, f"--op {name}", unread=way.unread,
+                         unread_by=f"--op {name} --form {opt['form']}")
     f = _build_function(opt["fn"])
     xs = np.linspace(*config.grid)
     message = way.rejects(kind, float(xs[0]))
@@ -241,11 +251,11 @@ def _run_deriv(config: RunConfig):
 def _run_solve(config: RunConfig):
     opt = config.options
     problem = opt["problem"]
-    cls, solve = _PROBLEMS[problem]
+    cls, extra, solve = _PROBLEMS[problem]
     start, stop, points = config.grid
     try:
-        report = solve(_from_options(cls, opt, f"--problem {problem}"), (start, stop), points,
-                       _given(opt, "tol", 1e-10))
+        report = solve(_from_options(cls, opt, f"--problem {problem}", extra=extra),
+                       (start, stop), points, _given(opt, "tol", 1e-10))
     except DomainError as exc:
         # the solvers reject out-of-domain grids up front; that is a config error
         raise ConfigError(f"--grid outside the problem domain: {exc}") from exc
@@ -361,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="verify an eigen-equation and emit residuals")
     p.add_argument("--problem", required=True, choices=tuple(_PROBLEMS))
-    for flag, kind in _param_flags(cls for cls, _ in _PROBLEMS.values()).items():
+    for flag, kind in _param_flags(cls for cls, _, _ in _PROBLEMS.values()).items():
         p.add_argument(flag, type=kind, default=None)
     p.add_argument("--tol", type=_finite_float, default=None)
     add_common(p, grid_required=True)

@@ -274,6 +274,39 @@ def _chain_length(x: float, h: float) -> int:
     return n if abs(r - n) <= _LATTICE_RTOL * max(1.0, r) else math.floor(r)
 
 
+# A grid's chains are evaluated in blocks of consecutive chains with at most
+# this many nodes in all (or one chain, if it is longer), so that the arrays a
+# block holds stay a few MB whatever the grid.
+_BLOCK_NODES = 1 << 16
+
+
+def _blocks(sizes):
+    """Ranges of consecutive indices, each with at least one index and, past
+    the first, sizes summing to at most ``_BLOCK_NODES``."""
+    start, total = 0, 0
+    for i, size in enumerate(sizes):
+        if i > start and total + size > _BLOCK_NODES:
+            yield range(start, i)
+            start, total = i, 0
+        total += size
+    yield range(start, len(sizes))
+
+
+def _shared_values(f, nodes, sizes):
+    """f called once on the distinct doubles among ``nodes``, chains of
+    ``sizes`` nodes laid end to end, and each chain's values gathered back from
+    that call, one chain at a time; None if it raises."""
+    # sorted by hand: np.unique imports numpy.ma on its first call, 1.4 MB of RSS
+    distinct = np.sort(nodes)
+    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
+    try:
+        values = f(distinct)
+    except Exception:  # whatever f raises, raise what the first failing chain raises
+        return None
+    where = np.split(np.searchsorted(distinct, nodes), np.cumsum(sizes[:-1]))
+    return (values[chain] for chain in where)
+
+
 def gl_jumarie_derivative(f, x, alpha: float, h: float, n_terms: Optional[int] = None):
     """Grunwald-Letnikov sum h^-alpha sum_k (-1)^k C(alpha,k) f(x - kh).
 
@@ -282,7 +315,12 @@ def gl_jumarie_derivative(f, x, alpha: float, h: float, n_terms: Optional[int] =
     so the lower terminal of the underlying fractional derivative is 0.
     ``n_terms`` (>= 1) optionally caps the chain length.  Requires 0 < alpha <= 1,
     h > 0, x >= 0.  Over an array of x the weights are built once, for the
-    longest chain, and each chain evaluates f on its nodes as one array.
+    longest chain, and f is called once per block of chains (``_BLOCK_NODES``),
+    on the distinct nodes of the block's chains; each chain gathers its values
+    back, so every sum has the bits of its chain evaluated alone.  A block of
+    one chain, or one where that call raises, evaluates f on each chain's nodes
+    as one array, in grid order: an error is the one the first failing chain
+    raises, with ``index`` set to that chain's grid position.
     """
     GrunwaldJumarie(alpha, h, n_terms)  # checks the parameters
     _reject(x < 0.0, x, "gl_jumarie_derivative requires x >= 0")
@@ -295,14 +333,21 @@ def gl_jumarie_derivative(f, x, alpha: float, h: float, n_terms: Optional[int] =
     offsets = h * np.arange(weights.size, dtype=float)
     scale = h ** (-alpha)
     sums = np.empty(xs.size)
-    for i, n in enumerate(lengths):
-        nodes = np.maximum(xs[i] - offsets[: n + 1], 0.0)
-        try:
-            values = f(nodes)
-        except DefcalcError as exc:
-            exc.index = i
-            raise
-        sums[i] = scale * np.dot(weights[: n + 1], values)
+
+    def chain(i):
+        return np.maximum(xs[i] - offsets[: lengths[i] + 1], 0.0)
+
+    sizes = [n + 1 for n in lengths]
+    for block in _blocks(sizes):
+        shared = (_shared_values(f, np.concatenate([chain(i) for i in block]),
+                                 sizes[block.start:block.stop]) if len(block) > 1 else None)
+        for i in block:
+            try:
+                values = f(chain(i)) if shared is None else next(shared)
+            except DefcalcError as exc:
+                exc.index = i
+                raise
+            sums[i] = scale * np.dot(weights[: lengths[i] + 1], values)
     return sums if np.ndim(x) else float(sums[0])
 
 
@@ -361,12 +406,14 @@ class Form:
     """One form of an operator, ``evaluate(kind, f, x, settings)``, and the
     lowest grid x it accepts: x > bound(kind), or x >= bound(kind) when not
     ``strict`` (no bound if None).  ``message`` is the CLI's ``--grid`` error
-    below it, where ``{bound}`` stands for the bound."""
+    below it, where ``{bound}`` stands for the bound.  ``unread`` names the
+    fields of the kind this form does not read; the CLI rejects their flags."""
 
     evaluate: Callable
     bound: Optional[Callable[[DerivativeKind], float]] = None
     strict: bool = True
     message: str = ""
+    unread: tuple[str, ...] = ()
 
     def rejects(self, kind: DerivativeKind, x: float) -> Optional[str]:
         """The message if x lies below the lowest grid x, else None."""
@@ -406,7 +453,7 @@ OPERATORS: dict[str, Operator] = {
         Form(lambda k, f, x, s: hausdorff_derivative(f, x, k, s), lambda k: -k.l0,
              message=_BELOW_MINUS_L0),
         Form(lambda k, f, x, s: hausdorff_quotient(f, x, k.zeta, s), lambda k: 0.0,
-             message="--grid must stay at x > 0 for the quotient form"),
+             message="--grid must stay at x > 0 for the quotient form", unread=("l0",)),
     ),
     "conformable": Operator(Conformable, Form(
         lambda k, f, x, s: conformable_derivative(f, x, k.alpha, s), lambda k: 0.0,

@@ -16,8 +16,8 @@ import defcalc
 import defcalc.cli as cli
 import defcalc.eigen_solvers
 from defcalc.cli import ENV_FORMAT, RunConfig, build_parser, main
-from defcalc.derivative_ops import OPERATORS
-from defcalc.function_catalog import BUILTINS
+from defcalc.derivative_ops import OPERATORS, _chain_length, gl_weights
+from defcalc.function_catalog import BUILTINS, as_real_function
 
 
 # A q eigen-solve whose RKF45 step underflows as 1 + (1 - q) x nears 0 at x = 1.
@@ -144,6 +144,34 @@ class TestDerivCommand:
         assert err.startswith("numerical failure: gl operator at x = 0.8: "
                               "sqrt undefined for argument (-0.05")
 
+    def test_gl_chain_failure_names_the_chains_own_first_node(self, capsys):
+        # the first chain to enter the gap (0.25, 0.35) starts at x = 0.4 and
+        # meets 0.34 first, not the smallest failing node 0.26
+        code, out, err = run_cli(
+            capsys, "deriv", "--op", "gl", "--alpha", "0.5", "--h", "0.01",
+            "--fn", "sqrt((x-0.25)*(x-0.35))", "--grid", "0:0.6:4",
+        )
+        assert (code, out, err) == (
+            3, "", "numerical failure: gl operator at x = 0.39999999999999997: "
+                   "sqrt undefined for argument (-0.0009000000000000005,)\n")
+
+    @pytest.mark.parametrize("index", [3, 5, -1])
+    def test_error_index_outside_the_grid_names_the_first_x(self, index):
+        # an index that counts positions in some other array must not make the
+        # grid's prefix rerun forever
+        calls = []
+
+        def compute(grid):
+            calls.append(grid.size)
+            if len(calls) > 1:
+                raise AssertionError(f"reran the grid: {calls}")
+            raise defcalc.DefcalcError("no value", index=index)
+
+        with pytest.raises(defcalc.DefcalcError) as err:
+            cli._run_grid(compute, np.linspace(0.0, 1.0, 3), "f at x", "non-finite value")
+        assert str(err.value) == "f at x = 0.0: no value"
+        assert calls == [3]
+
     @pytest.mark.parametrize("grid", ["0:inf:3", "-inf:1:3", "0:nan:3"])
     def test_non_finite_grid_end_is_config_error(self, capsys, grid):
         code, out, err = run_cli(
@@ -221,8 +249,11 @@ TABLE_FLAGS = {"q": "0.5", "kappa": "0.5", "zeta": "0.5", "l0": "2", "alpha": "0
                "terms": "3"}
 
 
-def _flags(op):
-    return [f.metadata.get("flag", f.name) for f in dataclasses.fields(OPERATORS[op].kind)]
+def _flags(op, form="closed"):
+    """The flags of the operator's parameters that ``form`` reads."""
+    unread = getattr(OPERATORS[op], form).unread
+    return [f.metadata.get("flag", f.name) for f in dataclasses.fields(OPERATORS[op].kind)
+            if f.name not in unread]
 
 
 def _deriv(op, flags, start, form="closed"):
@@ -290,9 +321,9 @@ class TestOperatorTable:
         bound, strict, message = self.DOMAIN_RULES[op, form]
         outside = bound if strict else float(np.nextafter(bound, -np.inf))
         inside = float(np.nextafter(bound, np.inf)) if strict else bound
-        code, out, err = run_cli(capsys, *_deriv(op, _flags(op), outside, form))
+        code, out, err = run_cli(capsys, *_deriv(op, _flags(op, form), outside, form))
         assert (code, out, err) == (2, "", f"error: {message}\n")
-        code, out, err = run_cli(capsys, *_deriv(op, _flags(op), inside, form))
+        code, out, err = run_cli(capsys, *_deriv(op, _flags(op, form), inside, form))
         if (op, form) == ("hausdorff", "quotient"):
             # The --grid check passes, but the probe steps, capped at x/4, round to 0
             # at x = 5e-324.
@@ -450,26 +481,58 @@ class TestParserOptions:
               "--grid", "0:1:3"), "--op gl does not take --l0"),
             (("deriv", "--op", "hausdorff", "--zeta", "0.5", "--terms", "3", "--fn", "x",
               "--grid", "0:1:3"), "--op hausdorff does not take --terms"),
+            # a field of the operator's class that the quotient form does not read
+            (("deriv", "--op", "hausdorff", "--form", "quotient", "--zeta", "0.5", "--l0", "2",
+              "--fn", "x^2", "--grid", "0.5:1:3"),
+             "--op hausdorff --form quotient does not take --l0"),
+            # the GL chain has no ODE tolerance
+            (("solve", "--problem", "fractional", "--alpha", "0.5", "--tol", "1e-3",
+              "--grid", "0.2:1:11"), "--problem fractional does not take --tol"),
         ],
     )
     def test_unread_parameter_flag_is_config_error(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize(
-        "argv,extra",
-        [
-            (("deriv", "--op", "hausdorff", "--form", "quotient", "--zeta", "0.5", "--fn", "x^2",
-              "--grid", "0.5:1:3"), ("--l0", "2")),
-            (("solve", "--problem", "fractional", "--alpha", "0.5", "--grid", "0.2:1:11"),
-             ("--tol", "1e-3")),
-        ],
-    )
-    def test_flags_the_form_does_not_read_are_accepted(self, capsys, argv, extra):
-        assert run_cli(capsys, *argv, *extra) == run_cli(capsys, *argv)
+    def test_quotient_form_missing_flag_names_the_operator(self, capsys):
+        # only the flag the form does not read names the form
+        argv = ("deriv", "--op", "hausdorff", "--form", "quotient", "--fn", "x^2",
+                "--grid", "0.5:1:3")
+        assert run_cli(capsys, *argv) == (2, "", "error: --op hausdorff requires --zeta\n")
 
     def test_fractional_h_default(self, capsys):
         argv = ("solve", "--problem", "fractional", "--alpha", "0.5", "--grid", "0.2:1:11")
         assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--h", "0.001")
+
+
+def _gl_chain_by_chain(f, x, alpha, h, n_terms=None):
+    """The GL sum with f called on each chain's own nodes and the weights
+    built for each chain alone."""
+    f = as_real_function(f)
+    sums = []
+    for t in np.atleast_1d(np.asarray(x, dtype=float)).tolist():
+        n = _chain_length(t, h) if n_terms is None else min(_chain_length(t, h), n_terms)
+        nodes = np.maximum(t - h * np.arange(n + 1), 0.0)
+        sums.append(h ** -alpha * np.dot(gl_weights(alpha, n), f(nodes)))
+    return np.array(sums) if np.ndim(x) else float(sums[0])
+
+
+class TestGoldenBytes:
+    """Two GL commands print the same bytes as with the GL chain replaced by
+    the chain-by-chain sum: a change to the GL chain that moves any output
+    bit fails here."""
+
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--problem", "fractional", "--alpha", "0.649", "--h", "0.001",
+         "--grid=0.1505:0.9505:41"),
+        ("deriv", "--op", "gl", "--fn", "x*exp(-0.7*x) + 0.3*x^2", "--alpha", "0.45",
+         "--h", "0.001", "--grid=0.1505:0.9505:33"),
+    ])
+    def test_gl_output_bytes(self, capsys, monkeypatch, argv):
+        result = run_cli(capsys, *argv)
+        assert result[0] == 0
+        for module in (defcalc.derivative_ops, defcalc.eigen_solvers):
+            monkeypatch.setattr(module, "gl_jumarie_derivative", _gl_chain_by_chain)
+        assert run_cli(capsys, *argv) == result
 
 
 class TestMapCommand:

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,7 +37,8 @@ from defcalc import (
     rl_power_rule,
     yang_lfd,
 )
-from defcalc.derivative_ops import gl_weights
+from defcalc import derivative_ops
+from defcalc.derivative_ops import _blocks, _chain_length, gl_weights
 
 EPS = float(np.finfo(float).eps)
 
@@ -242,6 +244,20 @@ class TestClosedVersusQuotient:
                 assert abs(closed - quotient) <= 1e-6 * abs(closed)
 
 
+@st.composite
+def _gl_grids(draw):
+    """(xs, h): a grid whose steps are whole multiples of h and whose start
+    lies on the h-lattice (x = 0 included) or off it, or sorted x anywhere in
+    [0, 1.5]."""
+    h = draw(st.sampled_from([0.1, 0.01, 1e-3]) | st.floats(1e-3, 0.2))
+    if draw(st.booleans()):
+        start = draw(st.integers(0, 200)) + draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0))
+        stride = draw(st.integers(0, 40))
+        return (start + stride * np.arange(draw(st.integers(1, 12)))) * h, h
+    xs = draw(st.lists(st.floats(0.0, 1.5), min_size=1, max_size=12))
+    return np.array(sorted(xs)), h
+
+
 class TestGrunwaldJumarie:
     def test_alpha_one_is_backward_difference(self):
         assert gl_jumarie_derivative("x^2", 1.0, 1.0, 1e-4) == pytest.approx(2.0, abs=1e-3)
@@ -331,6 +347,66 @@ class TestGrunwaldJumarie:
         with pytest.raises(EvaluationError, match="sqrt undefined") as err:
             gl_jumarie_derivative("sqrt(0.75-x)", np.linspace(0.5, 1.0, 6), 0.5, 0.1)
         assert err.value.index == 3
+
+    def test_failure_names_the_first_failing_chain(self):
+        # sqrt fails inside (0.25, 0.35).  The first chain to enter that gap is
+        # the one at xs[2] = 0.4, and it meets 0.34 first; the smallest failing
+        # node over all chains is 0.26, the one a call on the sorted distinct
+        # nodes names first.
+        fn, xs, h = "sqrt((x-0.25)*(x-0.35))", np.linspace(0.0, 0.6, 4), 0.01
+        with pytest.raises(EvaluationError) as err:
+            gl_jumarie_derivative(fn, xs, 0.5, h)
+        assert str(err.value) == "sqrt undefined for argument (-0.0009000000000000005,)"
+        assert err.value.index == 2
+        nodes = [np.maximum(x - h * np.arange(_chain_length(x, h) + 1), 0.0) for x in xs]
+        with pytest.raises(EvaluationError, match=r"\(-0.0008999999999999961,\)"):
+            RealFunction.from_expression(fn)(np.unique(np.concatenate(nodes)))
+
+    @given(grid=_gl_grids(), alpha=st.floats(0.0, 1.0, exclude_min=True),
+           n_terms=st.none() | st.integers(1, 60), scalar_only=st.booleans(),
+           block_nodes=st.none() | st.integers(1, 300))
+    def test_grid_equals_the_direct_sum(self, grid, alpha, n_terms, scalar_only, block_nodes):
+        xs, h = grid
+        calls = []
+
+        def counted(t):
+            calls.append(np.array(t, dtype=float))
+            return np.cos(3.0 * t) + np.sqrt(t)
+
+        f = RealFunction.from_callable(
+            (lambda t: math.cos(3.0 * t) + math.sqrt(t)) if scalar_only else counted)
+        chains = []
+        for x in xs.tolist():
+            n = _chain_length(x, h) if n_terms is None else min(_chain_length(x, h), n_terms)
+            chains.append((n, np.maximum(x - h * np.arange(n + 1), 0.0)))
+        direct = [h**-alpha * np.dot(gl_weights(alpha, n), f(nodes)) for n, nodes in chains]
+        calls.clear()
+        with mock.patch.object(derivative_ops, "_BLOCK_NODES",
+                               block_nodes or derivative_ops._BLOCK_NODES):
+            assert np.array_equal(gl_jumarie_derivative(f, xs, alpha, h, n_terms), direct)
+            blocks = list(_blocks([n + 1 for n, _ in chains]))
+        if scalar_only:
+            return
+        # one call per block, on the distinct nodes of its chains (a block of
+        # one chain calls f on that chain's nodes)
+        expected = [np.unique(np.concatenate([chains[i][1] for i in block])) if len(block) > 1
+                    else chains[block[0]][1] for block in blocks]
+        assert len(calls) == len(expected)
+        assert all(np.array_equal(got, want) for got, want in zip(calls, expected))
+        if block_nodes is None:
+            assert len(calls) == 1  # every chain of these grids fits in one block
+
+    @given(sizes=st.lists(st.integers(1, 50), min_size=1, max_size=30),
+           block_nodes=st.integers(1, 120))
+    def test_blocks_are_consecutive_and_within_the_budget(self, sizes, block_nodes):
+        with mock.patch.object(derivative_ops, "_BLOCK_NODES", block_nodes):
+            blocks = list(_blocks(sizes))
+        assert [i for block in blocks for i in block] == list(range(len(sizes)))
+        for block, after in zip(blocks, blocks[1:] + [None]):
+            total = sum(sizes[i] for i in block)
+            assert len(block) == 1 or total <= block_nodes
+            if after is not None:  # a block ends only where the next chain does not fit
+                assert total + sizes[after.start] > block_nodes
 
 
 class TestRLPowerRule:
