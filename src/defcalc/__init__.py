@@ -27,9 +27,6 @@ from .derivative_ops import (
     DerivativeKind,
     DiffSettings,
     GrunwaldJumarie,
-    Hausdorff,
-    Kaniadakis,
-    QDeformed,
     YangLFD,
     classical_derivative,
     conformable_derivative,
@@ -45,7 +42,6 @@ from .derivative_ops import (
     yang_lfd,
 )
 from .eigen_solvers import (
-    EigenProblem,
     EigenReport,
     integrate_ode,
     solve_hausdorff_eigen,
@@ -84,7 +80,6 @@ from .mappings import (
 )
 from .special_functions import (
     HausdorffParams,
-    MLSeriesConfig,
     balankin_exp,
     gamma,
     gen_binomial,

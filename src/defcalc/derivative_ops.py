@@ -37,9 +37,6 @@ from .special_functions import HausdorffParams, gamma
 __all__ = [
     "DiffSettings",
     "Classical",
-    "QDeformed",
-    "Kaniadakis",
-    "Hausdorff",
     "Conformable",
     "GrunwaldJumarie",
     "YangLFD",
@@ -81,10 +78,6 @@ _DEFAULT_SETTINGS = DiffSettings()
 
 
 # --- Operator kinds: the dataclass fields are the operator's parameters ------
-
-QDeformed = QParam
-Kaniadakis = KappaParam
-Hausdorff = HausdorffParams
 
 
 @dataclass(frozen=True)
@@ -133,7 +126,7 @@ class YangLFD(_Order):
 
 
 DerivativeKind = Union[
-    Classical, QDeformed, Kaniadakis, Hausdorff, Conformable, GrunwaldJumarie, YangLFD
+    Classical, QParam, KappaParam, HausdorffParams, Conformable, GrunwaldJumarie, YangLFD
 ]
 
 
@@ -443,13 +436,13 @@ _BELOW_MINUS_L0 = "--grid enters x <= -l0 = {bound}, outside the operator domain
 OPERATORS: dict[str, Operator] = {
     "classical": Operator(Classical, Form(lambda k, f, x, s: classical_derivative(f, x, s))),
     "q": Operator(
-        QDeformed,
+        QParam,
         Form(lambda k, f, x, s: q_derivative(f, x, k, s)),
         Form(lambda k, f, x, s: q_derivative_quotient(f, x, k, s)),
     ),
-    "kappa": Operator(Kaniadakis, Form(lambda k, f, x, s: kaniadakis_derivative(f, x, k, s))),
+    "kappa": Operator(KappaParam, Form(lambda k, f, x, s: kaniadakis_derivative(f, x, k, s))),
     "hausdorff": Operator(
-        Hausdorff,
+        HausdorffParams,
         Form(lambda k, f, x, s: hausdorff_derivative(f, x, k, s), lambda k: -k.l0,
              message=_BELOW_MINUS_L0),
         Form(lambda k, f, x, s: hausdorff_quotient(f, x, k.zeta, s), lambda k: 0.0,

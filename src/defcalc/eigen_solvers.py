@@ -17,13 +17,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .deformed_algebra import QParam, _as_q, q_exp
-from .derivative_ops import DerivativeKind, GrunwaldJumarie, gl_jumarie_derivative
+from .derivative_ops import GrunwaldJumarie, gl_jumarie_derivative
 from .errors import DomainError, StepFailure
 from .function_catalog import RealFunction
 from .special_functions import HausdorffParams, balankin_exp, mittag_leffler
 
 __all__ = [
-    "EigenProblem",
     "EigenReport",
     "OdeSolution",
     "integrate_ode",
@@ -31,26 +30,6 @@ __all__ = [
     "solve_hausdorff_eigen",
     "verify_fractional_eigen",
 ]
-
-
-@dataclass(frozen=True)
-class EigenProblem:
-    """A deformed eigen-equation posed on a grid: operator kind, domain, initial value."""
-
-    kind: DerivativeKind
-    domain: tuple[float, float]
-    y0: float
-    grid_points: int
-
-    def __post_init__(self):
-        x_start, x_end = self.domain
-        if not x_start < x_end:
-            raise ValueError(f"domain must satisfy x_start < x_end, got {self.domain}")
-        if self.grid_points < 11:
-            raise ValueError(f"grid_points must be >= 11, got {self.grid_points}")
-
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.domain[0], self.domain[1], self.grid_points)
 
 
 @dataclass(frozen=True)
@@ -190,6 +169,14 @@ def integrate_ode(
     )
 
 
+def _grid(domain: tuple[float, float], grid_points: int) -> np.ndarray:
+    if not domain[0] < domain[1]:
+        raise ValueError(f"domain must satisfy x_start < x_end, got {tuple(domain)}")
+    if grid_points < 11:
+        raise ValueError(f"grid_points must be >= 11, got {grid_points}")
+    return np.linspace(domain[0], domain[1], grid_points)
+
+
 # --- Eigen-equation verifications ------------------------------------------
 
 
@@ -199,13 +186,13 @@ def solve_q_eigen(
     """Integrate dy/dx = y^q and compare against the q-exponential."""
     qp = _as_q(q)
     qv = qp.q
-    problem = EigenProblem(qp, tuple(domain), q_exp(domain[0], qp), grid_points)
-    if problem.y0 <= 0.0:
+    y0 = q_exp(domain[0], qp)
+    grid = _grid(domain, grid_points)
+    if y0 <= 0.0:
         raise DomainError(f"domain start {domain[0]} is outside the q-exponential support")
     if 1.0 + (1.0 - qv) * domain[1] <= 0.0:
         raise DomainError(f"domain end {domain[1]} is outside the q-exponential support")
-    grid = problem.grid()
-    sol = integrate_ode(lambda x, y: y**qv, problem.domain, problem.y0, tol, grid)
+    sol = integrate_ode(lambda x, y: y**qv, tuple(domain), y0, tol, grid)
     closed = [q_exp(float(x), qp) for x in grid]
     return _make_report(grid, sol.at_grid, closed)
 
@@ -217,12 +204,10 @@ def solve_hausdorff_eigen(
     fractal-metric exponential (initial value fixed by the closed form)."""
     if domain[0] <= -hp.l0:
         raise DomainError(f"domain must lie inside (-l0, inf) = ({-hp.l0}, inf)")
-    problem = EigenProblem(hp, tuple(domain), balankin_exp(domain[0], hp), grid_points)
-    grid = problem.grid()
+    y0 = balankin_exp(domain[0], hp)
+    grid = _grid(domain, grid_points)
     zeta, l0 = hp.zeta, hp.l0
-    sol = integrate_ode(
-        lambda x, y: (x / l0 + 1.0) ** (zeta - 1.0) * y, problem.domain, problem.y0, tol, grid
-    )
+    sol = integrate_ode(lambda x, y: (x / l0 + 1.0) ** (zeta - 1.0) * y, tuple(domain), y0, tol, grid)
     closed = [balankin_exp(float(x), hp) for x in grid]
     return _make_report(grid, sol.at_grid, closed)
 
@@ -245,8 +230,8 @@ def verify_fractional_eigen(
         raise DomainError(f"domain must lie inside (0, inf), got {domain}")
     if domain[1] ** alpha > 10.0:
         raise DomainError("domain end exceeds the Mittag-Leffler series domain x^alpha <= 10")
-    problem = EigenProblem(GrunwaldJumarie(alpha, h), tuple(domain), 1.0, grid_points)
-    grid = problem.grid()
+    GrunwaldJumarie(alpha, h)  # rejects a non-finite h
+    grid = _grid(domain, grid_points)
 
     def eigenfunction(t):
         # array-aware, so that the GL chain evaluates a block's distinct nodes in one call

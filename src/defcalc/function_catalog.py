@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
@@ -562,7 +562,6 @@ class RealFunction:
     value: Callable[[float], float]
     derivative: Optional[Callable[[float], float]] = None
     label: str = "f"
-    source: Optional[str] = field(default=None, compare=False)
 
     def __call__(self, x):
         return _apply(self.value, x)
@@ -591,7 +590,6 @@ class RealFunction:
             value=_compile(ast),
             derivative=_compile(dast) if dast is not None else None,
             label=source,
-            source=source,
         )
 
     @classmethod

@@ -47,27 +47,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SeriesExpansion:
-    """Truncated power series: coefficients c_0..c_N about ``expansion_point``."""
+    """Truncated power series about 0: coefficients c_0..c_N."""
 
     coefficients: tuple[float, ...]
-    expansion_point: float
-    order: int
 
     def __post_init__(self):
-        if len(self.coefficients) != self.order + 1:
-            raise ValueError(
-                f"need {self.order + 1} coefficients for order {self.order}, "
-                f"got {len(self.coefficients)}"
-            )
         if not all(math.isfinite(c) for c in self.coefficients):
             raise ValueError("coefficients must be finite")
 
     def evaluate(self, x: float) -> float:
         """Horner evaluation of the partial sum at x."""
-        u = x - self.expansion_point
         total = 0.0
         for c in reversed(self.coefficients):
-            total = total * u + c
+            total = total * x + c
         return total
 
 
@@ -100,7 +92,7 @@ def expand_hausdorff_prefactor(hp: HausdorffParams, order: int) -> SeriesExpansi
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     coeffs = tuple(gen_binomial(1.0 - hp.zeta, k) * hp.l0 ** (-k) for k in range(order + 1))
-    return SeriesExpansion(coefficients=coeffs, expansion_point=0.0, order=order)
+    return SeriesExpansion(coeffs)
 
 
 def q_from_zeta(hp: HausdorffParams) -> MappingResult:
@@ -146,7 +138,7 @@ def kappa_expansion(kappa, order: int) -> SeriesExpansion:
     coeffs = [0.0] * (order + 1)
     for m in range(order // 2 + 1):
         coeffs[2 * m] = gen_binomial(0.5, m) * k ** (2 * m)
-    return SeriesExpansion(coefficients=tuple(coeffs), expansion_point=0.0, order=order)
+    return SeriesExpansion(tuple(coeffs))
 
 
 class ConformableHausdorff(NamedTuple):

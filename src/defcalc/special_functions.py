@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, PoleError
 
 __all__ = [
-    "MLSeriesConfig",
     "HausdorffParams",
     "gamma",
     "gen_binomial",
@@ -29,24 +28,6 @@ __all__ = [
 ]
 
 _POLE_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class MLSeriesConfig:
-    """Truncation policy for the Mittag-Leffler power series.
-
-    ``rel_tolerance`` is the term-to-partial-sum ratio below which the series
-    stops (two consecutive terms must qualify); ``max_terms`` bounds the work.
-    """
-
-    rel_tolerance: float = 1e-12
-    max_terms: int = 10_000
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tolerance <= 1e-4:
-            raise ValueError(f"rel_tolerance must be in (0, 1e-4], got {self.rel_tolerance}")
-        if self.max_terms < 50:
-            raise ValueError(f"max_terms must be >= 50, got {self.max_terms}")
 
 
 @dataclass(frozen=True)
@@ -95,12 +76,14 @@ def gen_binomial(alpha: float, k: int) -> float:
     return result
 
 
+_ML_REL_TOL = 1e-12
+_ML_MAX_TERMS = 10_000
 # Largest block of terms in the array series, and terms x elements per block
-# (one term per block above 8192 active elements; three float buffers of
-# max(16384, z.size) cells at most).  Below _ML_ACCUMULATE_BELOW active
-# elements a block is summed by two accumulate calls, each about 2.5 ns per
-# cell at any width; from there on by two ufunc calls per term, together
-# about 1.2 ns per cell at 1,000 elements (2-vCPU Xeon, numpy 2.4.6).
+# (at least four terms a block, whatever the number of active elements).
+# Below _ML_ACCUMULATE_BELOW active elements a block is summed by two
+# accumulate calls, each about 2.5 ns per cell at any width; from there on by
+# two ufunc calls per term, together about 1.2 ns per cell at 1,000 elements
+# (2-vCPU Xeon, numpy 2.4.6).
 _ML_BLOCK = 64
 _ML_BLOCK_CELLS = 16384
 _ML_ACCUMULATE_BELOW = 256
@@ -112,25 +95,26 @@ def _ml_term_ratio(alpha: float, k: int) -> float:
     return math.exp(math.lgamma(alpha * k + 1.0) - math.lgamma(alpha * k + alpha + 1.0))
 
 
-def _ml_series(z: np.ndarray, alpha: float, cfg: MLSeriesConfig) -> tuple[np.ndarray, int]:
+def _ml_series(z: np.ndarray, alpha: float) -> tuple[np.ndarray, int]:
     """Sum the Mittag-Leffler series over the 1-d array z, each element on its
     own recurrence.
 
     Element e runs ``term = term * (z[e] * r_k)``, ``total += term`` and stops
-    at the second consecutive ``|term| < rel_tolerance * |total|``: the bits of
+    at the second consecutive ``|term| < _ML_REL_TOL * |total|``: the bits of
     a scalar loop over z[e].  Each r_k is computed once.  The terms come in
     blocks laid out (term, element), one row per term, and the stopping test
     runs on a whole block at once.  The first block reaches the term at which
-    the largest |z| falls below rel_tolerance twice (enough for every z >= 0);
+    the largest |z| falls below _ML_REL_TOL twice (enough for every z >= 0);
     later blocks double.  After each block the active set keeps only the
     elements that neither finished nor failed and lie before the first
     failure.  A non-finite term stays non-finite and never qualifies, so its
     element fails at once.
 
     Returns the totals and the index of the first element that fails (-1 if
-    none); elements after that index may be left unsummed.
+    none).  The failing element holds its last partial sum, which is not
+    finite where a term overflowed; elements after it may be left unsummed.
     """
-    tol = cfg.rel_tolerance
+    tol = _ML_REL_TOL
     out = np.empty(z.size)
     # the active set: position in z, z, last term, partial sum, last term qualified
     pos, zs, term, total = np.arange(z.size), z, np.ones(z.size), np.ones(z.size)
@@ -139,14 +123,15 @@ def _ml_series(z: np.ndarray, alpha: float, cfg: MLSeriesConfig) -> tuple[np.nda
     ratios: list[float] = []
     lead, lead_small = 1.0, 0  # |term| of the largest |z| and its run below tol
     z_max = float(np.max(np.abs(z))) if z.size else 0.0
-    # block buffers, reused: terms (then |terms|), totals and tol |totals|
-    cells = max(min(_ML_BLOCK_CELLS, _ML_BLOCK * z.size), z.size)
+    # block buffers, reused: terms (then |terms|), totals and tol |totals|; fresh
+    # arrays each block cost page faults (+8% on the benchmark's fractional_chain)
+    cells = max(min(_ML_BLOCK_CELLS, _ML_BLOCK * z.size), 4 * z.size)
     buffers = np.empty((3, cells))
     k = 0
     with np.errstate(all="ignore"):
-        while k < cfg.max_terms and pos.size:
+        while k < _ML_MAX_TERMS and pos.size:
             m = pos.size
-            cap = max(1, min(_ML_BLOCK, _ML_BLOCK_CELLS // m, cfg.max_terms - k))
+            cap = min(max(4, min(_ML_BLOCK, _ML_BLOCK_CELLS // m)), _ML_MAX_TERMS - k)
             while len(ratios) < k + cap and lead_small < 2:
                 ratios.append(_ml_term_ratio(alpha, len(ratios)))
                 lead *= z_max * ratios[-1]
@@ -183,25 +168,27 @@ def _ml_series(z: np.ndarray, alpha: float, cfg: MLSeriesConfig) -> tuple[np.nda
             if failed.any():  # pos ascends: the first failure and all after it drop out
                 i = int(failed.argmax())
                 first_fail, hit = int(pos[i]), hit[:i]
+                out[first_fail] = total[i]
             keep = np.flatnonzero(~hit)
             pos, zs, term, total, streak = (a[keep] for a in (pos, zs, term, total, small[-1]))
             k += b
-    return out, int(pos[0]) if pos.size else first_fail  # pos left: the budget ran out
+    out[pos] = total  # pos left: the budget ran out on these
+    return out, int(pos[0]) if pos.size else first_fail
 
 
-def mittag_leffler(z, alpha: float, cfg: MLSeriesConfig | None = None):
+def mittag_leffler(z, alpha: float):
     """One-parameter Mittag-Leffler function E_alpha(z) by power series.
 
     A float z gives a float; an array gives an array of its shape.  Declared
-    series domain |z| <= 10, alpha > 0.  Each element's sum truncates once
-    |term| < rel_tolerance * |partial sum| holds for two consecutive terms,
-    with the bits of the scalar recurrence.  An element that exhausts
-    ``max_terms``, or whose term overflows first (it could never qualify),
-    raises :class:`ConvergenceError`.  Over an array the error names the first
-    failing element and ``index`` holds its position in ``z.ravel()``.
+    series domain |z| <= 10 (NaN lies outside), alpha > 0.  Each element's sum
+    truncates once |term| < 1e-12 |partial sum| holds for two consecutive
+    terms, with the bits of the scalar recurrence.  At z > 0 every term is
+    positive, so a term or sum past the double range is an overflow of
+    E_alpha(z) itself: :class:`DomainError`.  A term overflow at z < 0 (it
+    could never qualify), or 10,000 terms run out, raises
+    :class:`ConvergenceError`.  Over an array the error names the first
+    failing element, and ``index`` its position in ``z.ravel()``.
     """
-    if cfg is None:
-        cfg = MLSeriesConfig()
     scalar = not isinstance(z, np.ndarray) and np.ndim(z) == 0
     flat = np.asarray(z, dtype=float).ravel()
 
@@ -212,11 +199,17 @@ def mittag_leffler(z, alpha: float, cfg: MLSeriesConfig | None = None):
         need = "finite alpha" if alpha > 0.0 else "alpha > 0"
         raise DomainError(f"mittag_leffler requires {need}, got {alpha}",
                           index=None if scalar or not flat.size else 0)
-    outside = np.abs(flat) > 10.0
+    outside = ~(np.abs(flat) <= 10.0)
     end = int(outside.argmax()) if outside.any() else flat.size
-    values, failed = _ml_series(flat[:end], alpha, cfg)
+    values, failed = _ml_series(flat[:end], alpha)
+    summed = end if failed < 0 else failed + 1
+    over = (flat[:summed] > 0.0) & ~np.isfinite(values[:summed])
+    if over.any():
+        i = int(over.argmax())
+        raise DomainError(f"mittag_leffler overflows the double range at z={z_at(i)} "
+                          f"(alpha={alpha})", index=None if scalar else i)
     if failed >= 0:
-        raise ConvergenceError(f"mittag_leffler did not converge within {cfg.max_terms} terms "
+        raise ConvergenceError(f"mittag_leffler did not converge within {_ML_MAX_TERMS} terms "
                                f"(z={z_at(failed)}, alpha={alpha})",
                                index=None if scalar else failed)
     if end < flat.size:

@@ -393,6 +393,17 @@ class TestSolveCommand:
                    "domain start -3.0 is outside the q-exponential support\n"
         )
 
+    def test_overflowing_eigenfunction_is_config_error(self, capsys):
+        # x^alpha stays within the series domain, but E_0.1(x^0.1) passes the double range
+        code, out, err = run_cli(
+            capsys, "solve", "--problem", "fractional", "--alpha", "0.1", "--h", "1e8",
+            "--grid", "1e8:1e9:11",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --grid outside the problem domain: "
+                              "mittag_leffler overflows the double range at z=")
+        assert err.endswith(" (alpha=0.1)\n")
+
     def test_step_underflow_is_numerical_failure(self, capsys):
         code, out, err = run_cli(capsys, *SOLVE_UNDERFLOW)
         assert (code, out) == (3, "")
@@ -582,10 +593,12 @@ class TestMlCommand:
         assert len(out.strip().splitlines()) == 6
 
     def test_overflow_is_numerical_failure(self, capsys):
-        code, out, err = run_cli(capsys, "ml", "--alpha", "0.3", "--z", "8")
-        assert code == 3
-        assert out == ""
-        assert "overflow" in err
+        # at 8 the sum passes the double range, at 10 a term does
+        for z in ("8", "10"):
+            code, out, err = run_cli(capsys, "ml", "--alpha", "0.3", "--z", z)
+            assert code == 3
+            assert out == ""
+            assert "overflow" in err
 
     def test_out_of_series_domain_is_numerical_failure(self, capsys):
         code, _, err = run_cli(capsys, "ml", "--alpha", "0.5", "--z", "11")
@@ -605,15 +618,17 @@ class TestMlCommand:
         return ""
 
     @pytest.mark.parametrize("alpha, grid, expected", [
-        # 8 overflows to inf, then 9 and 10 fail in the series
-        ("0.3", "6:10:5", "numerical failure: ml at z = 8.0: the series overflowed to inf\n"),
+        # 8, 9 and 10 overflow
+        ("0.3", "6:10:5", "numerical failure: ml at z = 8.0: mittag_leffler overflows the double "
+                          "range at z=8.0 (alpha=0.3)\n"),
         ("0.5", "-11:0:3", "numerical failure: ml at z = -11.0: "
                            "mittag_leffler series domain is |z| <= 10, got -11.0\n"),
-        ("0.3", "9.5:10:3", "numerical failure: ml at z = 9.5: mittag_leffler did not "
-                            "converge within 10000 terms (z=9.5, alpha=0.3)\n"),
+        ("0.3", "9.5:10:3", "numerical failure: ml at z = 9.5: mittag_leffler overflows the "
+                            "double range at z=9.5 (alpha=0.3)\n"),
         ("0.3", "-10:11:8", "numerical failure: ml at z = -10.0: mittag_leffler did not "
                             "converge within 10000 terms (z=-10.0, alpha=0.3)\n"),
-        ("0.3", "4:11:8", "numerical failure: ml at z = 8.0: the series overflowed to inf\n"),
+        ("0.3", "4:11:8", "numerical failure: ml at z = 8.0: mittag_leffler overflows the double "
+                          "range at z=8.0 (alpha=0.3)\n"),
     ])
     def test_grid_failure_names_the_first_failing_z(self, capsys, alpha, grid, expected):
         code, out, err = run_cli(capsys, "ml", "--alpha", alpha, f"--grid={grid}")

@@ -13,12 +13,9 @@ from defcalc import (
     DomainError,
     EvaluationError,
     GrunwaldJumarie,
-    Hausdorff,
     HausdorffParams,
-    Kaniadakis,
     KappaParam,
     PoleError,
-    QDeformed,
     QParam,
     RealFunction,
     YangLFD,
@@ -490,9 +487,9 @@ class TestEvaluateKind:
         f = CORPUS[1]  # x^2
         x = 1.5
         assert evaluate_kind(Classical(), f, x) == pytest.approx(3.0, rel=1e-9)
-        assert evaluate_kind(QDeformed(0.5), f, x) == q_derivative(f, x, 0.5)
-        assert evaluate_kind(Kaniadakis(0.5), f, x) == kaniadakis_derivative(f, x, 0.5)
-        assert evaluate_kind(Hausdorff(0.5, 1.0), f, x) == hausdorff_derivative(
+        assert evaluate_kind(QParam(0.5), f, x) == q_derivative(f, x, 0.5)
+        assert evaluate_kind(KappaParam(0.5), f, x) == kaniadakis_derivative(f, x, 0.5)
+        assert evaluate_kind(HausdorffParams(0.5, 1.0), f, x) == hausdorff_derivative(
             f, x, HausdorffParams(0.5, 1.0)
         )
         assert evaluate_kind(Conformable(0.5), f, x) == conformable_derivative(f, x, 0.5)
@@ -504,9 +501,10 @@ class TestEvaluateKind:
         )
 
     def test_parameter_classes_are_shared(self):
-        assert QDeformed is QParam
-        assert Kaniadakis is KappaParam
-        assert Hausdorff is HausdorffParams
+        # the operator table names the deformation parameter classes themselves
+        assert derivative_ops.OPERATORS["q"].kind is QParam
+        assert derivative_ops.OPERATORS["kappa"].kind is KappaParam
+        assert derivative_ops.OPERATORS["hausdorff"].kind is HausdorffParams
 
     def test_unknown_kind(self):
         with pytest.raises(TypeError, match="unknown derivative kind"):
@@ -514,17 +512,17 @@ class TestEvaluateKind:
 
     def test_kind_validation(self):
         for make in (
-            lambda: QDeformed(math.nan),
-            lambda: Kaniadakis(math.inf),
-            lambda: Hausdorff(math.nan),
-            lambda: Hausdorff(0.5, math.inf),
+            lambda: QParam(math.nan),
+            lambda: KappaParam(math.inf),
+            lambda: HausdorffParams(math.nan),
+            lambda: HausdorffParams(0.5, math.inf),
             lambda: GrunwaldJumarie(0.5, math.nan),
             lambda: YangLFD(0.5, math.nan),
         ):
             with pytest.raises(ValueError):
                 make()
         with pytest.raises(ValueError):
-            Hausdorff(0.5, 0.0)
+            HausdorffParams(0.5, 0.0)
         with pytest.raises(ValueError):
             Conformable(0.0)
         with pytest.raises(ValueError):
@@ -567,7 +565,7 @@ class TestOperatorsOverArrays:
             assert np.all(np.abs(op(self.F, self.XS, *args) - want) <= 1e-10 * np.abs(want))
 
     def test_evaluate_kind_takes_a_grid(self):
-        got = evaluate_kind(QDeformed(0.6), self.F, self.XS)
+        got = evaluate_kind(QParam(0.6), self.F, self.XS)
         assert np.array_equal(got, q_derivative(self.F, self.XS, 0.6))
 
     def test_domain_error_names_the_first_bad_x(self):

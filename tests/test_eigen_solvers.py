@@ -5,9 +5,7 @@ import pytest
 
 from defcalc import (
     DomainError,
-    EigenProblem,
     HausdorffParams,
-    QDeformed,
     StepFailure,
     balankin_exp,
     integrate_ode,
@@ -147,9 +145,10 @@ class TestVerifyFractionalEigen:
 
 
 def test_eigen_problem_validation():
-    with pytest.raises(ValueError):
-        EigenProblem(QDeformed(0.5), (1.0, 0.0), 1.0, 11)
-    with pytest.raises(ValueError):
-        EigenProblem(QDeformed(0.5), (0.0, 1.0), 1.0, 5)
-    problem = EigenProblem(QDeformed(0.5), (0.0, 1.0), 1.0, 11)
-    assert len(problem.grid()) == 11
+    for solve, param in ((solve_q_eigen, 0.5), (solve_hausdorff_eigen, HausdorffParams(0.5))):
+        with pytest.raises(ValueError, match="x_start < x_end"):
+            solve(param, (1.0, 0.0), 11)
+        with pytest.raises(ValueError, match="grid_points must be >= 11"):
+            solve(param, (0.0, 1.0), 5)
+        report = solve(param, (0.0, 1.0), 11)
+        assert [row[0] for row in report.grid] == np.linspace(0.0, 1.0, 11).tolist()

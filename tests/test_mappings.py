@@ -223,8 +223,7 @@ class TestYangHausdorffCheck:
 
 def test_series_expansion_validation():
     with pytest.raises(ValueError):
-        SeriesExpansion((1.0, 2.0), 0.0, 2)
-    with pytest.raises(ValueError):
-        SeriesExpansion((1.0, math.inf), 0.0, 1)
-    series = SeriesExpansion((1.0, 2.0, 3.0), 1.0, 2)
-    assert series.evaluate(2.0) == 6.0
+        SeriesExpansion((1.0, math.inf))
+    series = SeriesExpansion((1.0, 2.0, 3.0))
+    assert series.evaluate(1.0) == 6.0
+    assert series.evaluate(2.0) == 17.0

@@ -7,7 +7,6 @@ from defcalc import (
     ConvergenceError,
     DomainError,
     HausdorffParams,
-    MLSeriesConfig,
     PoleError,
     balankin_exp,
     gamma,
@@ -111,6 +110,15 @@ class TestMittagLeffler:
         with pytest.raises(DomainError):
             mittag_leffler(10.5, 0.5)
 
+    def test_nan_z_is_outside_the_domain(self):
+        # not a ConvergenceError after the budget
+        with pytest.raises(DomainError, match=r"\|z\| <= 10, got nan$") as info:
+            mittag_leffler(math.nan, 0.5)
+        assert info.value.index is None
+        with pytest.raises(DomainError, match=r"got nan$") as info:
+            mittag_leffler(np.array([[0.5, 1.0], [math.nan, 2.0]]), 0.5)
+        assert info.value.index == 2
+
     @pytest.mark.parametrize("alpha", [math.nan, math.inf])
     def test_non_finite_alpha_is_rejected_up_front(self, alpha):
         # not a ConvergenceError after max_terms terms
@@ -121,15 +129,18 @@ class TestMittagLeffler:
         assert info.value.index == 0
 
     def test_exhausted_budget(self):
-        # z = 10, alpha = 0.5 needs far more than 50 terms
-        with pytest.raises(ConvergenceError):
-            mittag_leffler(10.0, 0.5, MLSeriesConfig(rel_tolerance=1e-12, max_terms=50))
+        # the alternating terms of E_0.3(-10) pass the double range long before they shrink
+        with pytest.raises(ConvergenceError, match="did not converge within 10000 terms"):
+            mittag_leffler(-10.0, 0.3)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MLSeriesConfig(rel_tolerance=1e-3)
-        with pytest.raises(ValueError):
-            MLSeriesConfig(max_terms=10)
+        # the budget is 10,000 terms: E_0.05(1.3) takes 5,719 and E_0.05(1.37)
+        # 13,964, and its value (about 8e236) is finite, so that is no overflow
+        assert mittag_leffler(1.3, 0.05) == _scalar_series(1.3, 0.05)[0]
+        with pytest.raises(ConvergenceError) as info:
+            mittag_leffler(np.array([1.3, 1.37]), 0.05)
+        assert info.value.index == 1
+        assert str(info.value) == _scalar_series(1.37, 0.05)[1]
 
 
 def _scalar_series(z, alpha, tol=1e-12, max_terms=10_000, stop_on_overflow=True):
@@ -162,7 +173,8 @@ class TestMittagLefflerArray:
     def test_bit_equal_to_the_scalar_recurrence(self, alpha):
         z = np.linspace(-10.0, 10.0, 401)
         reference = [_scalar_series(zi, alpha) for zi in z.tolist()]
-        converged = [i for i, (value, _) in enumerate(reference) if value is not None]
+        converged = [i for i, (value, _) in enumerate(reference)
+                     if value is not None and math.isfinite(value)]
         expected = [reference[i][0] for i in converged]
         np.testing.assert_array_equal(_bits(mittag_leffler(z[converged], alpha)), _bits(expected))
         # each element alone, through the float path
@@ -170,16 +182,24 @@ class TestMittagLefflerArray:
             assert _bits(mittag_leffler(float(z[i]), alpha)) == _bits(reference[i][0])
 
     def test_first_failure_over_the_whole_grid(self):
-        # alpha = 0.3 fails at both ends of [-10, 10]; the error names the first z
-        z = np.linspace(-10.0, 10.0, 401)
+        # alpha = 0.3 fails on [-10, -a] and overflows on [b, 10]; the error names the first z
+        z = np.linspace(-10.0, 0.0, 201)
         failing = [i for i, zi in enumerate(z.tolist()) if _scalar_series(zi, 0.3)[0] is None]
         with pytest.raises(ConvergenceError) as info:
             mittag_leffler(z[::-1], 0.3)
-        assert info.value.index == 400 - failing[-1]
+        assert info.value.index == 200 - failing[-1]
         assert str(info.value) == _scalar_series(float(z[failing[-1]]), 0.3)[1]
+        z = -z[::-1]
+        first = next(i for i, zi in enumerate(z.tolist())
+                     if not math.isfinite(_scalar_series(zi, 0.3)[0] or math.inf))
+        with pytest.raises(DomainError) as info:
+            mittag_leffler(z, 0.3)
+        assert info.value.index == first
+        assert str(info.value) == (f"mittag_leffler overflows the double range at z={z[first]} "
+                                   "(alpha=0.3)")
 
     def test_large_array_bit_equal(self):
-        # more active elements than one block holds: one term per block
+        # more active elements than _ML_BLOCK_CELLS: the 4-term minimum block
         z = np.linspace(0.0, 3.0, 20_001) ** 0.6
         expected = [_scalar_series(zi, 0.6)[0] for zi in z[::97].tolist()]
         np.testing.assert_array_equal(_bits(mittag_leffler(z, 0.6)[::97]), _bits(expected))
@@ -215,21 +235,20 @@ class TestMittagLefflerArray:
         assert str(info.value) == "mittag_leffler series domain is |z| <= 10, got 10.5"
 
     def test_convergence_error_index(self):
-        # z = 10 fails in the series before z = 11 leaves the domain
+        # z = -10 fails in the series before z = 11 leaves the domain
         with pytest.raises(ConvergenceError) as info:
-            mittag_leffler(np.array([1.0, 2.0, 10.0, 11.0]), 0.3)
+            mittag_leffler(np.array([1.0, 2.0, -10.0, 11.0]), 0.3)
         assert info.value.index == 2
-        assert "(z=10.0, alpha=0.3)" in str(info.value)
-        cfg = MLSeriesConfig(rel_tolerance=1e-12, max_terms=50)
+        assert "(z=-10.0, alpha=0.3)" in str(info.value)
         with pytest.raises(ConvergenceError) as info:
-            mittag_leffler(np.array([0.5, 1.0, 10.0, 9.0]), 0.5, cfg)
+            mittag_leffler(np.array([0.5, 1.0, -10.0, 9.0]), 0.3)
         assert info.value.index == 2
-        assert str(info.value) == _scalar_series(10.0, 0.5, max_terms=50)[1]
+        assert str(info.value) == _scalar_series(-10.0, 0.3)[1]
         with pytest.raises(ConvergenceError) as info:
-            mittag_leffler(10.0, 0.3)
+            mittag_leffler(-10.0, 0.3)
         assert info.value.index is None
 
-    @pytest.mark.parametrize("z", [10.0, 9.5, -10.0])
+    @pytest.mark.parametrize("z", [-10.0, -9.5])
     def test_overflow_exit_has_the_full_budget_message(self, z):
         value, message = _scalar_series(z, 0.3, stop_on_overflow=False)
         assert value is None
@@ -241,10 +260,16 @@ class TestMittagLefflerArray:
         assert str(info.value) == message and info.value.index == 1
 
     def test_total_overflow_is_returned(self):
-        # the terms stay finite while the sum passes the double range
-        assert mittag_leffler(8.0, 0.3) == math.inf
-        assert np.array_equal(mittag_leffler(np.array([1.0, 8.0]), 0.3),
-                              [_scalar_series(1.0, 0.3)[0], math.inf])
+        # at 8 the terms stay finite while the sum passes the double range; at 9.5
+        # and 10 a term does.  Either way E_0.3(z), about exp(z^(1/0.3)), overflows.
+        for z in (8.0, 9.5, 10.0):
+            message = f"mittag_leffler overflows the double range at z={z} (alpha=0.3)"
+            with pytest.raises(DomainError) as info:
+                mittag_leffler(z, 0.3)
+            assert str(info.value) == message and info.value.index is None
+            with pytest.raises(DomainError) as info:
+                mittag_leffler(np.array([1.0, 2.0, z, -10.0]), 0.3)
+            assert str(info.value) == message and info.value.index == 2
 
 
 class TestStretchedExp:
