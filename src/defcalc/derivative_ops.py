@@ -260,87 +260,86 @@ def gl_weights(alpha: float, n: int) -> np.ndarray:
 # x = m h computed along any float path is off by a few m ulp at most.
 _LATTICE_RTOL = 1e-9
 
-
-def _chain_length(x: float, h: float) -> int:
-    r = x / h
-    n = round(r)
-    return n if abs(r - n) <= _LATTICE_RTOL * max(1.0, r) else math.floor(r)
+# Residues x/h - t within this times max(1, x/h) agree to round-off.
+_RESIDUE_RTOL = 8 * np.finfo(float).eps
 
 
-# A grid's chains are evaluated in blocks of consecutive chains with at most
-# this many nodes in all (or one chain, if it is longer), so that the arrays a
-# block holds stay a few MB whatever the grid.
-_BLOCK_NODES = 1 << 16
+def _lattice_point(x: float, h: float) -> tuple[int, float]:
+    """x = (t + r) h: t = round(x/h) and r = 0 exactly where x is a multiple of
+    h up to round-off, else t = floor(x/h) and 0 < r < 1."""
+    q = x / h
+    n = round(q)
+    if abs(q - n) <= _LATTICE_RTOL * max(1.0, q):
+        return n, 0.0
+    t = math.floor(q)
+    return t, q - t
 
 
-def _blocks(sizes):
-    """Ranges of consecutive indices, each with at least one index and, past
-    the first, sizes summing to at most ``_BLOCK_NODES``."""
-    start, total = 0, 0
-    for i, size in enumerate(sizes):
-        if i > start and total + size > _BLOCK_NODES:
-            yield range(start, i)
-            start, total = i, 0
-        total += size
-    yield range(start, len(sizes))
-
-
-def _shared_values(f, nodes, sizes):
-    """f called once on the distinct doubles among ``nodes``, chains of
-    ``sizes`` nodes laid end to end, and each chain's values gathered back from
-    that call, one chain at a time; None if it raises."""
-    # sorted by hand: np.unique imports numpy.ma on its first call, 1.4 MB of RSS
-    distinct = np.sort(nodes)
-    distinct = distinct[np.concatenate(([True], distinct[1:] != distinct[:-1]))]
-    try:
-        values = f(distinct)
-    except Exception:  # whatever f raises, raise what the first failing chain raises
-        return None
-    where = np.split(np.searchsorted(distinct, nodes), np.cumsum(sizes[:-1]))
-    return (values[chain] for chain in where)
+def _lattices(chains):
+    """Lattices [a, lo, hi, members]: the chains (t, r, N) of ``members`` have
+    residues that agree to round-off with that of chain a, the one nearest
+    the origin, and index ranges t - N..t that cover lo..hi with no gap."""
+    groups, anchor = [], math.nan
+    for i in sorted(range(len(chains)), key=lambda i: chains[i][1]):
+        t, r, _ = chains[i]
+        if not r - anchor <= _RESIDUE_RTOL * max(1.0, t + r):
+            anchor = r
+            groups.append([])
+        groups[-1].append(i)
+    lattices = []
+    for group in groups:
+        a = min(group, key=lambda i: chains[i][0])
+        for i in sorted(group, key=lambda i: chains[i][0] - chains[i][2]):
+            t, _, n = chains[i]
+            if not lattices or lattices[-1][0] != a or t - n > lattices[-1][2] + 1:
+                lattices.append([a, t - n, t, []])
+            lattices[-1][2] = max(lattices[-1][2], t)
+            lattices[-1][3].append(i)
+    return lattices
 
 
 def gl_jumarie_derivative(f, x, alpha: float, h: float, n_terms: Optional[int] = None):
     """Grunwald-Letnikov sum h^-alpha sum_k (-1)^k C(alpha,k) f(x - kh).
 
-    The chain is anchored at the origin: N = floor(x/h), or round(x/h) when
-    x is a multiple of h up to round-off, and the last node is clamped to 0,
-    so the lower terminal of the underlying fractional derivative is 0.
-    ``n_terms`` (>= 1) optionally caps the chain length.  Requires 0 < alpha <= 1,
-    h > 0, x >= 0.  Over an array of x the weights are built once, for the
-    longest chain, and f is called once per block of chains (``_BLOCK_NODES``),
-    on the distinct nodes of the block's chains; each chain gathers its values
-    back, so every sum has the bits of its chain evaluated alone.  A block of
-    one chain, or one where that call raises, evaluates f on each chain's nodes
-    as one array, in grid order: an error is the one the first failing chain
-    raises, with ``index`` set to that chain's grid position.
+    The chain is anchored at the origin: with x = (t + r) h as in
+    ``_lattice_point``, its N = t nodes below x end at r h, so a chain on the
+    lattice ends on 0.0.  ``n_terms`` (>= 1) optionally caps N.  Requires
+    0 < alpha <= 1, h > 0, x >= 0.  Chains whose residues agree to round-off
+    and whose index ranges t - N..t overlap share a lattice: one call of f on
+    the nodes of their chain nearest the origin, extended (j h on the lattice),
+    and a dot product per chain with its reversed slice, equal to the chain
+    alone up to rounding (README).  If a lattice call raises, each chain calls
+    f on its nodes x - kh in grid order, so an error is the first failing
+    chain's, with ``index`` set to its grid position.
     """
     GrunwaldJumarie(alpha, h, n_terms)  # checks the parameters
     _reject(x < 0.0, x, "gl_jumarie_derivative requires x >= 0")
     f = as_real_function(f)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    lengths = [_chain_length(t, h) for t in xs.tolist()]
-    if n_terms is not None:
-        lengths = [min(n, int(n_terms)) for n in lengths]
-    weights = gl_weights(alpha, max(lengths))
-    offsets = h * np.arange(weights.size, dtype=float)
+    chains = [(t, r, t if n_terms is None else min(t, int(n_terms)))
+              for t, r in (_lattice_point(v, h) for v in xs.tolist())]
+    weights = gl_weights(alpha, max(n for _, _, n in chains))
     scale = h ** (-alpha)
     sums = np.empty(xs.size)
-
-    def chain(i):
-        return np.maximum(xs[i] - offsets[: lengths[i] + 1], 0.0)
-
-    sizes = [n + 1 for n in lengths]
-    for block in _blocks(sizes):
-        shared = (_shared_values(f, np.concatenate([chain(i) for i in block]),
-                                 sizes[block.start:block.stop]) if len(block) > 1 else None)
-        for i in block:
-            try:
-                values = f(chain(i)) if shared is None else next(shared)
-            except DefcalcError as exc:
-                exc.index = i
-                raise
-            sums[i] = scale * np.dot(weights[: lengths[i] + 1], values)
+    for a, lo, hi, members in _lattices(chains):
+        # node j is j h on the lattice, else x_a - (t_a - j) h: chain a's own nodes
+        x_a, t_a = (0.0, 0) if chains[a][1] == 0.0 else (xs[a], chains[a][0])
+        try:
+            values = f(x_a + (np.arange(lo, hi + 1, dtype=float) - t_a) * h)
+        except Exception:  # whatever f raises, raise what the first failing chain raises
+            break
+        for i in members:
+            t, _, n = chains[i]
+            sums[i] = scale * np.dot(weights[: n + 1], values[t - lo - n: t - lo + 1][::-1])
+    else:
+        return sums if np.ndim(x) else float(sums[0])
+    for i, (_, _, n) in enumerate(chains):
+        try:
+            values = f(np.maximum(xs[i] - h * np.arange(n + 1, dtype=float), 0.0))
+        except DefcalcError as exc:
+            exc.index = i
+            raise
+        sums[i] = scale * np.dot(weights[: n + 1], values)
     return sums if np.ndim(x) else float(sums[0])
 
 

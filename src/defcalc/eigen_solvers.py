@@ -234,7 +234,7 @@ def verify_fractional_eigen(
     grid = _grid(domain, grid_points)
 
     def eigenfunction(t):
-        # array-aware, so that the GL chain evaluates a block's distinct nodes in one call
+        # array-aware, so that the GL chain evaluates each of its lattices in one call
         return mittag_leffler(np.asarray(t, dtype=float) ** alpha, alpha)
 
     shifted = RealFunction(value=lambda t: eigenfunction(t) - 1.0, label="E_alpha(x^alpha) - 1")

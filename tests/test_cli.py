@@ -16,8 +16,9 @@ import defcalc
 import defcalc.cli as cli
 import defcalc.eigen_solvers
 from defcalc.cli import ENV_FORMAT, RunConfig, build_parser, main
-from defcalc.derivative_ops import OPERATORS, _chain_length, gl_weights
-from defcalc.function_catalog import BUILTINS, as_real_function
+from defcalc.derivative_ops import OPERATORS
+from defcalc.function_catalog import BUILTINS
+from gl_reference import EPS, gl_chain_by_chain
 
 
 # A q eigen-solve whose RKF45 step underflows as 1 + (1 - q) x nears 0 at x = 1.
@@ -515,22 +516,11 @@ class TestParserOptions:
         assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--h", "0.001")
 
 
-def _gl_chain_by_chain(f, x, alpha, h, n_terms=None):
-    """The GL sum with f called on each chain's own nodes and the weights
-    built for each chain alone."""
-    f = as_real_function(f)
-    sums = []
-    for t in np.atleast_1d(np.asarray(x, dtype=float)).tolist():
-        n = _chain_length(t, h) if n_terms is None else min(_chain_length(t, h), n_terms)
-        nodes = np.maximum(t - h * np.arange(n + 1), 0.0)
-        sums.append(h ** -alpha * np.dot(gl_weights(alpha, n), f(nodes)))
-    return np.array(sums) if np.ndim(x) else float(sums[0])
-
-
 class TestGoldenBytes:
-    """Two GL commands print the same bytes as with the GL chain replaced by
-    the chain-by-chain sum: a change to the GL chain that moves any output
-    bit fails here."""
+    """Two GL commands print what they print with the GL chain replaced by the
+    chain-by-chain sum: the same rc, stderr and columns, but ``value`` (and
+    the ``residual`` made from it) within the rounding bound of
+    ``gl_reference``, as a grid's chains share lattices."""
 
     @pytest.mark.parametrize("argv", [
         ("solve", "--problem", "fractional", "--alpha", "0.649", "--h", "0.001",
@@ -539,11 +529,31 @@ class TestGoldenBytes:
          "--h", "0.001", "--grid=0.1505:0.9505:33"),
     ])
     def test_gl_output_bytes(self, capsys, monkeypatch, argv):
-        result = run_cli(capsys, *argv)
-        assert result[0] == 0
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        bounds = []
+
+        def chain_by_chain(f, x, alpha, h, n_terms=None):
+            sums, bound = gl_chain_by_chain(f, x, alpha, h, n_terms)
+            bounds.append(bound)
+            return sums if np.ndim(x) else float(sums[0])
+
         for module in (defcalc.derivative_ops, defcalc.eigen_solvers):
-            monkeypatch.setattr(module, "gl_jumarie_derivative", _gl_chain_by_chain)
-        assert run_cli(capsys, *argv) == result
+            monkeypatch.setattr(module, "gl_jumarie_derivative", chain_by_chain)
+        ref_code, ref_out, ref_err = run_cli(capsys, *argv)
+        assert (code, err) == (ref_code, ref_err)
+        (bound,) = bounds
+        header, *rows = [line.split(",") for line in out.splitlines()]
+        ref_header, *ref_rows = [line.split(",") for line in ref_out.splitlines()]
+        assert header == ref_header and len(rows) == len(ref_rows) == len(bound)
+        for row, ref_row, b in zip(rows, ref_rows, bound):
+            got, want = dict(zip(header, row)), dict(zip(header, ref_row))
+            assert abs(float(got.pop("value")) - float(want.pop("value"))) <= b
+            if "residual" in got:  # |value - closed_form| / |closed_form|
+                residual = float(want.pop("residual"))
+                bound_residual = b / abs(float(want["closed_form"])) + 2 * EPS * residual
+                assert abs(float(got.pop("residual")) - residual) <= bound_residual
+            assert got == want
 
 
 class TestMapCommand:

@@ -1,9 +1,8 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from defcalc import (
@@ -35,7 +34,8 @@ from defcalc import (
     yang_lfd,
 )
 from defcalc import derivative_ops
-from defcalc.derivative_ops import _blocks, _chain_length, gl_weights
+from defcalc.derivative_ops import _lattice_point, gl_weights
+from gl_reference import gl_chain_by_chain
 
 EPS = float(np.finfo(float).eps)
 
@@ -44,6 +44,10 @@ CORPUS = [
 ]
 # avoids the zeros of every corpus derivative, so relative comparisons are safe
 GRID = [float(x) for x in np.linspace(0.1, 2.1, 21)]
+
+
+def _chain_length(x, h):
+    return _lattice_point(x, h)[0]
 
 
 def q_exp_function(q):
@@ -319,24 +323,19 @@ class TestGrunwaldJumarie:
         f = RealFunction.from_callable(math.sqrt)  # math.sqrt rejects arrays
         alpha, h = 0.5, 0.1
         for x in (0.3, 0.55):
-            n = round(x / h) if x == 0.3 else 5
-            nodes = np.maximum(x - h * np.arange(n + 1), 0.0)
-            values = [math.sqrt(float(t)) for t in nodes]
-            expected = h**-alpha * np.dot(gl_weights(alpha, n), values)
-            assert gl_jumarie_derivative(f, x, alpha, h) == expected
+            expected, bound = gl_chain_by_chain(f, x, alpha, h, slope=lambda t: 0.5 / np.sqrt(t))
+            assert abs(gl_jumarie_derivative(f, x, alpha, h) - expected[0]) <= bound[0]
         xs = np.array([0.25, 0.3, 0.55])
-        assert np.array_equal(
-            gl_jumarie_derivative(f, xs, alpha, h),
-            [gl_jumarie_derivative(f, float(x), alpha, h) for x in xs],
-        )
+        expected, bound = gl_chain_by_chain(f, xs, alpha, h, slope=lambda t: 0.5 / np.sqrt(t))
+        assert np.all(np.abs(gl_jumarie_derivative(f, xs, alpha, h) - expected) <= bound)
 
     def test_grid_equals_point_by_point(self):
+        # x = 1/22 j: the points j and j + 11 share a residue, 4/11 of them the lattice
         f = RealFunction.from_expression("x^2 + exp(-x)")
         xs = np.linspace(0.0, 1.0, 23)
-        assert np.array_equal(
-            gl_jumarie_derivative(f, xs, 0.7, 1e-2),
-            [gl_jumarie_derivative(f, float(x), 0.7, 1e-2) for x in xs],
-        )
+        pointwise = [gl_jumarie_derivative(f, float(x), 0.7, 1e-2) for x in xs]
+        _, bound = gl_chain_by_chain(f, xs, 0.7, 1e-2, slope=f.derivative)
+        assert np.all(np.abs(gl_jumarie_derivative(f, xs, 0.7, 1e-2) - pointwise) <= bound)
 
     def test_failing_chain_carries_its_grid_index(self):
         # the chain at xs[3] = 0.8 is the first with a node where 0.75 - x < 0;
@@ -360,9 +359,12 @@ class TestGrunwaldJumarie:
             RealFunction.from_expression(fn)(np.unique(np.concatenate(nodes)))
 
     @given(grid=_gl_grids(), alpha=st.floats(0.0, 1.0, exclude_min=True),
-           n_terms=st.none() | st.integers(1, 60), scalar_only=st.booleans(),
-           block_nodes=st.none() | st.integers(1, 300))
-    def test_grid_equals_the_direct_sum(self, grid, alpha, n_terms, scalar_only, block_nodes):
+           n_terms=st.none() | st.integers(1, 60), scalar_only=st.booleans())
+    # one lattice from x = 5e-4 to 10: its nodes must be those of the chain
+    # nearest the origin, whose residue has the least round-off
+    @example(grid=((0.5 + 1000 * np.arange(11)) * 1e-3, 1e-3), alpha=0.5, n_terms=None,
+             scalar_only=False)
+    def test_grid_equals_the_direct_sum(self, grid, alpha, n_terms, scalar_only):
         xs, h = grid
         calls = []
 
@@ -372,38 +374,73 @@ class TestGrunwaldJumarie:
 
         f = RealFunction.from_callable(
             (lambda t: math.cos(3.0 * t) + math.sqrt(t)) if scalar_only else counted)
-        chains = []
-        for x in xs.tolist():
-            n = _chain_length(x, h) if n_terms is None else min(_chain_length(x, h), n_terms)
-            chains.append((n, np.maximum(x - h * np.arange(n + 1), 0.0)))
-        direct = [h**-alpha * np.dot(gl_weights(alpha, n), f(nodes)) for n, nodes in chains]
+        direct, bound = gl_chain_by_chain(
+            f, xs, alpha, h, n_terms, size=lambda t: np.abs(np.cos(3.0 * t)) + np.sqrt(t),
+            slope=lambda t: -3.0 * np.sin(3.0 * t) + 0.5 / np.sqrt(t))
         calls.clear()
-        with mock.patch.object(derivative_ops, "_BLOCK_NODES",
-                               block_nodes or derivative_ops._BLOCK_NODES):
-            assert np.array_equal(gl_jumarie_derivative(f, xs, alpha, h, n_terms), direct)
-            blocks = list(_blocks([n + 1 for n, _ in chains]))
+        assert np.all(np.abs(gl_jumarie_derivative(f, xs, alpha, h, n_terms) - direct) <= bound)
         if scalar_only:
             return
-        # one call per block, on the distinct nodes of its chains (a block of
-        # one chain calls f on that chain's nodes)
-        expected = [np.unique(np.concatenate([chains[i][1] for i in block])) if len(block) > 1
-                    else chains[block[0]][1] for block in blocks]
-        assert len(calls) == len(expected)
-        assert all(np.array_equal(got, want) for got, want in zip(calls, expected))
-        if block_nodes is None:
-            assert len(calls) == 1  # every chain of these grids fits in one block
+        chains = []
+        for x in xs.tolist():
+            t, r = _lattice_point(x, h)
+            n = t if n_terms is None else min(t, n_terms)
+            chains.append((t, r, n, np.maximum(x - h * np.arange(n + 1), 0.0)))
+        # at most one call per chain, and no node that no chain uses
+        assert len(calls) <= len(chains)
+        nodes = np.concatenate(([-np.inf], np.sort(np.concatenate([c[3] for c in chains])), [np.inf]))
+        seen = np.concatenate(calls)
+        above = np.searchsorted(nodes, seen)
+        assert np.all(np.minimum(seen - nodes[above - 1], nodes[above] - seen) <= 1e-9 * h)
+        # a whole chain on the lattice ends on the origin itself
+        if any(r == 0.0 and n == t for t, r, n, _ in chains):
+            assert 0.0 in seen
+        assert seen.min() >= 0.0
 
-    @given(sizes=st.lists(st.integers(1, 50), min_size=1, max_size=30),
-           block_nodes=st.integers(1, 120))
-    def test_blocks_are_consecutive_and_within_the_budget(self, sizes, block_nodes):
-        with mock.patch.object(derivative_ops, "_BLOCK_NODES", block_nodes):
-            blocks = list(_blocks(sizes))
-        assert [i for block in blocks for i in block] == list(range(len(sizes)))
-        for block, after in zip(blocks, blocks[1:] + [None]):
-            total = sum(sizes[i] for i in block)
-            assert len(block) == 1 or total <= block_nodes
-            if after is not None:  # a block ends only where the next chain does not fit
-                assert total + sizes[after.start] > block_nodes
+    def test_distinct_residues_call_f_once_per_chain(self):
+        # x_i = 2i/999: the residues 2i mod 999 / 999 are all distinct, but for
+        # x = 0 and x = 2 on the lattice, where the origin, x = 0's one node,
+        # is the last of x = 2's chain
+        calls = []
+        f = RealFunction.from_callable(lambda t: calls.append(np.array(t)) or t)
+        xs, h = np.linspace(0.0, 2.0, 1000), 1e-3
+        gl_jumarie_derivative(f, xs, 0.5, h)
+        chains = [np.maximum(x - h * np.arange(_chain_length(x, h) + 1), 0.0)[::-1]
+                  for x in xs[1:-1]] + [h * np.arange(2001)]
+        assert len(calls) == 999
+        calls.sort(key=len)
+        assert all(np.array_equal(got, want) for got, want in zip(calls, chains))
+
+    def test_integer_stride_grid_calls_f_once(self):
+        calls = []
+        f = RealFunction.from_callable(lambda t: calls.append(np.array(t)) or t)
+        gl_jumarie_derivative(f, np.linspace(0.2, 2.0, 41), 0.5, 1e-3)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], 1e-3 * np.arange(2001))
+
+    def test_capped_chains_share_only_overlapping_ranges(self):
+        # n_terms = 5: index ranges 5..10, 8..13, 45..50 and 47..52
+        calls = []
+        f = RealFunction.from_callable(lambda t: calls.append(np.array(t)) or t)
+        gl_jumarie_derivative(f, np.array([0.10, 0.13, 0.5, 0.52]), 0.5, 0.01, n_terms=5)
+        assert [call.tolist() for call in calls] == [
+            (0.01 * np.arange(5, 14)).tolist(), (0.01 * np.arange(45, 53)).tolist()]
+
+    def test_failing_lattice_falls_back_to_the_chains(self):
+        # 0.10 and 0.13 share one 9-node lattice (index ranges 5..10 and
+        # 8..13); f fails on it, with an index that counts lattice positions,
+        # but not on either 6-node chain
+        xs, alpha, h = np.array([0.10, 0.13]), 0.5, 0.01
+
+        def short_only(t):
+            if np.size(t) > 6:
+                raise DomainError("too many nodes", index=7)
+            return np.cos(t)
+
+        got = gl_jumarie_derivative(RealFunction.from_callable(short_only), xs, alpha, h, 5)
+        expected = [h**-alpha * np.dot(gl_weights(alpha, 5), np.cos(x - h * np.arange(6)))
+                    for x in xs]
+        assert np.array_equal(got, expected)
 
 
 class TestRLPowerRule:
