@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -98,19 +99,26 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 
 
 def _emit(config: RunConfig, params: dict, header: tuple[str, ...], rows, out) -> None:
-    """Write the table; ``rows`` are tuples of floats, one per header column."""
+    """Write the table; ``rows`` are tuples of floats, one per header column.
+
+    Each format fills a template of the whole table in one ``%`` call, with
+    the bytes of ``json.dumps(payload, indent=2)`` or of ``f"{v:.17g}"``."""
+    cells = tuple(itertools.chain.from_iterable(rows))
     if config.output_format == "json":
-        payload = {
-            "command": config.command,
-            "params": params,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        out.write(json.dumps(payload, indent=2))
-        out.write("\n")
+        # any indent makes json run its pure-Python encoder, so only the head
+        # goes through it; the floats come from its C encoder, with the same
+        # bytes (NaN and Infinity included), and contain no ", "
+        head = json.dumps({"command": config.command, "params": params, "rows": []}, indent=2)
+        if rows:
+            fill = ",\n".join([f"      {json.dumps(name)}: %s" for name in header])
+            row = "    {\n" + fill + "\n    }"
+            body = ",\n".join([row] * len(rows)) % tuple(json.dumps(cells)[1:-1].split(", "))
+            head = head[:-3] + "\n" + body + "\n  ]\n}"  # head ends with "[]\n}"
+        out.write(head + "\n")
     else:
         # "%.17g" % v and f"{v:.17g}" give the same bytes for every float
         line = ",".join(["%.17g"] * len(header)) + "\n"
-        out.write(",".join(header) + "\n" + "".join([line % row for row in rows]))
+        out.write(",".join(header) + "\n" + (line * len(rows)) % cells)
 
 
 def _build_function(source: Optional[str]) -> RealFunction:

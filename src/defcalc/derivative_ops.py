@@ -304,16 +304,17 @@ def gl_jumarie_derivative(f, x, alpha: float, h: float, n_terms: Optional[int] =
     The chain is anchored at the origin: with x = (t + r) h as in
     ``_lattice_point``, its N = t nodes below x end at r h, so a chain on the
     lattice ends on 0.0.  ``n_terms`` (>= 1) optionally caps N.  Requires
-    0 < alpha <= 1, h > 0, x >= 0.  Chains whose residues agree to round-off
-    and whose index ranges t - N..t overlap share a lattice: one call of f on
-    the nodes of their chain nearest the origin, extended (j h on the lattice),
-    and a dot product per chain with its reversed slice, equal to the chain
-    alone up to rounding (README).  If a lattice call raises, each chain calls
-    f on its nodes x - kh in grid order, so an error is the first failing
-    chain's, with ``index`` set to its grid position.
+    0 < alpha <= 1, h > 0 and finite x >= 0.  Chains whose residues agree to
+    round-off and whose index ranges t - N..t overlap share a lattice: one
+    call of f on the nodes of their chain nearest the origin, extended (j h on
+    the lattice), and a dot product per chain with its reversed slice, equal
+    to the chain alone up to rounding (README).  If a lattice call raises,
+    each chain calls f on its own nodes in grid order, (t - k) h on the
+    lattice and x - kh off it, so an error is the first failing chain's, with
+    ``index`` set to its grid position.
     """
     GrunwaldJumarie(alpha, h, n_terms)  # checks the parameters
-    _reject(x < 0.0, x, "gl_jumarie_derivative requires x >= 0")
+    _reject(~(np.isfinite(x) & (x >= 0.0)), x, "gl_jumarie_derivative requires finite x >= 0")
     f = as_real_function(f)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     chains = [(t, r, t if n_terms is None else min(t, int(n_terms)))
@@ -333,9 +334,10 @@ def gl_jumarie_derivative(f, x, alpha: float, h: float, n_terms: Optional[int] =
             sums[i] = scale * np.dot(weights[: n + 1], values[t - lo - n: t - lo + 1][::-1])
     else:
         return sums if np.ndim(x) else float(sums[0])
-    for i, (_, _, n) in enumerate(chains):
+    for i, (t, r, n) in enumerate(chains):
+        k = np.arange(n + 1, dtype=float)
         try:
-            values = f(np.maximum(xs[i] - h * np.arange(n + 1, dtype=float), 0.0))
+            values = f((t - k) * h if r == 0.0 else xs[i] - k * h)
         except DefcalcError as exc:
             exc.index = i
             raise

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import defcalc
 import defcalc.cli as cli
@@ -147,14 +149,15 @@ class TestDerivCommand:
 
     def test_gl_chain_failure_names_the_chains_own_first_node(self, capsys):
         # the first chain to enter the gap (0.25, 0.35) starts at x = 0.4 and
-        # meets 0.34 first, not the smallest failing node 0.26
+        # meets its lattice node 34 h = 0.34 first, not the smallest failing
+        # node 26 h = 0.26, where the argument reads -0.0009000000000000005
         code, out, err = run_cli(
             capsys, "deriv", "--op", "gl", "--alpha", "0.5", "--h", "0.01",
             "--fn", "sqrt((x-0.25)*(x-0.35))", "--grid", "0:0.6:4",
         )
         assert (code, out, err) == (
             3, "", "numerical failure: gl operator at x = 0.39999999999999997: "
-                   "sqrt undefined for argument (-0.0009000000000000005,)\n")
+                   "sqrt undefined for argument (-0.0008999999999999961,)\n")
 
     @pytest.mark.parametrize("index", [3, 5, -1])
     def test_error_index_outside_the_grid_names_the_first_x(self, index):
@@ -932,3 +935,42 @@ class TestCsvBytes:
         capsys.readouterr()
         assert seen
         assert all(isinstance(v, float) for row in seen for v in row)
+
+
+def _old_json(command, params, header, rows):
+    payload = {"command": command, "params": params,
+               "rows": [dict(zip(header, row)) for row in rows]}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _emitted(fmt, command, params, header, rows):
+    out = io.StringIO()
+    cli._emit(RunConfig(command=command, output_format=fmt), params, header, rows, out)
+    return out.getvalue()
+
+
+JSON_CELLS = [*EDGE_VALUES, math.nan, math.inf, -math.inf]
+
+
+class TestJsonBytes:
+    # json escapes the quote and the backslashes, and writes the e-acute as \u00e9
+    PARAMS = {"op": "q", "form": "closed", "fn": 'ln(x) "0\\\\ é', "q": 0.5, "order": 3}
+
+    @pytest.mark.parametrize("n_rows", [1, 2, len(JSON_CELLS), 500])
+    @pytest.mark.parametrize("command", sorted(HEADERS))
+    def test_matches_the_indented_dump(self, command, n_rows):
+        header = HEADERS[command]
+        n = len(JSON_CELLS)
+        rows = [tuple(JSON_CELLS[(i + j) % n] for j in range(len(header))) for i in range(n_rows)]
+        for params in ({}, self.PARAMS):
+            got = _emitted("json", command, params, header, rows)
+            assert got == _old_json(command, params, header, rows)
+
+
+@given(rows=st.integers(1, 4).flatmap(
+    lambda width: st.lists(st.tuples(*[st.floats()] * width), max_size=12)))
+@example(rows=[])
+def test_every_format_matches_the_per_value_bytes(rows):
+    header = ("x", "value", "closed_form", "residual")[: len(rows[0]) if rows else 2]
+    assert _emitted("csv", "deriv", {}, header, rows) == _old_csv(header, rows)
+    assert _emitted("json", "deriv", {}, header, rows) == _old_json("deriv", {}, header, rows)

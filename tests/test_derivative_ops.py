@@ -346,16 +346,16 @@ class TestGrunwaldJumarie:
 
     def test_failure_names_the_first_failing_chain(self):
         # sqrt fails inside (0.25, 0.35).  The first chain to enter that gap is
-        # the one at xs[2] = 0.4, and it meets 0.34 first; the smallest failing
-        # node over all chains is 0.26, the one a call on the sorted distinct
-        # nodes names first.
+        # the one at xs[2] = 0.4, and it meets 34 h = 0.34 first; the smallest
+        # failing node over all chains is 26 h = 0.26, the one a call on the
+        # sorted distinct nodes names first.  Every chain is on the lattice.
         fn, xs, h = "sqrt((x-0.25)*(x-0.35))", np.linspace(0.0, 0.6, 4), 0.01
         with pytest.raises(EvaluationError) as err:
             gl_jumarie_derivative(fn, xs, 0.5, h)
-        assert str(err.value) == "sqrt undefined for argument (-0.0009000000000000005,)"
+        assert str(err.value) == "sqrt undefined for argument (-0.0008999999999999961,)"
         assert err.value.index == 2
-        nodes = [np.maximum(x - h * np.arange(_chain_length(x, h) + 1), 0.0) for x in xs]
-        with pytest.raises(EvaluationError, match=r"\(-0.0008999999999999961,\)"):
+        nodes = [h * (t - np.arange(t + 1.0)) for t in (_chain_length(x, h) for x in xs)]
+        with pytest.raises(EvaluationError, match=r"\(-0.0009000000000000005,\)"):
             RealFunction.from_expression(fn)(np.unique(np.concatenate(nodes)))
 
     @given(grid=_gl_grids(), alpha=st.floats(0.0, 1.0, exclude_min=True),
@@ -438,9 +438,30 @@ class TestGrunwaldJumarie:
             return np.cos(t)
 
         got = gl_jumarie_derivative(RealFunction.from_callable(short_only), xs, alpha, h, 5)
-        expected = [h**-alpha * np.dot(gl_weights(alpha, 5), np.cos(x - h * np.arange(6)))
+        # both chains are on the lattice: their nodes are (t - k) h
+        expected = [h**-alpha * np.dot(gl_weights(alpha, 5),
+                                       np.cos(h * (_chain_length(x, h) - np.arange(6.0))))
                     for x in xs]
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("x", [0.6, 0.9])
+    def test_fallback_evaluates_the_lattice_nodes(self, x):
+        # 0.9 - 3 * 0.3 = 1.1e-16, but the chain at x = 0.9 is on the lattice
+        # and ends on the origin, where ln fails, as at x = 0.6
+        with pytest.raises(EvaluationError, match=r"ln undefined for argument \(0.0,\)"):
+            gl_jumarie_derivative("ln(x)", x, 0.5, 0.3)
+        with pytest.raises(EvaluationError) as err:
+            gl_jumarie_derivative("ln(x)", np.array([0.45, x]), 0.5, 0.3)
+        assert err.value.index == 1
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_x_is_a_domain_error(self, x):
+        with pytest.raises(DomainError, match="requires finite x >= 0") as err:
+            gl_jumarie_derivative("x", x, 0.5, 0.1)
+        assert err.value.index is None
+        with pytest.raises(DomainError, match=f"got {x}") as err:
+            gl_jumarie_derivative("x", np.array([0.1, 0.2, x, math.nan]), 0.5, 0.1)
+        assert err.value.index == 2
 
 
 class TestRLPowerRule:
