@@ -275,6 +275,19 @@ def _lattice_point(x: float, h: float) -> tuple[int, float]:
     return t, q - t
 
 
+# OpenBLAS's ddot wakes its worker threads for more elements than this, which
+# can take milliseconds where the sum itself takes microseconds.
+_DOT_SLICE = 10_000
+
+
+def _chain_sum(weights, values) -> float:
+    """np.dot(weights, values), over slices of at most ``_DOT_SLICE`` nodes."""
+    if weights.size <= _DOT_SLICE:
+        return np.dot(weights, values)
+    return sum(np.dot(weights[s:s + _DOT_SLICE], values[s:s + _DOT_SLICE])
+               for s in range(0, weights.size, _DOT_SLICE))
+
+
 def _lattices(chains):
     """Lattices [a, lo, hi, members]: the chains (t, r, N) of ``members`` have
     residues that agree to round-off with that of chain a, the one nearest
@@ -331,7 +344,7 @@ def gl_jumarie_derivative(f, x, alpha: float, h: float, n_terms: Optional[int] =
             break
         for i in members:
             t, _, n = chains[i]
-            sums[i] = scale * np.dot(weights[: n + 1], values[t - lo - n: t - lo + 1][::-1])
+            sums[i] = scale * _chain_sum(weights[: n + 1], values[t - lo - n: t - lo + 1][::-1])
     else:
         return sums if np.ndim(x) else float(sums[0])
     for i, (t, r, n) in enumerate(chains):
@@ -341,7 +354,7 @@ def gl_jumarie_derivative(f, x, alpha: float, h: float, n_terms: Optional[int] =
         except DefcalcError as exc:
             exc.index = i
             raise
-        sums[i] = scale * np.dot(weights[: n + 1], values)
+        sums[i] = scale * _chain_sum(weights[: n + 1], values)
     return sums if np.ndim(x) else float(sums[0])
 
 

@@ -42,11 +42,12 @@ class EigenReport:
 
 
 def _make_report(xs: Sequence[float], numeric: Sequence[float], closed: Sequence[float]) -> EigenReport:
-    res = np.abs(np.asarray(numeric) - np.asarray(closed)) / np.abs(np.asarray(closed))
+    xs, numeric, closed = (np.asarray(v, dtype=float) for v in (xs, numeric, closed))
+    res = np.abs(numeric - closed) / np.abs(closed)
     return EigenReport(
         max_rel_residual=float(np.max(res)),
         rms_rel_residual=float(math.sqrt(np.mean(res**2))),
-        grid=tuple((float(x), float(n), float(c)) for x, n, c in zip(xs, numeric, closed)),
+        grid=tuple(zip(xs.tolist(), numeric.tolist(), closed.tolist())),
     )
 
 
@@ -193,7 +194,7 @@ def solve_q_eigen(
     if 1.0 + (1.0 - qv) * domain[1] <= 0.0:
         raise DomainError(f"domain end {domain[1]} is outside the q-exponential support")
     sol = integrate_ode(lambda x, y: y**qv, tuple(domain), y0, tol, grid)
-    closed = [q_exp(float(x), qp) for x in grid]
+    closed = [q_exp(x, qp) for x in grid.tolist()]
     return _make_report(grid, sol.at_grid, closed)
 
 
@@ -208,7 +209,7 @@ def solve_hausdorff_eigen(
     grid = _grid(domain, grid_points)
     zeta, l0 = hp.zeta, hp.l0
     sol = integrate_ode(lambda x, y: (x / l0 + 1.0) ** (zeta - 1.0) * y, tuple(domain), y0, tol, grid)
-    closed = [balankin_exp(float(x), hp) for x in grid]
+    closed = [balankin_exp(x, hp) for x in grid.tolist()]
     return _make_report(grid, sol.at_grid, closed)
 
 

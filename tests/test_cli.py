@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -974,3 +975,93 @@ def test_every_format_matches_the_per_value_bytes(rows):
     header = ("x", "value", "closed_form", "residual")[: len(rows[0]) if rows else 2]
     assert _emitted("csv", "deriv", {}, header, rows) == _old_csv(header, rows)
     assert _emitted("json", "deriv", {}, header, rows) == _old_json("deriv", {}, header, rows)
+
+
+def _tiled(values, cols):
+    """``values`` repeated into an array of rows of ``cols`` cells, at least
+    ``cli._KERNEL_CELLS`` of them, so that CSV takes the array kernel."""
+    values = np.asarray(values, dtype=float)
+    rows = -(-max(cli._KERNEL_CELLS, values.size) // cols)
+    return np.resize(values, (rows, cols))
+
+
+def _ties():
+    # m / 2^(p + 1) with m odd: 17 digits of the value then end in exactly
+    # half a unit, at every exponent X = 16 - p that has such doubles
+    ties = []
+    for p in range(1, 21):
+        low = math.ceil(10.0 ** (16 - p) * 2.0 ** (p + 1)) | 1
+        ties += [(m / 2.0 ** (p + 1)) for m in range(low, low + 40, 2) if m < 2**53]
+    return ties + [k / 2048 for k in range(2_048_000_001, 2_048_000_081, 2)]
+
+
+def _around(values):
+    """``values`` and their two nearest doubles on either side."""
+    below, above = np.nextafter(values, 0), np.nextafter(values, np.inf)
+    return np.concatenate([np.nextafter(below, 0), below, values, above,
+                           np.nextafter(above, np.inf)])
+
+
+_RNG = np.random.default_rng(20240611)
+KERNEL_INPUTS = {
+    "edge values": EDGE_VALUES,
+    "powers of ten and neighbours": _around(10.0 ** np.arange(-6, 19)),
+    "range edges and neighbours": _around(np.array([1e-4, 1e17])),
+    "exact ties": _ties(),
+    "uniform exponent, fixed range": (_RNG.choice([-1.0, 1.0], 3000)
+                                      * 10.0 ** _RNG.uniform(-4, 17, 3000)),
+    "uniform exponent, all doubles": (_RNG.choice([-1.0, 1.0], 3000)
+                                      * 10.0 ** _RNG.uniform(-323, 308, 3000)),
+    "random bit patterns": [v for v in _RNG.integers(0, 2**64, 3000, dtype=np.uint64)
+                            .view(np.float64).tolist() if math.isfinite(v)],
+    "grid with round steps": np.linspace(0.0, 100.0, 10001),
+}
+
+
+class TestCsvKernel:
+    def test_ties_are_ties(self):
+        for v in _ties():
+            digits = Fraction(v) * 10 ** (16 - math.floor(math.log10(v)))
+            assert digits.denominator == 2
+
+    @pytest.mark.parametrize("cols", [2, 4])
+    @pytest.mark.parametrize("name", sorted(KERNEL_INPUTS))
+    def test_matches_the_per_value_format(self, name, cols):
+        table = _tiled(KERNEL_INPUTS[name], cols)
+        header = ("x", "value", "closed_form", "residual")[:cols]
+        assert _emitted("csv", "deriv", {}, header, table) == _old_csv(header, table.tolist())
+
+    def test_arrays_from_the_cell_threshold_take_the_kernel(self, monkeypatch):
+        calls = []
+        kernel = cli.csv_rows
+
+        def counting(table):
+            calls.append(table.size)
+            return kernel(table)
+
+        monkeypatch.setattr(cli, "csv_rows", counting)
+        for cells in (cli._KERNEL_CELLS - 2, cli._KERNEL_CELLS):
+            table = np.linspace(0.1, 2.0, cells).reshape(-1, 2)
+            _emitted("csv", "deriv", {}, ("x", "value"), table)
+            _emitted("json", "deriv", {}, ("x", "value"), table)
+            _emitted("csv", "deriv", {}, ("x", "value"), [tuple(row) for row in table.tolist()])
+        assert calls == [cli._KERNEL_CELLS]
+
+    @pytest.mark.parametrize("argv", [
+        ("deriv", "--op", "q", "--q", "0.5", "--fn", "sin(x)*exp(x)", "--grid", "0:2:3001"),
+        ("ml", "--alpha", "0.5", "--grid=-3:10:3001"),
+    ])
+    def test_cli_tables_match_the_per_value_format(self, capsys, argv):
+        assert main(list(argv)) == 0
+        out = capsys.readouterr().out
+        header, *lines = out.splitlines()
+        values = [tuple(float(v) for v in line.split(",")) for line in lines]
+        assert len(values) == 3001
+        assert out == _old_csv(tuple(header.split(",")), values)
+
+
+@given(values=st.lists(st.floats(), min_size=1, max_size=64), cols=st.sampled_from([2, 4]))
+def test_the_kernel_matches_the_per_value_bytes(values, cols):
+    table = _tiled(values, cols)
+    header = ("x", "value", "closed_form", "residual")[:cols]
+    assert _emitted("csv", "deriv", {}, header, table) == _old_csv(header, table.tolist())

@@ -329,6 +329,16 @@ class TestGrunwaldJumarie:
         expected, bound = gl_chain_by_chain(f, xs, alpha, h, slope=lambda t: 0.5 / np.sqrt(t))
         assert np.all(np.abs(gl_jumarie_derivative(f, xs, alpha, h) - expected) <= bound)
 
+    def test_long_chain_within_the_bound(self):
+        # x = 2, h = 1e-4: 20,001 nodes, summed in three slices
+        f = RealFunction.from_expression("sin(x) + x^2")
+        expected, bound = gl_chain_by_chain(f, 2.0, 0.5, 1e-4, slope=f.derivative)
+        assert abs(gl_jumarie_derivative(f, 2.0, 0.5, 1e-4) - expected[0]) <= bound[0]
+
+    def test_chains_up_to_one_slice_keep_the_plain_dot(self):
+        w, v = gl_weights(0.5, 9_999), np.cos(np.arange(10_000.0))
+        assert derivative_ops._chain_sum(w, v[::-1]) == np.dot(w, v[::-1])
+
     def test_grid_equals_point_by_point(self):
         # x = 1/22 j: the points j and j + 11 share a residue, 4/11 of them the lattice
         f = RealFunction.from_expression("x^2 + exp(-x)")
