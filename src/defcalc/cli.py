@@ -286,16 +286,12 @@ def _run_solve(config: RunConfig):
         raise ConfigError(f"--grid outside the problem domain: {exc}") from exc
     except DefcalcError as exc:
         raise DefcalcError(f"solve --problem {problem}: {exc}") from exc
-    rows = [
-        (x, y_num, y_closed, abs(y_num - y_closed) / abs(y_closed))
-        for x, y_num, y_closed in report.grid
-    ]
     print(
         f"max_rel_residual = {report.max_rel_residual:.3e}, "
         f"rms_rel_residual = {report.rms_rel_residual:.3e}",
         file=sys.stderr,
     )
-    return ("x", "value", "closed_form", "residual"), rows
+    return ("x", "value", "closed_form", "residual"), report.table
 
 
 def _run_map(config: RunConfig):

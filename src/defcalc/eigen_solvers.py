@@ -11,7 +11,7 @@ realizing the Caputo convention) plays the role of the operator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,11 +34,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EigenReport:
-    """Residual statistics of operator-vs-eigenfunction agreement over a grid."""
+    """Residual statistics of operator-vs-eigenfunction agreement over a grid.
+
+    ``table`` holds one row (x, y_numeric, y_closed_form, relative residual)
+    per grid point, as an (n, 4) float array."""
 
     max_rel_residual: float
     rms_rel_residual: float
     grid: tuple[tuple[float, float, float], ...]  # (x, y_numeric, y_closed_form)
+    table: np.ndarray = field(repr=False, compare=False)
 
 
 def _make_report(xs: Sequence[float], numeric: Sequence[float], closed: Sequence[float]) -> EigenReport:
@@ -48,6 +52,7 @@ def _make_report(xs: Sequence[float], numeric: Sequence[float], closed: Sequence
         max_rel_residual=float(np.max(res)),
         rms_rel_residual=float(math.sqrt(np.mean(res**2))),
         grid=tuple(zip(xs.tolist(), numeric.tolist(), closed.tolist())),
+        table=np.column_stack((xs, numeric, closed, res)),
     )
 
 
@@ -58,8 +63,11 @@ _MIN_STEP_FRACTION = 1e-14
 
 @dataclass(frozen=True)
 class OdeSolution:
-    """Accepted integration nodes; when a grid was requested, every grid node
-    is landed on exactly and its value is in ``at_grid``."""
+    """Integration nodes in ascending order: the accepted steps, and when a
+    grid was requested, the grid nodes landed on from them, whose values are
+    also in ``at_grid`` (one per grid node).  ``n_accepted`` and
+    ``n_rejected`` count the tolerance-driven steps, which the grid does not
+    change, plus those of any re-landing; a landing step is not counted."""
 
     xs: np.ndarray
     ys: np.ndarray
@@ -101,47 +109,13 @@ def _rkf45_step(rhs, x: float, y: float, h: float) -> tuple[float, float]:
     return step5, abs(step5 - step4)
 
 
-def integrate_ode(
-    rhs: Callable[[float, float], float],
-    domain: tuple[float, float],
-    y0: float,
-    tol: float = 1e-10,
-    grid: Sequence[float] | None = None,
-) -> OdeSolution:
-    """Integrate y' = rhs(x, y) with local error per step <= tol.
-
-    Steps are clipped so that every requested grid node is an integration
-    node, making grid output exact rather than interpolated.  Raises
-    :class:`StepFailure` if the controller underflows the step size.
-    """
-    if not 1e-12 <= tol <= 1e-4:
-        raise ValueError(f"tol must be in [1e-12, 1e-4], got {tol}")
-    x_start, x_end = domain
-    if not x_start < x_end:
-        raise ValueError(f"domain must satisfy x_start < x_end, got {domain}")
-    targets: list[float] = []
-    if grid is not None:
-        targets = [float(g) for g in grid]
-        if any(b < a for a, b in zip(targets, targets[1:])):
-            raise ValueError("grid must be non-decreasing")
-        if targets and (targets[0] < x_start or targets[-1] > x_end):
-            raise ValueError("grid must lie within the integration domain")
-
-    xs = [x_start]
-    ys = [float(y0)]
-    at_grid: list[float] = []
-    ti = 0
-    while ti < len(targets) and targets[ti] <= x_start:
-        at_grid.append(float(y0))
-        ti += 1
-
-    x, y = x_start, float(y0)
-    h = (x_end - x_start) / 100.0
+def _steps(rhs, x: float, y: float, x_end: float, h: float, tol: float):
+    """The adaptive controller from (x, y) to x_end, with only the last step
+    clipped (to land on x_end exactly): accepted (xs, ys) and the step counts."""
+    xs, ys = [x], [y]
     n_accepted = n_rejected = 0
     while x < x_end:
-        target = targets[ti] if ti < len(targets) else x_end
-        h_step = min(h, x_end - x, target - x)
-        clipped = h_step < h
+        h_step = min(h, x_end - x)
         if h_step < _MIN_STEP_FRACTION * max(abs(x), 1.0):
             raise StepFailure(f"step size underflow at x = {x}")
         dy, err = _rkf45_step(rhs, x, y, h_step)
@@ -149,25 +123,84 @@ def integrate_ode(
         if err <= tol:
             y += dy
             # min() returned one of its arguments, so landing is exact
-            x = target if h_step == target - x else x + h_step
+            x = x_end if h_step == x_end - x else x + h_step
             xs.append(x)
             ys.append(y)
             n_accepted += 1
-            while ti < len(targets) and targets[ti] <= x:
-                at_grid.append(y)
-                ti += 1
-            if not clipped:
+            if h_step == h:  # a clipped step says nothing about the next one
                 h = h_step * factor
         else:
             n_rejected += 1
             h = h_step * factor
-    return OdeSolution(
-        xs=np.asarray(xs),
-        ys=np.asarray(ys),
-        at_grid=np.asarray(at_grid) if grid is not None else None,
-        n_accepted=n_accepted,
-        n_rejected=n_rejected,
+    return xs, ys, n_accepted, n_rejected
+
+
+def _landing_steps(rhs, x: np.ndarray, y: np.ndarray, h: np.ndarray):
+    """One RKF45 step from each x[i] by h[i]: one call over the arrays, or one
+    float step per node, in order, for an rhs that takes only floats."""
+    try:
+        return _rkf45_step(rhs, x, y, h)
+    except (TypeError, ValueError):  # float(array), or the truth value of one
+        steps = [_rkf45_step(rhs, *node) for node in zip(x.tolist(), y.tolist(), h.tolist())]
+        return np.array(steps).T
+
+
+def integrate_ode(
+    rhs: Callable[[float, float], float],
+    domain: tuple[float, float],
+    y0: float,
+    tol: float = 1e-10,
+    grid: Sequence[float] | None = None,
+) -> OdeSolution:
+    """Integrate y' = rhs(x, y) with local error estimate per step <= tol.
+
+    The steps follow the tolerance alone; only the last is clipped, to end on
+    x_end.  Each grid node g is then landed on exactly by one RKF45 step from
+    the last accepted node at or before it (a node on an accepted node takes
+    its value), all in one call of rhs over arrays.  A landing step is shorter
+    than the accepted step from the same node, so its error estimate is
+    normally within tol; a node where it is not is re-landed by the
+    controller, clipped at g.  Raises :class:`StepFailure` if the controller
+    underflows the step size.
+    """
+    if not 1e-12 <= tol <= 1e-4:
+        raise ValueError(f"tol must be in [1e-12, 1e-4], got {tol}")
+    x_start, x_end = domain
+    if not x_start < x_end:
+        raise ValueError(f"domain must satisfy x_start < x_end, got {domain}")
+    if grid is not None:
+        grid = np.asarray(grid, dtype=float)
+        if not np.all(grid[1:] >= grid[:-1]):  # a NaN is out of order too
+            raise ValueError("grid must be non-decreasing")
+        if grid.size and not (x_start <= grid[0] and grid[-1] <= x_end):
+            raise ValueError("grid must lie within the integration domain")
+
+    xs, ys, n_accepted, n_rejected = _steps(
+        rhs, x_start, float(y0), x_end, (x_end - x_start) / 100.0, tol
     )
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    if grid is None:
+        return OdeSolution(xs=xs, ys=ys, at_grid=None, n_accepted=n_accepted, n_rejected=n_rejected)
+
+    base = np.searchsorted(xs, grid, side="right") - 1  # last accepted node at or before g
+    at_grid = ys[base]
+    off = np.flatnonzero(grid != xs[base])
+    if off.size:
+        x0, y0s, g = xs[base[off]], at_grid[off], grid[off]
+        h = g - x0
+        dy, err = _landing_steps(rhs, x0, y0s, h)
+        landed = y0s + dy
+        for j in np.flatnonzero(~(err <= tol)).tolist():  # a NaN estimate too
+            _, y_j, n_acc, n_rej = _steps(rhs, x0[j].item(), y0s[j].item(), g[j].item(),
+                                          h[j].item(), tol)
+            landed[j] = y_j[-1]
+            n_accepted += n_acc
+            n_rejected += n_rej
+        at_grid[off] = landed
+        once = np.append(g[1:] != g[:-1], True)  # a repeated grid node is merged once
+        xs = np.insert(xs, base[off[once]] + 1, g[once])
+        ys = np.insert(ys, base[off[once]] + 1, landed[once])
+    return OdeSolution(xs=xs, ys=ys, at_grid=at_grid, n_accepted=n_accepted, n_rejected=n_rejected)
 
 
 def _grid(domain: tuple[float, float], grid_points: int) -> np.ndarray:

@@ -1060,6 +1060,34 @@ class TestCsvKernel:
         assert out == _old_csv(tuple(header.split(",")), values)
 
 
+@pytest.mark.parametrize("problem,solve", [
+    (("q", "--q", "0.5"), lambda: defcalc.solve_q_eigen(0.5, (0.0, 2.0), 1001, 1e-10)),
+    (("hausdorff", "--zeta", "0.4", "--l0", "1.5"),
+     lambda: defcalc.solve_hausdorff_eigen(defcalc.HausdorffParams(0.4, 1.5), (0.0, 2.0), 1001,
+                                           1e-10)),
+])
+def test_solve_table_matches_the_report_grid(capsys, monkeypatch, problem, solve):
+    """A 4,004-cell solve table goes through the CSV kernel, with the bytes of
+    one "%.17g" or json.dumps pass over ``report.grid`` and Python residuals."""
+    calls = []
+    kernel = cli.csv_rows
+
+    def counting(table):
+        calls.append(table.size)
+        return kernel(table)
+
+    monkeypatch.setattr(cli, "csv_rows", counting)
+    header = ("x", "value", "closed_form", "residual")
+    rows = [(x, a, b, abs(a - b) / abs(b)) for x, a, b in solve().grid]
+    argv = ["solve", "--problem", *problem, "--grid", "0:2:1001", "--tol", "1e-10"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == _old_csv(header, rows)
+    assert calls == [4004]
+    assert main([*argv, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == _old_json("solve", json.loads(out)["params"], header, rows)
+
+
 @given(values=st.lists(st.floats(), min_size=1, max_size=64), cols=st.sampled_from([2, 4]))
 def test_the_kernel_matches_the_per_value_bytes(values, cols):
     table = _tiled(values, cols)

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import defcalc.eigen_solvers
 from defcalc import (
     DomainError,
     HausdorffParams,
@@ -48,6 +51,121 @@ class TestIntegrateOde:
         # y' = y^2 from y(0) = 1 blows up at x = 1
         with pytest.raises((StepFailure, OverflowError)):
             integrate_ode(lambda x, y: y * y, (0.0, 1.5), 1.0, tol=1e-10)
+
+
+class TestGridLanding:
+    """Steps follow tol alone; each grid node is landed on by one RKF45 step."""
+
+    GRID = np.linspace(0.0, 2.0, 1001)
+
+    def test_grid_does_not_change_the_steps(self):
+        free = integrate_ode(lambda x, y: y**0.5, (0.0, 2.0), 1.0, tol=1e-10)
+        sol = integrate_ode(lambda x, y: y**0.5, (0.0, 2.0), 1.0, tol=1e-10, grid=self.GRID)
+        assert (sol.n_accepted, sol.n_rejected) == (free.n_accepted, free.n_rejected)
+        assert np.all(np.isin(free.xs, sol.xs)) and np.all(np.isin(self.GRID, sol.xs))
+        assert np.all(np.diff(sol.xs) > 0.0)
+        assert sol.xs.size == np.union1d(free.xs, self.GRID).size == sol.ys.size
+        assert np.array_equal(sol.ys[np.searchsorted(sol.xs, self.GRID)], sol.at_grid)
+
+    @pytest.mark.parametrize("grid,message", [
+        ([0.0, 0.5, 0.4], "grid must be non-decreasing"),
+        ([0.0, math.nan, 1.0], "grid must be non-decreasing"),
+        ([-0.1, 0.5], "grid must lie within the integration domain"),
+        ([0.5, 1.0 + 1e-15], "grid must lie within the integration domain"),
+    ])
+    def test_grid_validation(self, grid, message):
+        with pytest.raises(ValueError, match=message):
+            integrate_ode(lambda x, y: y, (0.0, 1.0), 1.0, grid=np.array(grid))
+
+    def test_scalar_only_rhs_lands_node_by_node(self):
+        seen = []
+
+        def scalar_only(x, y):
+            seen.append(isinstance(y, np.ndarray))
+            return math.sqrt(y)  # TypeError on an array
+
+        sol = integrate_ode(scalar_only, (0.0, 2.0), 1.0, tol=1e-10, grid=self.GRID)
+        ref = integrate_ode(lambda x, y: np.sqrt(y), (0.0, 2.0), 1.0, tol=1e-10, grid=self.GRID)
+        assert seen.count(True) == 1  # the array call that raised
+        assert sol.n_accepted == ref.n_accepted
+        np.testing.assert_allclose(sol.at_grid, ref.at_grid, rtol=4 * np.finfo(float).eps, atol=0)
+
+    def test_landing_over_tol_is_relanded(self, monkeypatch):
+        # the free steps skip a narrow pulse in y' that the landing on 0.4 samples
+        steps = []
+        step = defcalc.eigen_solvers._rkf45_step
+
+        def spy(rhs, x, y, h):
+            dy, err = step(rhs, x, y, h)
+            steps.append((np.ndim(x), np.copy(x), np.copy(h), np.copy(err)))
+            return dy, err
+
+        def pulse(x, y):
+            return (abs(x - 0.4) < 1e-3) * 1.0
+
+        tol = 1e-10
+        free = integrate_ode(pulse, (0.0, 1.0), 1.0, tol=tol)
+        assert np.all(free.ys == 1.0)
+        monkeypatch.setattr(defcalc.eigen_solvers, "_rkf45_step", spy)
+        sol = integrate_ode(pulse, (0.0, 1.0), 1.0, tol=tol, grid=np.linspace(0.0, 1.0, 11))
+        (landing,) = [i for i, s in enumerate(steps) if s[0] == 1]
+        _, x0, h, err = steps[landing]
+        over = np.flatnonzero(err > tol)
+        assert over.size == 1 and x0[over[0]] + h[over[0]] == 0.4
+        # the re-landing steps after the batch: those within tol span [x0, 0.4]
+        relanding = steps[landing + 1:]
+        kept = [s for s in relanding if s[3] <= tol]
+        assert len(kept) == sol.n_accepted - free.n_accepted
+        assert len(relanding) - len(kept) == sol.n_rejected - free.n_rejected > 0
+        assert float(kept[0][1]) == x0[over[0]]
+        assert sum(float(s[2]) for s in kept) == pytest.approx(0.4 - x0[over[0]], abs=1e-15)
+        assert sol.at_grid[4] == pytest.approx(1.0 + (0.4 - 0.399), abs=1e-9)
+        assert np.all(np.delete(sol.at_grid, 4) == 1.0)
+
+
+def _closed_and_rhs(problem):
+    kind, a, b, prm = problem
+    if kind == "q":
+        return (lambda x: q_exp(x, prm)), (lambda x, y: y**prm)
+    hp = HausdorffParams(*prm)
+    return (lambda x: balankin_exp(x, hp)), (lambda x, y: (x / hp.l0 + 1.0) ** (hp.zeta - 1.0) * y)
+
+
+_PROBLEMS = st.one_of(
+    st.tuples(st.just("q"), st.just(0.0), st.floats(1.5, 2.5), st.floats(0.2, 0.95)),
+    st.floats(1.05, 1.3).flatmap(
+        lambda q: st.tuples(st.just("q"), st.just(0.0), st.floats(1.5, 2.5).map(
+            lambda end: min(end, 0.7 / (q - 1.0))), st.just(q))),
+    st.floats(0.0, 0.5).flatmap(
+        lambda a: st.tuples(st.just("hausdorff"), st.just(a), st.floats(a + 1.5, a + 2.5),
+                            st.tuples(st.floats(0.3, 0.95), st.floats(0.5, 2.0)))),
+)
+
+
+@given(problem=_PROBLEMS, tol=st.floats(1e-12, 1e-8), points=st.integers(11, 2001))
+def test_solve_residual_is_within_steps_times_tol(problem, tol, points):
+    """Each accepted step and each landing has error estimate <= tol, so the
+    error at a grid node is at most (accepted steps + 1) tol times the growth
+    of a perturbation, (max y / min y)^max(1, q) (perfbench's ode_rows bound)."""
+    kind, a, b, prm = problem
+    closed, rhs = _closed_and_rhs(problem)
+    if kind == "q":
+        report = solve_q_eigen(prm, (a, b), points, tol)
+    else:
+        report = solve_hausdorff_eigen(HausdorffParams(*prm), (a, b), points, tol)
+    # the grid does not change the steps, so the solve took as many as this
+    free = integrate_ode(rhs, (a, b), closed(a), tol)
+    x, numeric, y, residual = report.table.T
+    assert np.array_equal(x, np.linspace(a, b, points))
+    assert np.array_equal(y, [closed(v) for v in x.tolist()])
+    power = max(1.0, prm) if kind == "q" else 1.0
+    growth = (y.max() / y.min()) ** power
+    # the condition number of the closed form, as perfbench takes it
+    cond = 1.0 + np.abs(np.log(y)) + (abs(1.0 / (1.0 - prm)) if kind == "q" else np.abs(np.log(y)))
+    bound = ((free.n_accepted + 1) * tol * growth * np.maximum(y, 1.0) / y
+             + 16 * np.finfo(float).eps * cond)
+    assert np.all(residual <= bound)
+    assert report.max_rel_residual == residual.max()
 
 
 class TestSolveQEigen:
