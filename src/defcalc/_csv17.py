@@ -1,22 +1,35 @@
 """The CSV rows of a float array, with the bytes of ``"%.17g" % v`` per cell.
 
-``%.17g`` writes a float v with 1e-4 <= |v| < 1e17 as the 17 significant
-digits of its exact decimal value, rounded half to even, in fixed notation
-with trailing zeros (and then a trailing '.') dropped.  For such a v, with
-X = floor(log10 |v|) the decimal exponent, those digits are the integer
-N = round(|v| * 10^(16 - X)) in [1e16, 1e17), and the product is exact as a
-pair hi + lo of doubles (Dekker, Numer. Math. 18 (1971) 224: 10^p is an exact
-double for p <= 22, and Veltkamp's split stands in for a fused multiply-add).
+``%.17g`` writes a finite v != 0 as the 17 significant digits of its exact
+decimal value, rounded half to even: with X = floor(log10 |v|) the decimal
+exponent, those digits are the integer N = round(|v| * 10^(16 - X)) in
+[1e16, 1e17).  For 1e-4 <= |v| < 1e17 it writes them in fixed notation with
+trailing zeros (and then a trailing '.') dropped; otherwise as d.ddd...e±XX,
+with the same trailing zeros dropped and an exponent of at least two digits.
+
+The product is formed as a pair hi + lo of doubles by Dekker's two-product
+(Numer. Math. 18 (1971) 224; Veltkamp's split stands in for a fused
+multiply-add), with 10^(16 - X) 2^-s taken from a table of double-double
+powers (hi + tail) and |v| prescaled by the exact 2^s that brings it near 1,
+so that no step leaves the double range.  In fixed notation s = 0 and
+10^(16 - X) <= 1e20 is an exact double, so the product is exact and rounding
+lo half to even rounds N exactly.  In exponent notation the tail adds an
+error below 4 u^2 |hi| (u = 2^-53), under 1e-13 for every product formed;
+a cell is written only where the error bound rules out a tie at .5 and a
+product on either side of 1e16 or 1e17 (exact ties exist: 9 * 2^-23).
+
 Each cell is laid out in a 40-byte row: sign and the "0.000" prefix, the 17
 digits each followed by a slot for the '.', and the separator; a mask per
 (X, last kept digit) zeroes the digits and slots that are not written, and
-the zero bytes are dropped.  Every other cell (zero, |v| < 1e-4, |v| >= 1e17,
-non-finite, or one whose exponent the product does not confirm) is written
-by one ``%`` call over the chunk.
+the zero bytes are dropped.  A cell in exponent notation takes the layout of
+X = 0, d.ddd..., and a chunk that holds one gets a sixth word per row for
+"e±XX" and the separator.  Every other cell (zero, subnormal, non-finite, or
+one whose digits are not certain) is written by one ``%`` call over the chunk.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterator
 
 import numpy as np
@@ -24,6 +37,10 @@ import numpy as np
 _CHUNK = 2048  # cells per pass at most; at 4,096 the buffers cost 0.8 MB more peak RSS
 _WIDTH = 40  # bytes per cell: 6 of sign and prefix, 17 digits, 16 '.' slots, separator
 _LOW, _HIGH = 1e-4, 1e17  # the magnitudes that %.17g writes in fixed notation
+_TINY, _HUGE = 2.2250738585072014e-308, 1.7976931348623157e308  # the normal doubles
+_X_MIN, _X_MAX = -308, 308  # their decimal exponents
+_FIXED = -4 - _X_MIN  # the power table's row for X = -4
+_MARGIN = 2.0**-30  # far above the product's error bound, far below one digit
 _SPLITTER = 134217729.0  # 2^27 + 1
 
 
@@ -34,10 +51,35 @@ def _split(v):
     return hi, v - hi
 
 
+@functools.cache
+def _powers():
+    """By row X - _X_MIN: 10^(16 - X) 2^-s as hi + tail, hi's Veltkamp halves,
+    2^s, and the bytes "e±XX" as a word.
+
+    hi and tail come from the exact rational num/den: Python's int true
+    division rounds correctly.  About 2 ms, so it waits for the first table."""
+    tens = [1]
+    for _ in range(16 - _X_MIN):
+        tens.append(tens[-1] * 10)
+    hi, tail, scale = [], [], []
+    for x in range(_X_MIN, _X_MAX + 1):
+        # 2^s brings 10^X near 1; X in [-4, 16] keeps the exact power
+        s = 0 if -4 <= x <= 16 else min(max(round(-3.321928094887362 * x), -1022), 1023)
+        num, den = tens[max(16 - x, 0)] << max(-s, 0), tens[max(x - 16, 0)] << max(s, 0)
+        h = num / den
+        h_num, h_den = h.as_integer_ratio()
+        hi.append(h)
+        tail.append((num * h_den - h_num * den) / (den * h_den))
+        scale.append(2.0**s)
+    hi = np.array(hi)
+    exponent = b"".join(f"e{x:+03d}".encode().ljust(8, b"\0") for x in range(_X_MIN, _X_MAX + 1))
+    return (hi, *_split(hi), np.array(tail), np.array(scale),
+            np.frombuffer(exponent, np.uint64))
+
+
 def _build():
     # by broadcasting and slicing alone: arithmetic on these arrays pages in
     # numpy loops that nothing else runs, about 0.4 MB of RSS at every import
-    power = np.array([float(10 ** (20 - i)) for i in range(21)])  # i = X + 4
     digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     # the 4-digit groups, each digit followed by a '.' slot
     digits = np.empty((10, 10, 10, 10, 8), np.uint8)
@@ -51,8 +93,8 @@ def _build():
     zeros[..., 0, 0] = 2
     zeros[:, 0, 0, 0] = 3
     zeros[0, 0, 0, 0] = 4
-    # the first word by (i, negative, first digit): sign, "0." and -X - 1
-    # zeros, the digit and its '.' slot
+    # the first word by (i, negative, first digit), i = X + 4: sign, "0." and
+    # -X - 1 zeros, the digit and its '.' slot
     first = np.zeros((21, 2, 10, 8), np.uint8)
     first[:, 1, :, 0] = ord("-")
     for i in range(4):
@@ -68,19 +110,21 @@ def _build():
         keep[:, k, 6:7 + 2 * k:2] = 0xFF
     for x in range(16):
         keep[x + 4, x + 1:, 7 + 2 * x] = 0xFF
-    return (power, *_split(power), digits.view(np.uint64).ravel(), zeros.ravel(),
-            first.view(np.uint64).ravel(), keep.view(np.uint64).reshape(21 * 17, 5))
+    return (digits.view(np.uint64).ravel(), zeros.ravel(), first.view(np.uint64).ravel(),
+            keep.view(np.uint64).reshape(21 * 17, 5))
 
 
-_POWER, _POWER_HI, _POWER_LO, _DIGITS, _ZEROS, _FIRST, _KEEP = _build()
+_DIGITS, _ZEROS, _FIRST, _KEEP = _build()
 _FALLBACK = np.frombuffer(b"%.17g".ljust(_WIDTH, b"\0"), np.uint64)
 
 
-def _scaled(a, i):
-    """a * 10^(20 - i) as hi + lo exactly, by Dekker's two-product."""
-    hi = a * _POWER[i]
+def _scaled(a, j, first=0):
+    """a times hi of the power table's row first + j, as hi + lo exactly
+    (Dekker's two-product)."""
+    power, power_hi, power_lo = (table[first:] for table in _powers()[:3])
+    hi = a * power[j]
     a_hi, a_lo = _split(a)
-    b_hi, b_lo = _POWER_HI[i], _POWER_LO[i]
+    b_hi, b_lo = power_hi[j], power_lo[j]
     lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
     return hi, lo
 
@@ -89,6 +133,37 @@ def _off(hi, lo):
     """-1 where hi + lo < 1e16, +1 where hi + lo >= 1e17, else 0.  hi - 1e16 is
     exact wherever the sign of the sum is in doubt, and rounding keeps signs."""
     return ((hi - _HIGH) + lo >= 0).astype(np.intp) - ((hi - 1e16) + lo < 0)
+
+
+def _certain(a, j):
+    """a * 10^(16 - X) as hi + lo for the power table's row j = X - _X_MIN,
+    and where hi + lo is certainly not within the error bound of 1e16, 1e17
+    or a tie between two integers."""
+    tail, scale = _powers()[3:5]
+    a = a * scale[j]
+    hi, lo = _scaled(a, j)
+    lo += a * tail[j]
+    sure = ((abs((hi - 1e16) + lo) > _MARGIN) & (abs((hi - _HIGH) + lo) > _MARGIN)
+            & (abs(lo - np.rint(lo)) < 0.5 - _MARGIN))
+    return hi, lo, sure
+
+
+def _exponent_digits(a):
+    """N = round(a * 10^(16 - X)) and X = floor(log10 a) for normal
+    magnitudes a, and where both are certain."""
+    x = np.floor(np.log10(a)).astype(np.intp)
+    hi, lo, sure = _certain(a, x - _X_MIN)
+    off = _off(hi, lo)
+    moved = np.flatnonzero(off)
+    if moved.size:  # log10 rounded across a power of ten
+        x[moved] = np.clip(x[moved] + off[moved], _X_MIN, _X_MAX)
+        hi[moved], lo[moved], sure[moved] = _certain(a[moved], x[moved] - _X_MIN)
+        sure[moved] &= _off(hi[moved], lo[moved]) == 0
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    top = n == 10**17
+    n[top] = 10**16
+    x[top] += 1
+    return n, x, sure
 
 
 def csv_rows(table: np.ndarray) -> Iterator[str]:
@@ -110,7 +185,8 @@ class _Chunk:
         self.v, self.a, self.hi, self.lo = (np.empty(size) for _ in range(4))
         self.i, self.n, self.first, self.index = (np.empty(size, np.int64) for _ in range(4))
         self.groups = np.empty((4, size), np.int64)
-        self.out, self.keep = np.empty((size, 5), np.uint64), np.empty((size, 5), np.uint64)
+        self.rows, self.keep = np.empty((size, 5), np.uint64), np.empty((size, 5), np.uint64)
+        self.wide = np.empty((size, 6), np.uint64)  # the rows with a word for "e±XX"
         separator = np.zeros((size, 8), np.uint8)  # each cell's last word
         separator[:, 7] = ord(",")
         separator[cols - 1::cols, 7] = ord("\n")
@@ -124,19 +200,20 @@ class _Chunk:
         v[m:] = 1.0
         np.abs(v, out=a)
         bad = ~((a >= _LOW) & (a < _HIGH))
+        sci = np.flatnonzero(bad) if bad.any() else None
         a[bad] = 1.0
         # X = floor(log10 a), then N = round(a * 10^(16 - X)); i = X + 4
         np.log10(a, out=lo)
         np.floor(lo, out=lo)
         np.clip(lo, -4, 16, out=lo)
         np.add(lo, 4, out=i, casting="unsafe")
-        hi[...], lo[...] = _scaled(a, i)
+        hi[...], lo[...] = _scaled(a, i, _FIXED)
         off = _off(hi, lo)
         moved = np.flatnonzero(off)
         if moved.size:  # log10 rounded across a power of ten
             i[moved] += off[moved]
             np.clip(i, 0, 20, out=i)
-            hi[moved], lo[moved] = _scaled(a[moved], i[moved])
+            hi[moved], lo[moved] = _scaled(a[moved], i[moved], _FIXED)
             bad[moved[_off(hi[moved], lo[moved]) != 0]] = True
         # hi >= 1e16 is an even integer, so rounding lo half to even rounds
         # hi + lo half to even
@@ -148,6 +225,18 @@ class _Chunk:
         if top.size:  # rounded up to the next power of ten: X < 16, as a < 1e17
             n[top] = 10 ** 16
             i[top] += 1
+        # a normal cell outside [1e-4, 1e17) is in exponent notation (no
+        # double below 1e-4 rounds up to it), in the layout of X = 0 that
+        # a = 1 gave it above
+        if sci is not None:
+            outside = abs(v[sci])
+            normal = (outside >= _TINY) & (outside <= _HUGE)
+            sci = sci[normal]
+            if sci.size:
+                digits, x, sure = _exponent_digits(outside[normal])
+                sci, x = sci[sure], x[sure]
+                bad[sci] = False
+                n[sci] = digits[sure]
         # N's first digit, and the four 4-digit groups of the other 16
         g1, g2, g3, g4 = self.groups
         np.floor_divide(n, 10 ** 16, out=first)
@@ -167,7 +256,13 @@ class _Chunk:
         np.subtract(16, index, out=index)
         np.maximum(index, i - 4, out=index)
         index += i * 17
-        out = self.out
+        wide = sci is not None and sci.size > 0
+        if wide:  # "e±XX" and the separator in a sixth word
+            rows, out = self.wide, self.wide[:, :5]
+            rows[:, 5] = self.separator
+            rows[sci, 5] |= _powers()[5][x - _X_MIN]
+        else:
+            rows = out = self.rows
         np.take(_KEEP, index, axis=0, out=self.keep)
         np.multiply(i, 20, out=index)
         index += np.signbit(v) * 10
@@ -176,10 +271,12 @@ class _Chunk:
         for w, g in enumerate(self.groups, 1):
             np.take(_DIGITS, g, out=out[:, w])
         out &= self.keep
-        out[:, 4] |= self.separator
+        if not wide:
+            out[:, 4] |= self.separator
         if not bad.any():
-            return out[:m].tobytes().translate(None, b"\0").decode("ascii")
+            return rows[:m].tobytes().translate(None, b"\0").decode("ascii")
         out[bad] = _FALLBACK
-        out[bad, 4] |= self.separator[bad]
-        text = out[:m].tobytes().translate(None, b"\0").decode("ascii")
+        if not wide:
+            out[bad, 4] |= self.separator[bad]
+        text = rows[:m].tobytes().translate(None, b"\0").decode("ascii")
         return text % tuple(v[:m][bad[:m]].tolist())

@@ -91,28 +91,35 @@ def q_difference(x, y, q: QParam | float):
     return (x - y) / (1.0 + (1.0 - qp.q) * y)
 
 
-def q_sum(x: float, y: float, q: QParam | float) -> float:
-    """Deformed sum x + y + (1 - q) x y, the inverse of :func:`q_difference`."""
+def q_sum(x: float | np.ndarray, y: float | np.ndarray, q: QParam | float) -> float | np.ndarray:
+    """Deformed sum x + y + (1 - q) x y, for floats or arrays; the inverse of
+    :func:`q_difference`."""
     qp = _as_q(q)
     if qp.is_classical:
         return x + y
     return x + y + (1.0 - qp.q) * x * y
 
 
-def q_exp(x: float, q: QParam | float) -> float:
-    """q-exponential [1 + (1 - q) x]^(1/(1-q)).
+def q_exp(x: float | np.ndarray, q: QParam | float) -> float | np.ndarray:
+    """q-exponential [1 + (1 - q) x]^(1/(1-q)), for a float or an array.
 
     Outside the natural support (1 + (1 - q) x <= 0) the standard
     nonextensive cutoff convention applies and 0 is returned.  At q = 1 this
-    is the ordinary exponential.
+    is the ordinary exponential.  Over an array, the base is formed by numpy
+    and each power or exponential is taken from Python floats, so every
+    element has the bits of the call on that element alone (numpy's vector
+    ``power`` and ``exp`` can differ from the C library's in the last bit).
     """
     qp = _as_q(q)
+    array = isinstance(x, np.ndarray)
+    base = x if qp.is_classical else 1.0 + (1.0 - qp.q) * x
+    bases = base.ravel().tolist() if array else [base]
     if qp.is_classical:
-        return math.exp(x)
-    base = 1.0 + (1.0 - qp.q) * x
-    if base <= 0.0:
-        return 0.0
-    return base ** (1.0 / (1.0 - qp.q))
+        values = [math.exp(b) for b in bases]
+    else:
+        power = 1.0 / (1.0 - qp.q)
+        values = [0.0 if b <= 0.0 else b**power for b in bases]
+    return np.array(values).reshape(x.shape) if array else values[0]
 
 
 def q_log(x: float, q: QParam | float) -> float:

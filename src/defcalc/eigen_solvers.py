@@ -227,8 +227,7 @@ def solve_q_eigen(
     if 1.0 + (1.0 - qv) * domain[1] <= 0.0:
         raise DomainError(f"domain end {domain[1]} is outside the q-exponential support")
     sol = integrate_ode(lambda x, y: y**qv, tuple(domain), y0, tol, grid)
-    closed = [q_exp(x, qp) for x in grid.tolist()]
-    return _make_report(grid, sol.at_grid, closed)
+    return _make_report(grid, sol.at_grid, q_exp(grid, qp))
 
 
 def solve_hausdorff_eigen(
@@ -242,8 +241,7 @@ def solve_hausdorff_eigen(
     grid = _grid(domain, grid_points)
     zeta, l0 = hp.zeta, hp.l0
     sol = integrate_ode(lambda x, y: (x / l0 + 1.0) ** (zeta - 1.0) * y, tuple(domain), y0, tol, grid)
-    closed = [balankin_exp(x, hp) for x in grid.tolist()]
-    return _make_report(grid, sol.at_grid, closed)
+    return _make_report(grid, sol.at_grid, balankin_exp(grid, hp))
 
 
 def verify_fractional_eigen(

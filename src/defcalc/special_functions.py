@@ -228,13 +228,26 @@ def stretched_exp(x: float, alpha: float) -> float:
     return math.exp(x**alpha)
 
 
-def balankin_exp(x: float, hp: HausdorffParams) -> float:
-    """Fractal-metric exponential exp((l0/zeta) (x/l0 + 1)^zeta).
+def balankin_exp(x: float | np.ndarray, hp: HausdorffParams) -> float | np.ndarray:
+    """Fractal-metric exponential exp((l0/zeta) (x/l0 + 1)^zeta), for a float
+    or an array.
 
-    Eigenfunction of the Hausdorff derivative; requires x > -l0 and zeta != 0.
+    Eigenfunction of the Hausdorff derivative; requires x > -l0 and zeta != 0,
+    else raises :class:`DomainError` (for an array of x, with the ``index`` of
+    the first x <= -l0).  Over an array, x/l0 + 1 is formed by numpy and each
+    power and exponential is taken from Python floats, so every element has
+    the bits of the call on that element alone.
     """
     if abs(hp.zeta) < 1e-12:
         raise DomainError("balankin_exp is undefined at zeta = 0")
-    if x <= -hp.l0:
-        raise DomainError(f"balankin_exp requires x > -l0 = {-hp.l0}, got {x}")
-    return math.exp((hp.l0 / hp.zeta) * (x / hp.l0 + 1.0) ** hp.zeta)
+    array = isinstance(x, np.ndarray)
+    outside = x <= -hp.l0
+    if outside.any() if array else outside:
+        index = int(outside.argmax()) if array else None
+        raise DomainError(f"balankin_exp requires x > -l0 = {-hp.l0}, "
+                          f"got {x.ravel()[index] if array else x}", index=index)
+    base = x / hp.l0 + 1.0
+    bases = base.ravel().tolist() if array else [base]
+    scale, zeta = hp.l0 / hp.zeta, hp.zeta
+    values = [math.exp(scale * b**zeta) for b in bases]
+    return np.array(values).reshape(x.shape) if array else values[0]

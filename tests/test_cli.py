@@ -987,11 +987,13 @@ def _tiled(values, cols):
 
 def _ties():
     # m / 2^(p + 1) with m odd: 17 digits of the value then end in exactly
-    # half a unit, at every exponent X = 16 - p that has such doubles
+    # half a unit, at every exponent X = 16 - p that has such doubles (from
+    # X = -5 on, 9 * 2^-23 and 3 * 2^-24 among them, in exponent notation)
     ties = []
-    for p in range(1, 21):
+    for p in range(1, 25):
         low = math.ceil(10.0 ** (16 - p) * 2.0 ** (p + 1)) | 1
-        ties += [(m / 2.0 ** (p + 1)) for m in range(low, low + 40, 2) if m < 2**53]
+        ties += [(m / 2.0 ** (p + 1)) for m in range(low, low + 40, 2)
+                 if m < 2**53 and m / 2.0 ** (p + 1) < 10.0 ** (17 - p)]
     return ties + [k / 2048 for k in range(2_048_000_001, 2_048_000_081, 2)]
 
 
@@ -1003,10 +1005,18 @@ def _around(values):
 
 
 _RNG = np.random.default_rng(20240611)
+_HARD = [1e-100, 1e-300, 2.2250738585072014e-308, 5e-324, 9 * 2.0**-23, 3 * 2.0**-24,
+         0.0, -0.0, math.inf, -math.inf, math.nan]
 KERNEL_INPUTS = {
     "edge values": EDGE_VALUES,
     "powers of ten and neighbours": _around(10.0 ** np.arange(-6, 19)),
     "range edges and neighbours": _around(np.array([1e-4, 1e17])),
+    "exponent notation edges": np.concatenate(
+        [_around(np.array([1e-4, 1e-5, 1e17, 1e100])), _HARD, [-v for v in _HARD],
+         # the doubles just below these round up to them
+         _around(np.array([1e-305, 1e-243, 1e-14, 1e98, 1e220]))]),
+    "exponent notation only": (_RNG.choice([-1.0, 1.0], 3000) * 10.0 ** np.concatenate(
+        [_RNG.uniform(-307.6, -4.01, 1500), _RNG.uniform(17.01, 308.2, 1500)])),
     "exact ties": _ties(),
     "uniform exponent, fixed range": (_RNG.choice([-1.0, 1.0], 3000)
                                       * 10.0 ** _RNG.uniform(-4, 17, 3000)),
@@ -1088,7 +1098,27 @@ def test_solve_table_matches_the_report_grid(capsys, monkeypatch, problem, solve
     assert out == _old_json("solve", json.loads(out)["params"], header, rows)
 
 
-@given(values=st.lists(st.floats(), min_size=1, max_size=64), cols=st.sampled_from([2, 4]))
+@pytest.mark.parametrize("problem,closed_form", [
+    (("q", "--q", "0.5"), lambda x: defcalc.q_exp(x, 0.5)),
+    (("hausdorff", "--zeta", "0.4", "--l0", "1.5"),
+     lambda x: defcalc.balankin_exp(x, defcalc.HausdorffParams(0.4, 1.5))),
+])
+def test_solve_closed_form_column_has_the_bits_of_scalar_calls(capsys, problem, closed_form):
+    """The closed form is evaluated over the whole grid in one call; each
+    cell must read back as the call on that grid point alone."""
+    assert main(["solve", "--problem", *problem, "--grid", "0:2:1001"]) == 0
+    _, *lines = capsys.readouterr().out.splitlines()
+    column = [float(line.split(",")[2]) for line in lines]
+    assert column == [closed_form(x) for x in np.linspace(0.0, 2.0, 1001).tolist()]
+
+
+def _from_bits(bits):
+    return np.array([bits], np.uint64).view(np.float64).item()
+
+
+@given(values=st.lists(st.one_of(st.floats(), st.integers(0, 2**64 - 1).map(_from_bits)),
+                       min_size=1, max_size=64),
+       cols=st.sampled_from([2, 4]))
 def test_the_kernel_matches_the_per_value_bytes(values, cols):
     table = _tiled(values, cols)
     header = ("x", "value", "closed_form", "residual")[:cols]

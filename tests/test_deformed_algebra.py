@@ -110,6 +110,20 @@ class TestQExp:
             for q in (1.0 - 1e-9, 1.0 + 1e-9):
                 assert abs(q_exp(x, q) - math.exp(x)) <= 1e-6 * math.exp(x)
 
+    @given(
+        x=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40),
+        q=st.one_of(
+            st.floats(0.05, 3.0),
+            st.floats(-1e-11, 1e-11).map(lambda d: 1.0 + d),  # either side of CLASSICAL_EPS
+            st.floats(1.0, 2.0, exclude_min=True),  # the cutoff from x = 1/(q - 1)
+        ),
+    )
+    def test_array_has_the_bits_of_each_point(self, x, q):
+        want = np.array([q_exp(v, q) for v in x])
+        got = q_exp(np.array(x), q)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert q_exp(np.array(x).reshape(-1, 1), q).shape == (len(x), 1)
+
 
 class TestQLog:
     def test_at_one(self):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from defcalc import (
     ConvergenceError,
@@ -301,6 +303,31 @@ class TestBalankinExp:
             balankin_exp(-1.0, HausdorffParams(0.5, 1.0))
         with pytest.raises(DomainError):
             balankin_exp(1.0, HausdorffParams(0.0, 1.0))
+
+    @given(
+        t=st.lists(st.floats(-1.0, 5.0, exclude_min=True), min_size=1, max_size=40),
+        zeta=st.one_of(st.just(1.0), st.floats(0.05, 2.0), st.floats(-2.0, -0.05)),
+        l0=st.floats(0.1, 10.0),
+    )
+    def test_array_has_the_bits_of_each_point(self, t, zeta, l0):
+        hp = HausdorffParams(zeta, l0)
+        x = [v * l0 for v in t]
+        x = [v for v in x if v > -l0]
+        want = np.array([balankin_exp(v, hp) for v in x])
+        assert _bits(balankin_exp(np.array(x), hp)).tolist() == _bits(want).tolist()
+
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_array_domain_error_names_the_first_x_outside(self, at):
+        hp = HausdorffParams(0.5, 2.0)
+        x = np.linspace(0.0, 3.0, 6)
+        x[at] = -2.0
+        x[5] = -2.5
+        with pytest.raises(DomainError, match=r"got -2\.0$") as err:
+            balankin_exp(x, hp)
+        assert err.value.index == at
+        with pytest.raises(DomainError) as err:
+            balankin_exp(-2.0, hp)
+        assert err.value.index is None
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
