@@ -7,40 +7,43 @@ exponent, those digits are the integer N = round(|v| * 10^(16 - X)) in
 trailing zeros (and then a trailing '.') dropped; otherwise as d.ddd...e±XX,
 with the same trailing zeros dropped and an exponent of at least two digits.
 
-The product is formed as a pair hi + lo of doubles by Dekker's two-product
-(Numer. Math. 18 (1971) 224; Veltkamp's split stands in for a fused
-multiply-add), with 10^(16 - X) 2^-s taken from a table of double-double
-powers (hi + tail) and |v| prescaled by the exact 2^s that brings it near 1,
-so that no step leaves the double range.  In fixed notation s = 0 and
-10^(16 - X) <= 1e20 is an exact double, so the product is exact and rounding
-lo half to even rounds N exactly.  In exponent notation the tail adds an
-error below 4 u^2 |hi| (u = 2^-53), under 1e-13 for every product formed;
-a cell is written only where the error bound rules out a tie at .5 and a
-product on either side of 1e16 or 1e17 (exact ties exist: 9 * 2^-23).
+Every normal cell takes the same steps.  The product is formed as a pair
+hi + lo of doubles by Dekker's two-product (Numer. Math. 18 (1971) 224;
+Veltkamp's split stands in for a fused multiply-add), with 10^(16 - X) 2^-s
+taken from a table of double-double powers (hi + tail) and |v| prescaled by
+the exact 2^s that brings it near 1, so that no step leaves the double range.
+Where the tail is 0 (every X of fixed notation, with s = 0 and 10^(16 - X)
+<= 1e20 an exact double) the product is exact and rounding lo half to even
+rounds N exactly.  Elsewhere the tail adds an error below 4 u^2 |hi|
+(u = 2^-53), under 1e-13 for every product formed, and a cell is written
+only where the error bound rules out a tie at .5 and a product on either
+side of 1e16 or 1e17 (exact ties exist: 9 * 2^-23).  A chunk whose normal
+cells all lie in [1e-4, 1e17) reads only the 21 exact rows of fixed
+notation, built at import, and skips the prescale, the tail and the
+certificate; the table of every normal X is built on the first chunk that
+needs it (about 3 ms, once per process).
 
-Each cell is laid out in a 40-byte row: sign and the "0.000" prefix, the 17
-digits each followed by a slot for the '.', and the separator; a mask per
-(X, last kept digit) zeroes the digits and slots that are not written, and
-the zero bytes are dropped.  A cell in exponent notation takes the layout of
-X = 0, d.ddd..., and a chunk that holds one gets a sixth word per row for
-"e±XX" and the separator.  Every other cell (zero, subnormal, non-finite, or
-one whose digits are not certain) is written by one ``%`` call over the chunk.
+Each cell is laid out in a 48-byte row: sign and the "0.000" prefix, the 17
+digits each followed by a slot for the '.', "e±XX" and the separator; a mask
+per (X, last kept digit) zeroes the digits and slots that are not written,
+and the zero bytes are dropped.  A cell in exponent notation takes the
+layout of X = 0, d.ddd..., and its "e±XX"; a cell in fixed notation has no
+exponent bytes.  Every other cell (zero, subnormal, non-finite, or one whose
+digits are not certain) is written by one ``%`` call over the chunk.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 _CHUNK = 2048  # cells per pass at most; at 4,096 the buffers cost 0.8 MB more peak RSS
-_WIDTH = 40  # bytes per cell: 6 of sign and prefix, 17 digits, 16 '.' slots, separator
+_WIDTH = 48  # bytes per cell: sign and prefix, 17 digits, 16 '.' slots, "e±XXX", separator
 _LOW, _HIGH = 1e-4, 1e17  # the magnitudes that %.17g writes in fixed notation
 _TINY, _HUGE = 2.2250738585072014e-308, 1.7976931348623157e308  # the normal doubles
-_X_MIN, _X_MAX = -308, 308  # their decimal exponents
-_FIXED = -4 - _X_MIN  # the power table's row for X = -4
-_MARGIN = 2.0**-30  # far above the product's error bound, far below one digit
+_MARGIN = 2.0**-30  # far above the inexact product's error bound, far below one digit
 _SPLITTER = 134217729.0  # 2^27 + 1
 
 
@@ -51,30 +54,53 @@ def _split(v):
     return hi, v - hi
 
 
-@functools.cache
-def _powers():
-    """By row X - _X_MIN: 10^(16 - X) 2^-s as hi + tail, hi's Veltkamp halves,
-    2^s, and the bytes "e±XX" as a word.
+class _Powers(NamedTuple):
+    """For X in [x_min, x_min + hi.size), by row X - x_min: 10^(16 - X) 2^-s
+    as hi + tail, hi's Veltkamp halves, the prescale 2^s, the margin a product
+    must keep from 1e16, 1e17 and a tie (0 where the tail is 0), the layout
+    row X + 4 (that of X = 0 in exponent notation), and the bytes "e±XX" as a
+    word (none in fixed notation).  ``exact``: every X is of fixed notation,
+    so every tail is 0 and every s 0."""
 
-    hi and tail come from the exact rational num/den: Python's int true
-    division rounds correctly.  About 2 ms, so it waits for the first table."""
+    x_min: int
+    hi: np.ndarray
+    hi_hi: np.ndarray
+    hi_lo: np.ndarray
+    tail: np.ndarray
+    scale: np.ndarray
+    margin: np.ndarray
+    layout: np.ndarray
+    exponent: np.ndarray
+    exact: bool
+
+
+def _powers(x_min: int, x_max: int) -> _Powers:
+    """The powers of X in [x_min, x_max].  hi and tail come from the exact
+    rational num/den: Python's int true division rounds correctly."""
     tens = [1]
-    for _ in range(16 - _X_MIN):
+    for _ in range(16 - x_min):
         tens.append(tens[-1] * 10)
-    hi, tail, scale = [], [], []
-    for x in range(_X_MIN, _X_MAX + 1):
-        # 2^s brings 10^X near 1; X in [-4, 16] keeps the exact power
-        s = 0 if -4 <= x <= 16 else min(max(round(-3.321928094887362 * x), -1022), 1023)
+    rows, exponent = [], []
+    for x in range(x_min, x_max + 1):
+        fixed = -4 <= x <= 16
+        # 2^s brings 10^X near 1; fixed notation keeps the exact power
+        s = 0 if fixed else min(max(round(-3.321928094887362 * x), -1022), 1023)
         num, den = tens[max(16 - x, 0)] << max(-s, 0), tens[max(x - 16, 0)] << max(s, 0)
-        h = num / den
-        h_num, h_den = h.as_integer_ratio()
-        hi.append(h)
-        tail.append((num * h_den - h_num * den) / (den * h_den))
-        scale.append(2.0**s)
-    hi = np.array(hi)
-    exponent = b"".join(f"e{x:+03d}".encode().ljust(8, b"\0") for x in range(_X_MIN, _X_MAX + 1))
-    return (hi, *_split(hi), np.array(tail), np.array(scale),
-            np.frombuffer(exponent, np.uint64))
+        hi = num / den
+        h_num, h_den = hi.as_integer_ratio()
+        tail = (num * h_den - h_num * den) / (den * h_den)
+        rows.append((hi, tail, 2.0**s, _MARGIN if tail else 0.0, x + 4 if fixed else 4))
+        exponent.append(b"" if fixed else f"e{x:+03d}".encode())
+    hi, tail, scale, margin, layout = (np.array(column) for column in zip(*rows))
+    exponent = np.frombuffer(b"".join(e.ljust(8, b"\0") for e in exponent), np.uint64)
+    return _Powers(x_min, hi, *_split(hi), tail, scale, margin, layout, exponent,
+                   -4 <= x_min and x_max <= 16)
+
+
+@functools.cache
+def _all_powers() -> _Powers:
+    """The powers of every normal X, built on first use: about 3 ms."""
+    return _powers(-308, 308)
 
 
 def _build():
@@ -102,68 +128,45 @@ def _build():
         first[i, :, :, 2] = ord(".")
     first[..., 6] = digit
     first[..., 7] = ord(".")
-    # the bytes kept by (i, K): the prefix, digits 0..K, and the '.' after
-    # digit X when a digit follows it
+    # the bytes kept by (i, K): the prefix, digits 0..K, the '.' after digit
+    # X when a digit follows it, and the exponent word
     keep = np.zeros((21, 17, _WIDTH), np.uint8)
     keep[..., :6] = 0xFF
+    keep[..., 40:] = 0xFF
     for k in range(17):
         keep[:, k, 6:7 + 2 * k:2] = 0xFF
     for x in range(16):
         keep[x + 4, x + 1:, 7 + 2 * x] = 0xFF
     return (digits.view(np.uint64).ravel(), zeros.ravel(), first.view(np.uint64).ravel(),
-            keep.view(np.uint64).reshape(21 * 17, 5))
+            keep.view(np.uint64).reshape(21 * 17, 6))
 
 
 _DIGITS, _ZEROS, _FIRST, _KEEP = _build()
+_FIXED_POWERS = _powers(-4, 16)
 _FALLBACK = np.frombuffer(b"%.17g".ljust(_WIDTH, b"\0"), np.uint64)
 
 
-def _scaled(a, j, first=0):
-    """a times hi of the power table's row first + j, as hi + lo exactly
-    (Dekker's two-product)."""
-    power, power_hi, power_lo = (table[first:] for table in _powers()[:3])
-    hi = a * power[j]
+def _product(a, j, powers: _Powers):
+    """a * 10^(16 - X) as hi + lo for the rows j of ``powers``; -1 where
+    hi + lo < 1e16, +1 where hi + lo >= 1e17, else 0; and where its rounding
+    is certain.  hi - 1e16 is exact wherever the sign of the sum is in doubt,
+    and rounding keeps signs.  Exact powers skip the prescale, the tail and
+    the certificate, which could not change a bit."""
+    if not powers.exact:
+        a = a * powers.scale[j]
+    hi = a * powers.hi[j]
     a_hi, a_lo = _split(a)
-    b_hi, b_lo = power_hi[j], power_lo[j]
+    b_hi, b_lo = powers.hi_hi[j], powers.hi_lo[j]
     lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-    return hi, lo
-
-
-def _off(hi, lo):
-    """-1 where hi + lo < 1e16, +1 where hi + lo >= 1e17, else 0.  hi - 1e16 is
-    exact wherever the sign of the sum is in doubt, and rounding keeps signs."""
-    return ((hi - _HIGH) + lo >= 0).astype(np.intp) - ((hi - 1e16) + lo < 0)
-
-
-def _certain(a, j):
-    """a * 10^(16 - X) as hi + lo for the power table's row j = X - _X_MIN,
-    and where hi + lo is certainly not within the error bound of 1e16, 1e17
-    or a tie between two integers."""
-    tail, scale = _powers()[3:5]
-    a = a * scale[j]
-    hi, lo = _scaled(a, j)
-    lo += a * tail[j]
-    sure = ((abs((hi - 1e16) + lo) > _MARGIN) & (abs((hi - _HIGH) + lo) > _MARGIN)
-            & (abs(lo - np.rint(lo)) < 0.5 - _MARGIN))
-    return hi, lo, sure
-
-
-def _exponent_digits(a):
-    """N = round(a * 10^(16 - X)) and X = floor(log10 a) for normal
-    magnitudes a, and where both are certain."""
-    x = np.floor(np.log10(a)).astype(np.intp)
-    hi, lo, sure = _certain(a, x - _X_MIN)
-    off = _off(hi, lo)
-    moved = np.flatnonzero(off)
-    if moved.size:  # log10 rounded across a power of ten
-        x[moved] = np.clip(x[moved] + off[moved], _X_MIN, _X_MAX)
-        hi[moved], lo[moved], sure[moved] = _certain(a[moved], x[moved] - _X_MIN)
-        sure[moved] &= _off(hi[moved], lo[moved]) == 0
-    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-    top = n == 10**17
-    n[top] = 10**16
-    x[top] += 1
-    return n, x, sure
+    if not powers.exact:
+        lo += a * powers.tail[j]
+    low, high = (hi - 1e16) + lo, (hi - _HIGH) + lo
+    off = (high >= 0).astype(np.intp) - (low < 0)
+    if powers.exact:
+        return hi, lo, off, np.ones(off.shape, bool)
+    e = powers.margin[j]
+    sure = (abs(low) >= e) & (abs(high) >= e) & (abs(lo - np.rint(lo)) <= 0.5 - e)
+    return hi, lo, off, sure
 
 
 def csv_rows(table: np.ndarray) -> Iterator[str]:
@@ -183,10 +186,9 @@ class _Chunk:
     def __init__(self, size: int, cols: int):
         self.size = size
         self.v, self.a, self.hi, self.lo = (np.empty(size) for _ in range(4))
-        self.i, self.n, self.first, self.index = (np.empty(size, np.int64) for _ in range(4))
+        self.j, self.n, self.first, self.index = (np.empty(size, np.int64) for _ in range(4))
         self.groups = np.empty((4, size), np.int64)
-        self.rows, self.keep = np.empty((size, 5), np.uint64), np.empty((size, 5), np.uint64)
-        self.wide = np.empty((size, 6), np.uint64)  # the rows with a word for "e±XX"
+        self.out, self.keep = np.empty((size, 6), np.uint64), np.empty((size, 6), np.uint64)
         separator = np.zeros((size, 8), np.uint8)  # each cell's last word
         separator[:, 7] = ord(",")
         separator[cols - 1::cols, 7] = ord("\n")
@@ -194,27 +196,28 @@ class _Chunk:
 
     def text(self, cells: np.ndarray) -> str:
         m = cells.size  # a last, short chunk is padded with ones
-        v, a, hi, lo, i, n, first, index = (
-            self.v, self.a, self.hi, self.lo, self.i, self.n, self.first, self.index)
+        v, a, hi, lo, j, n, first, index = (
+            self.v, self.a, self.hi, self.lo, self.j, self.n, self.first, self.index)
         v[:m] = cells
         v[m:] = 1.0
         np.abs(v, out=a)
-        bad = ~((a >= _LOW) & (a < _HIGH))
-        sci = np.flatnonzero(bad) if bad.any() else None
+        bad = ~((a >= _TINY) & (a <= _HUGE))
         a[bad] = 1.0
-        # X = floor(log10 a), then N = round(a * 10^(16 - X)); i = X + 4
+        powers = _FIXED_POWERS if a.min() >= _LOW and a.max() < _HIGH else _all_powers()
+        x_min, size = powers.x_min, powers.hi.size
+        # X = floor(log10 a) by row j = X - x_min, then N = round(a * 10^(16 - X))
         np.log10(a, out=lo)
         np.floor(lo, out=lo)
-        np.clip(lo, -4, 16, out=lo)
-        np.add(lo, 4, out=i, casting="unsafe")
-        hi[...], lo[...] = _scaled(a, i, _FIXED)
-        off = _off(hi, lo)
+        np.clip(lo, x_min, x_min + size - 1, out=lo)
+        np.subtract(lo, x_min, out=j, casting="unsafe")
+        hi[...], lo[...], off, sure = _product(a, j, powers)
         moved = np.flatnonzero(off)
         if moved.size:  # log10 rounded across a power of ten
-            i[moved] += off[moved]
-            np.clip(i, 0, 20, out=i)
-            hi[moved], lo[moved] = _scaled(a[moved], i[moved], _FIXED)
-            bad[moved[_off(hi[moved], lo[moved]) != 0]] = True
+            j[moved] += off[moved]
+            np.clip(j, 0, size - 1, out=j)
+            hi[moved], lo[moved], off, sure[moved] = _product(a[moved], j[moved], powers)
+            sure[moved] &= off == 0
+        bad |= ~sure
         # hi >= 1e16 is an even integer, so rounding lo half to even rounds
         # hi + lo half to even
         np.copyto(n, hi, casting="unsafe")
@@ -222,21 +225,9 @@ class _Chunk:
         np.copyto(index, lo, casting="unsafe")
         n += index
         top = np.flatnonzero(n == 10 ** 17)
-        if top.size:  # rounded up to the next power of ten: X < 16, as a < 1e17
+        if top.size:  # rounded up to the next power of ten, never past the table's last X
             n[top] = 10 ** 16
-            i[top] += 1
-        # a normal cell outside [1e-4, 1e17) is in exponent notation (no
-        # double below 1e-4 rounds up to it), in the layout of X = 0 that
-        # a = 1 gave it above
-        if sci is not None:
-            outside = abs(v[sci])
-            normal = (outside >= _TINY) & (outside <= _HUGE)
-            sci = sci[normal]
-            if sci.size:
-                digits, x, sure = _exponent_digits(outside[normal])
-                sci, x = sci[sure], x[sure]
-                bad[sci] = False
-                n[sci] = digits[sure]
+            j[top] += 1
         # N's first digit, and the four 4-digit groups of the other 16
         g1, g2, g3, g4 = self.groups
         np.floor_divide(n, 10 ** 16, out=first)
@@ -253,16 +244,11 @@ class _Chunk:
         for g in (g3, g2, g1):
             index[zero] += _ZEROS[g[zero]]
             zero = zero[g[zero] == 0]
+        i = powers.layout[j]
         np.subtract(16, index, out=index)
         np.maximum(index, i - 4, out=index)
         index += i * 17
-        wide = sci is not None and sci.size > 0
-        if wide:  # "e±XX" and the separator in a sixth word
-            rows, out = self.wide, self.wide[:, :5]
-            rows[:, 5] = self.separator
-            rows[sci, 5] |= _powers()[5][x - _X_MIN]
-        else:
-            rows = out = self.rows
+        out = self.out
         np.take(_KEEP, index, axis=0, out=self.keep)
         np.multiply(i, 20, out=index)
         index += np.signbit(v) * 10
@@ -270,13 +256,11 @@ class _Chunk:
         np.take(_FIRST, index, out=out[:, 0])
         for w, g in enumerate(self.groups, 1):
             np.take(_DIGITS, g, out=out[:, w])
+        np.take(powers.exponent, j, out=out[:, 5])
         out &= self.keep
-        if not wide:
-            out[:, 4] |= self.separator
-        if not bad.any():
-            return rows[:m].tobytes().translate(None, b"\0").decode("ascii")
-        out[bad] = _FALLBACK
-        if not wide:
-            out[bad, 4] |= self.separator[bad]
-        text = rows[:m].tobytes().translate(None, b"\0").decode("ascii")
-        return text % tuple(v[:m][bad[:m]].tolist())
+        fallback = bad.any()
+        if fallback:
+            out[bad] = _FALLBACK
+        out[:, 5] |= self.separator
+        text = out[:m].tobytes().translate(None, b"\0").decode("ascii")
+        return text % tuple(v[:m][bad[:m]].tolist()) if fallback else text

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .deformed_algebra import KappaParam, QParam, _as_kappa, _as_q, q_difference
-from .errors import DefcalcError, DomainError
+from .errors import DefcalcError, DomainError, _reject
 from .function_catalog import as_real_function
 from .special_functions import HausdorffParams, gamma
 
@@ -159,13 +159,6 @@ def _limit(quotient: Callable, settings: DiffSettings | None, p: int, cap=None):
         raise DomainError("the difference quotient divides by zero: a probe step is lost "
                           "to round-off at this x") from exc
     return _richardson(values, p)
-
-
-def _reject(bad, x, message: str) -> None:
-    """Raise DomainError where ``bad`` holds, naming the first such x."""
-    if bad.any() if isinstance(bad, np.ndarray) else bad:
-        index = int(bad.argmax()) if isinstance(bad, np.ndarray) else None
-        raise DomainError(f"{message}, got {x if index is None else x[index]}", index=index)
 
 
 def classical_derivative(f, x, settings: DiffSettings | None = None):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 
 class DefcalcError(Exception):
     """Base class for all toolkit errors.
@@ -20,6 +22,15 @@ class DefcalcError(Exception):
 
 class DomainError(DefcalcError):
     """An argument falls outside the mathematical domain of an operation."""
+
+
+def _reject(bad, x, message: str) -> None:
+    """Raise DomainError where ``bad`` holds, naming the first such x: over
+    an array of x, ``bad`` is an array and the error carries its ``index``."""
+    if bad.any() if isinstance(bad, np.ndarray) else bad:
+        index = int(bad.argmax()) if isinstance(bad, np.ndarray) else None
+        raise DomainError(f"{message}, got {x if index is None else x.ravel()[index]}",
+                          index=index)
 
 
 class PoleError(DefcalcError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ConvergenceError, DomainError, PoleError, _reject
 
 __all__ = [
     "HausdorffParams",
@@ -240,12 +240,8 @@ def balankin_exp(x: float | np.ndarray, hp: HausdorffParams) -> float | np.ndarr
     """
     if abs(hp.zeta) < 1e-12:
         raise DomainError("balankin_exp is undefined at zeta = 0")
+    _reject(x <= -hp.l0, x, f"balankin_exp requires x > -l0 = {-hp.l0}")
     array = isinstance(x, np.ndarray)
-    outside = x <= -hp.l0
-    if outside.any() if array else outside:
-        index = int(outside.argmax()) if array else None
-        raise DomainError(f"balankin_exp requires x > -l0 = {-hp.l0}, "
-                          f"got {x.ravel()[index] if array else x}", index=index)
     base = x / hp.l0 + 1.0
     bases = base.ravel().tolist() if array else [base]
     scale, zeta = hp.l0 / hp.zeta, hp.zeta

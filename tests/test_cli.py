@@ -16,6 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import defcalc
+import defcalc._csv17 as csv17
 import defcalc.cli as cli
 import defcalc.eigen_solvers
 from defcalc.cli import ENV_FORMAT, RunConfig, build_parser, main
@@ -1040,6 +1041,20 @@ class TestCsvKernel:
         table = _tiled(KERNEL_INPUTS[name], cols)
         header = ("x", "value", "closed_form", "residual")[:cols]
         assert _emitted("csv", "deriv", {}, header, table) == _old_csv(header, table.tolist())
+
+    def test_only_exponent_notation_builds_the_full_power_table(self):
+        """A table whose normal cells all lie in [1e-4, 1e17) reads the exact
+        powers built at import; one cell outside builds the table of every X."""
+        def rows(table):
+            return "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in table.tolist())
+
+        csv17._all_powers.cache_clear()
+        fixed = _tiled([0.0, -1e-4, 2.5, 1e17 - 16, math.nan, 5e-324], 2)
+        assert "".join(csv17.csv_rows(fixed)) == rows(fixed)
+        assert csv17._all_powers.cache_info().currsize == 0
+        mixed = _tiled([2.5, 1e-5], 2)
+        assert "".join(csv17.csv_rows(mixed)) == rows(mixed)
+        assert csv17._all_powers.cache_info().currsize == 1
 
     def test_arrays_from_the_cell_threshold_take_the_kernel(self, monkeypatch):
         calls = []
