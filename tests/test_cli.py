@@ -608,12 +608,19 @@ class TestMlCommand:
         assert len(out.strip().splitlines()) == 6
 
     def test_overflow_is_numerical_failure(self, capsys):
-        # at 8 the sum passes the double range, at 10 a term does
+        # the residue e^(z^(1/0.3)) / 0.3 passes the double range from z = 7.16 on
         for z in ("8", "10"):
             code, out, err = run_cli(capsys, "ml", "--alpha", "0.3", "--z", z)
             assert code == 3
             assert out == ""
             assert "overflow" in err
+
+    def test_no_cancellation_on_the_negative_axis(self, capsys):
+        # the power series printed 16447451400779.406 here
+        code, out, _ = run_cli(capsys, "ml", "--alpha", "0.5", "--z", "-8")
+        assert code == 0
+        value = float(out.strip().splitlines()[1].split(",")[1])
+        assert value == pytest.approx(0.06998516620088092, rel=1e-12)  # e^64 erfc(8)
 
     def test_out_of_series_domain_is_numerical_failure(self, capsys):
         code, _, err = run_cli(capsys, "ml", "--alpha", "0.5", "--z", "11")
@@ -640,8 +647,9 @@ class TestMlCommand:
                            "mittag_leffler series domain is |z| <= 10, got -11.0\n"),
         ("0.3", "9.5:10:3", "numerical failure: ml at z = 9.5: mittag_leffler overflows the "
                             "double range at z=9.5 (alpha=0.3)\n"),
-        ("0.3", "-10:11:8", "numerical failure: ml at z = -10.0: mittag_leffler did not "
-                            "converge within 10000 terms (z=-10.0, alpha=0.3)\n"),
+        # -10 takes the contour: 8 is the first to fail
+        ("0.3", "-10:11:8", "numerical failure: ml at z = 8.0: mittag_leffler overflows the double "
+                            "range at z=8.0 (alpha=0.3)\n"),
         ("0.3", "4:11:8", "numerical failure: ml at z = 8.0: mittag_leffler overflows the double "
                           "range at z=8.0 (alpha=0.3)\n"),
     ])
@@ -888,6 +896,18 @@ def _old_csv(header, rows):
     return "".join(line + "\n" for line in lines)
 
 
+def _assert_same_text(got, want):
+    """``got == want``, reporting the first line that differs: pytest's diff
+    of two tables of 100 KB takes seconds to render, and minutes when
+    hypothesis shrinks through many failing examples."""
+    if got != want:
+        got_lines, want_lines = got.splitlines(keepends=True), want.splitlines(keepends=True)
+        i = next((i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
+                 min(len(got_lines), len(want_lines)))
+        pytest.fail(f"line {i} of {len(got_lines)} (want {len(want_lines)}) differs: "
+                    f"{got_lines[i:i + 1]!r} != {want_lines[i:i + 1]!r}", pytrace=False)
+
+
 EDGE_VALUES = [-0.0, 5e-324, 1e-300, 0.1, 2.0, 1e22, np.float64(1.0) / 3.0, -7.25e-5]
 
 HEADERS = {
@@ -966,7 +986,7 @@ class TestJsonBytes:
         rows = [tuple(JSON_CELLS[(i + j) % n] for j in range(len(header))) for i in range(n_rows)]
         for params in ({}, self.PARAMS):
             got = _emitted("json", command, params, header, rows)
-            assert got == _old_json(command, params, header, rows)
+            _assert_same_text(got, _old_json(command, params, header, rows))
 
 
 @given(rows=st.integers(1, 4).flatmap(
@@ -1040,7 +1060,7 @@ class TestCsvKernel:
     def test_matches_the_per_value_format(self, name, cols):
         table = _tiled(KERNEL_INPUTS[name], cols)
         header = ("x", "value", "closed_form", "residual")[:cols]
-        assert _emitted("csv", "deriv", {}, header, table) == _old_csv(header, table.tolist())
+        _assert_same_text(_emitted("csv", "deriv", {}, header, table), _old_csv(header, table.tolist()))
 
     def test_only_exponent_notation_builds_the_full_power_table(self):
         """A table whose normal cells all lie in [1e-4, 1e17) reads the exact
@@ -1050,10 +1070,10 @@ class TestCsvKernel:
 
         csv17._all_powers.cache_clear()
         fixed = _tiled([0.0, -1e-4, 2.5, 1e17 - 16, math.nan, 5e-324], 2)
-        assert "".join(csv17.csv_rows(fixed)) == rows(fixed)
+        _assert_same_text("".join(csv17.csv_rows(fixed)), rows(fixed))
         assert csv17._all_powers.cache_info().currsize == 0
         mixed = _tiled([2.5, 1e-5], 2)
-        assert "".join(csv17.csv_rows(mixed)) == rows(mixed)
+        _assert_same_text("".join(csv17.csv_rows(mixed)), rows(mixed))
         assert csv17._all_powers.cache_info().currsize == 1
 
     def test_arrays_from_the_cell_threshold_take_the_kernel(self, monkeypatch):
@@ -1082,7 +1102,7 @@ class TestCsvKernel:
         header, *lines = out.splitlines()
         values = [tuple(float(v) for v in line.split(",")) for line in lines]
         assert len(values) == 3001
-        assert out == _old_csv(tuple(header.split(",")), values)
+        _assert_same_text(out, _old_csv(tuple(header.split(",")), values))
 
 
 @pytest.mark.parametrize("problem,solve", [
@@ -1106,11 +1126,11 @@ def test_solve_table_matches_the_report_grid(capsys, monkeypatch, problem, solve
     rows = [(x, a, b, abs(a - b) / abs(b)) for x, a, b in solve().grid]
     argv = ["solve", "--problem", *problem, "--grid", "0:2:1001", "--tol", "1e-10"]
     assert main(argv) == 0
-    assert capsys.readouterr().out == _old_csv(header, rows)
+    _assert_same_text(capsys.readouterr().out, _old_csv(header, rows))
     assert calls == [4004]
     assert main([*argv, "--format", "json"]) == 0
     out = capsys.readouterr().out
-    assert out == _old_json("solve", json.loads(out)["params"], header, rows)
+    _assert_same_text(out, _old_json("solve", json.loads(out)["params"], header, rows))
 
 
 @pytest.mark.parametrize("problem,closed_form", [
@@ -1137,4 +1157,4 @@ def _from_bits(bits):
 def test_the_kernel_matches_the_per_value_bytes(values, cols):
     table = _tiled(values, cols)
     header = ("x", "value", "closed_form", "residual")[:cols]
-    assert _emitted("csv", "deriv", {}, header, table) == _old_csv(header, table.tolist())
+    _assert_same_text(_emitted("csv", "deriv", {}, header, table), _old_csv(header, table.tolist()))

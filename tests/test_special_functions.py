@@ -131,18 +131,22 @@ class TestMittagLeffler:
         assert info.value.index == 0
 
     def test_exhausted_budget(self):
-        # the alternating terms of E_0.3(-10) pass the double range long before they shrink
+        # the series keeps -1 <= z <= 10^alpha, where 10,000 terms run out only
+        # for alpha < 0.004: E_0.001(-0.999) needs about 27,000
         with pytest.raises(ConvergenceError, match="did not converge within 10000 terms"):
-            mittag_leffler(-10.0, 0.3)
+            mittag_leffler(-0.999, 0.001)
+        assert math.isfinite(mittag_leffler(-0.999, 0.004))
+        assert math.isfinite(mittag_leffler(10.0**0.004, 0.004))
 
     def test_config_validation(self):
-        # the budget is 10,000 terms: E_0.05(1.3) takes 5,719 and E_0.05(1.37)
-        # 13,964, and its value (about 8e236) is finite, so that is no overflow
-        assert mittag_leffler(1.3, 0.05) == _scalar_series(1.3, 0.05)[0]
-        with pytest.raises(ConvergenceError) as info:
-            mittag_leffler(np.array([1.3, 1.37]), 0.05)
-        assert info.value.index == 1
-        assert str(info.value) == _scalar_series(1.37, 0.05)[1]
+        # E_0.05(1.3) took 5,719 terms and E_0.05(1.37) ran out of its 10,000;
+        # both lie past 10^0.05 and take the contour, whose value (about 8e236
+        # at 1.37) is finite.  Below 10^0.05 the series keeps its bits.
+        values = mittag_leffler(np.array([1.12, 1.3, 1.37]), 0.05)
+        assert _bits(values).tolist() == _bits([mittag_leffler(1.12, 0.05), mittag_leffler(1.3, 0.05),
+                                                mittag_leffler(1.37, 0.05)]).tolist()
+        assert values[0] == _scalar_series(1.12, 0.05)[0]
+        assert values[2] == pytest.approx(8.167325078039122e236, rel=1e-11)
 
 
 def _scalar_series(z, alpha, tol=1e-12, max_terms=10_000, stop_on_overflow=True):
@@ -170,35 +174,90 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
+def _raises(z, alpha):
+    try:
+        mittag_leffler(z, alpha)
+    except DomainError:
+        return True
+    return False
+
+
+def _series_region(z, alpha):
+    """Where mittag_leffler sums the power series: -1 <= z <= 10^alpha below
+    alpha = 2 (z^(1/alpha) <= 10 for z >= 0, |z|^(1/alpha) <= 1 for z < 0)."""
+    return (z >= -1.0) & (z <= 10.0**alpha) if alpha < 2.0 else np.ones(z.shape, dtype=bool)
+
+
 class TestMittagLefflerArray:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75, 1.0, 1.5, 2.0])
     def test_bit_equal_to_the_scalar_recurrence(self, alpha):
+        # on the series region; E_1 is exp by construction
         z = np.linspace(-10.0, 10.0, 401)
-        reference = [_scalar_series(zi, alpha) for zi in z.tolist()]
-        converged = [i for i, (value, _) in enumerate(reference)
-                     if value is not None and math.isfinite(value)]
-        expected = [reference[i][0] for i in converged]
-        np.testing.assert_array_equal(_bits(mittag_leffler(z[converged], alpha)), _bits(expected))
+        z = z[_series_region(z, alpha)]
+        if alpha == 1.0:
+            expected = [math.exp(zi) for zi in z.tolist()]
+        else:
+            expected = [_scalar_series(zi, alpha)[0] for zi in z.tolist()]
+        np.testing.assert_array_equal(_bits(mittag_leffler(z, alpha)), _bits(expected))
         # each element alone, through the float path
-        for i in converged[::10]:
-            assert _bits(mittag_leffler(float(z[i]), alpha)) == _bits(reference[i][0])
+        for zi, value in list(zip(z.tolist(), expected))[::10]:
+            assert _bits(mittag_leffler(zi, alpha)) == _bits(value)
 
     def test_first_failure_over_the_whole_grid(self):
-        # alpha = 0.3 fails on [-10, -a] and overflows on [b, 10]; the error names the first z
-        z = np.linspace(-10.0, 0.0, 201)
-        failing = [i for i, zi in enumerate(z.tolist()) if _scalar_series(zi, 0.3)[0] is None]
-        with pytest.raises(ConvergenceError) as info:
-            mittag_leffler(z[::-1], 0.3)
-        assert info.value.index == 200 - failing[-1]
-        assert str(info.value) == _scalar_series(float(z[failing[-1]]), 0.3)[1]
-        z = -z[::-1]
-        first = next(i for i, zi in enumerate(z.tolist())
-                     if not math.isfinite(_scalar_series(zi, 0.3)[0] or math.inf))
+        # alpha = 0.3 is finite on [-10, 0] and overflows from z = 708.6^0.3 = 7.16
+        # on; the error names the first overflowing z, in either order
+        z = np.linspace(-10.0, 10.0, 401)
+        first = next(i for i, zi in enumerate(z.tolist()) if _raises(zi, 0.3))
+        assert 7.1 < z[first] < 7.2 and not _raises(float(z[first - 1]), 0.3)
         with pytest.raises(DomainError) as info:
             mittag_leffler(z, 0.3)
         assert info.value.index == first
         assert str(info.value) == (f"mittag_leffler overflows the double range at z={z[first]} "
                                    "(alpha=0.3)")
+        with pytest.raises(DomainError) as info:
+            mittag_leffler(z[::-1], 0.3)
+        assert info.value.index == 0
+        # a budget failure on the series and an overflow on the contour: the first wins
+        with pytest.raises(ConvergenceError) as info:
+            mittag_leffler(np.array([0.5, -0.999, 1.5]), 0.001)
+        assert info.value.index == 1
+        with pytest.raises(DomainError, match="overflows") as info:
+            mittag_leffler(np.array([0.5, 1.5, -0.999]), 0.001)
+        assert info.value.index == 1
+
+    @given(
+        alpha=st.one_of(st.floats(0.05, 2.5), st.sampled_from([0.001, 1.0, 2.0])),
+        z=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=30),
+    )
+    def test_array_has_the_bits_of_each_float_call(self, alpha, z):
+        # series and contour elements alike; an error names the first failing element
+        outcomes = []
+        for zi in z:
+            try:
+                outcomes.append(mittag_leffler(zi, alpha))
+            except (ConvergenceError, DomainError) as exc:
+                outcomes.append(exc)
+        first = next((i for i, v in enumerate(outcomes) if isinstance(v, Exception)), None)
+        if first is None:
+            assert _bits(mittag_leffler(np.array(z), alpha)).tolist() == _bits(outcomes).tolist()
+        else:
+            with pytest.raises(type(outcomes[first])) as info:
+                mittag_leffler(np.array(z), alpha)
+            assert info.value.index == first
+
+    def test_contour_blocks_keep_the_bits_of_each_float_call(self):
+        # more contour elements than one (element, node) block holds
+        z = np.concatenate([np.linspace(-10.0, -1.01, 1500), np.linspace(3.2, 10.0, 1500)])
+        values = mittag_leffler(z, 0.5)
+        assert _bits(values).tolist() == _bits([mittag_leffler(zi, 0.5) for zi in z.tolist()]).tolist()
+
+    @given(alpha=st.floats(0.01, 1.0), x=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=40))
+    def test_completely_monotone_on_the_negative_axis(self, alpha, x):
+        # Pollard (1948): for 0 < alpha <= 1, E_alpha(-x) lies in (0, 1] and does
+        # not increase in x; up to the methods' relative error, 2e-12
+        values = mittag_leffler(-np.sort(x), alpha)
+        assert np.all((values > 0.0) & (values <= 1.0))
+        assert np.all(np.diff(values) <= 2e-12 * values[:-1])
 
     def test_large_array_bit_equal(self):
         # more active elements than _ML_BLOCK_CELLS: the 4-term minimum block
@@ -237,33 +296,36 @@ class TestMittagLefflerArray:
         assert str(info.value) == "mittag_leffler series domain is |z| <= 10, got 10.5"
 
     def test_convergence_error_index(self):
-        # z = -10 fails in the series before z = 11 leaves the domain
+        # z = -0.999 runs out of terms in the series before z = 11 leaves the domain
         with pytest.raises(ConvergenceError) as info:
-            mittag_leffler(np.array([1.0, 2.0, -10.0, 11.0]), 0.3)
+            mittag_leffler(np.array([0.5, 0.9, -0.999, 11.0]), 0.001)
         assert info.value.index == 2
-        assert "(z=-10.0, alpha=0.3)" in str(info.value)
+        assert "(z=-0.999, alpha=0.001)" in str(info.value)
         with pytest.raises(ConvergenceError) as info:
-            mittag_leffler(np.array([0.5, 1.0, -10.0, 9.0]), 0.3)
+            mittag_leffler(np.array([0.5, -5.0, -0.999, -9.0]), 0.001)
         assert info.value.index == 2
-        assert str(info.value) == _scalar_series(-10.0, 0.3)[1]
+        assert str(info.value) == _scalar_series(-0.999, 0.001)[1]
         with pytest.raises(ConvergenceError) as info:
-            mittag_leffler(-10.0, 0.3)
+            mittag_leffler(-0.999, 0.001)
         assert info.value.index is None
 
     @pytest.mark.parametrize("z", [-10.0, -9.5])
     def test_overflow_exit_has_the_full_budget_message(self, z):
-        value, message = _scalar_series(z, 0.3, stop_on_overflow=False)
-        assert value is None
+        # the terms of E_0.3(z) pass the double range before they shrink, so
+        # the series ran its full budget; z < -1 now takes the contour
+        assert _scalar_series(z, 0.3, stop_on_overflow=False)[0] is None
+        value = mittag_leffler(z, 0.3)
+        assert 0.0 < value < 1.0
+        assert _bits(mittag_leffler(np.array([0.0, z]), 0.3)).tolist() == _bits([1.0, value]).tolist()
+        # the message of an exhausted budget is that of the scalar recurrence
+        message = _scalar_series(-0.9995, 0.001)[1]
         with pytest.raises(ConvergenceError) as info:
-            mittag_leffler(z, 0.3)
-        assert str(info.value) == message
-        with pytest.raises(ConvergenceError) as info:
-            mittag_leffler(np.array([0.0, z]), 0.3)
-        assert str(info.value) == message and info.value.index == 1
+            mittag_leffler(np.array([0.0, z, -0.9995]), 0.001)
+        assert str(info.value) == message and info.value.index == 2
 
     def test_total_overflow_is_returned(self):
-        # at 8 the terms stay finite while the sum passes the double range; at 9.5
-        # and 10 a term does.  Either way E_0.3(z), about exp(z^(1/0.3)), overflows.
+        # E_0.3(z), about exp(z^(1/0.3)) / 0.3, passes the double range: the
+        # contour's residue is inf
         for z in (8.0, 9.5, 10.0):
             message = f"mittag_leffler overflows the double range at z={z} (alpha=0.3)"
             with pytest.raises(DomainError) as info:
@@ -272,6 +334,78 @@ class TestMittagLefflerArray:
             with pytest.raises(DomainError) as info:
                 mittag_leffler(np.array([1.0, 2.0, z, -10.0]), 0.3)
             assert str(info.value) == message and info.value.index == 2
+
+
+def _ml_mpmath(alpha, z, mp):
+    """E_alpha(z) from mpmath, for r = |z|^(1/alpha): the series summed in mpf
+    at r/2.3 + 40 digits for r <= 150 (a double alpha k + 1 moves E_0.8(-10)
+    by 8e-7, so alpha k + 1 is formed in mpf); past that the asymptotic
+    expansion, -sum_k z^-k / Gamma(1 - alpha k) plus e^r / alpha for z > 0,
+    whose smallest term, about e^-r, lies far below 1e-40."""
+    r = abs(z) ** (1.0 / alpha)
+    if r <= 150.0:
+        with mp.workdps(int(r / 2.3) + 40):
+            a, zm = mp.mpf(alpha), mp.mpf(z)
+            total, power, k = mp.mpf(0), mp.mpf(1), 0
+            while True:
+                term = power * mp.rgamma(a * k + 1)
+                total += term
+                if a * k > r + 5 and abs(term) < mp.mpf(10) ** -35 * abs(total):
+                    return total
+                power *= zm
+                k += 1
+    with mp.workdps(40):
+        a, zm = mp.mpf(alpha), mp.mpf(z)
+        total = mp.exp(zm ** (1 / a)) / a if z > 0 else mp.mpf(0)
+        small, k = 0, 1
+        while small < 2:  # 1/Gamma(1 - alpha k) is 0 at integer alpha k, never twice running
+            term = zm ** -k * mp.rgamma(1 - a * k)
+            total -= term
+            small = small + 1 if abs(term) < mp.mpf(10) ** -35 * abs(total) else 0
+            k += 1
+        return total
+
+
+def _oracle_error(alpha, z, mp):
+    """|E - oracle| over 1e-11 |oracle|, or over 1e-15 next to a zero of E."""
+    want = _ml_mpmath(alpha, z, mp)
+    error = abs(mittag_leffler(z, alpha) - want)
+    return float(min(error / (1e-11 * abs(want)), error / 1e-15))
+
+
+class TestMittagLefflerOracle:
+    @pytest.mark.parametrize("alpha, z, value", [
+        (0.5, -8.0, 0.06998516620088092),  # e^64 erfc(8)
+        (0.8, -10.0, 0.024902819761976534),
+        (0.05, 1.37, 8.167325078039122e236),
+        (1.01, -6.0, -9.39809605393338e-05),  # next to a zero of E
+    ])
+    def test_named_points(self, alpha, z, value):
+        mp = pytest.importorskip("mpmath")
+        assert float(_ml_mpmath(alpha, z, mp)) == pytest.approx(value, rel=1e-15)
+        assert _oracle_error(alpha, z, mp) <= 1.0
+        if alpha == 0.5:
+            with mp.workdps(40):
+                assert _ml_mpmath(alpha, z, mp) == pytest.approx(mp.exp(z * z) * mp.erfc(-z),
+                                                                 rel=1e-35)
+
+    def test_seeded_sweep(self):
+        # random (alpha, z) over both regions for alpha in [0.05, 2), and the
+        # edges between them (z = -1 and z = 10^alpha, each side)
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(18)
+        worst = []
+        while len(worst) < 60:
+            alpha, z = float(rng.uniform(0.05, 2.0)), float(rng.uniform(-10.0, 10.0))
+            if z > 0 and z ** (1.0 / alpha) > 700.0:
+                continue  # past the double range
+            worst.append((_oracle_error(alpha, z, mp), alpha, z))
+        for alpha in (0.3, 0.7, 1.4):
+            for z in (-1.0, np.nextafter(-1.0, -2.0), 10.0**alpha, np.nextafter(10.0**alpha, 20.0)):
+                if z <= 10.0:
+                    worst.append((_oracle_error(alpha, float(z), mp), alpha, float(z)))
+        worst.sort()
+        assert worst[-1][0] <= 1.0, worst[-1]
 
 
 class TestStretchedExp:
