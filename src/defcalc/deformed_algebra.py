@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _reject
 
 # Deformations closer to classical than this take the exact classical branch.
 CLASSICAL_EPS = 1e-12
@@ -122,27 +122,44 @@ def q_exp(x: float | np.ndarray, q: QParam | float) -> float | np.ndarray:
     return np.array(values).reshape(x.shape) if array else values[0]
 
 
-def q_log(x: float, q: QParam | float) -> float:
-    """q-logarithm (x^(1-q) - 1) / (1 - q), inverse of :func:`q_exp` for x > 0."""
+def q_log(x: float | np.ndarray, q: QParam | float) -> float | np.ndarray:
+    """q-logarithm (x^(1-q) - 1) / (1 - q), inverse of :func:`q_exp` for x > 0,
+    for a float or an array.
+
+    Raises :class:`DomainError` at x <= 0; over an array, its ``index`` is
+    the first such position.  As in :func:`q_exp`, each power or logarithm
+    is taken from Python floats, so every element has the bits of the call
+    on that element alone.
+    """
     qp = _as_q(q)
-    if x <= 0.0:
-        raise DomainError(f"q_log requires x > 0, got {x}")
+    array = isinstance(x, np.ndarray)
+    _reject(x <= 0.0, x, "q_log requires x > 0")
+    xs = x.ravel().tolist() if array else [x]
     if qp.is_classical:
-        return math.log(x)
-    one_minus_q = 1.0 - qp.q
-    return (x**one_minus_q - 1.0) / one_minus_q
+        values = [math.log(v) for v in xs]
+    else:
+        one_minus_q = 1.0 - qp.q
+        values = [(v**one_minus_q - 1.0) / one_minus_q for v in xs]
+    return np.array(values).reshape(x.shape) if array else values[0]
 
 
-def kappa_exp(x: float, kappa: KappaParam | float) -> float:
-    """kappa-exponential (kx + sqrt(1 + k^2 x^2))^(1/k); exp(x) at kappa = 0.
+def kappa_exp(x: float | np.ndarray, kappa: KappaParam | float) -> float | np.ndarray:
+    """kappa-exponential (kx + sqrt(1 + k^2 x^2))^(1/k); exp(x) at kappa = 0,
+    for a float or an array.
 
-    The closed form is even in kappa.
+    The closed form is even in kappa.  Over an array, each element is
+    computed from Python floats, so it has the bits of the call on that
+    element alone.
     """
     kp = _as_kappa(kappa)
+    array = isinstance(x, np.ndarray)
+    xs = x.ravel().tolist() if array else [x]
     if kp.is_classical:
-        return math.exp(x)
-    k = kp.kappa
-    return (k * x + math.sqrt(1.0 + k * k * x * x)) ** (1.0 / k)
+        values = [math.exp(v) for v in xs]
+    else:
+        k = kp.kappa
+        values = [(k * v + math.sqrt(1.0 + k * k * v * v)) ** (1.0 / k) for v in xs]
+    return np.array(values).reshape(x.shape) if array else values[0]
 
 
 def kappa_log(x: float, kappa: KappaParam | float) -> float:

@@ -15,7 +15,8 @@ as an alternating binomial chain anchored at the origin.
 
 Every operator takes x as a float or as a 1-d array; over an array, each
 closed form is one elementwise product prefactor(xs) * f'(xs), and each
-limit form evaluates every probe step as one array.
+limit form evaluates its probe steps as stacks with one row per step, all
+steps in one call of f up to ``_STACK_VALUES`` values.
 
 ``OPERATORS`` describes each operator once: its parameters, its closed and
 quotient forms and the lowest grid x each form accepts.
@@ -133,28 +134,57 @@ DerivativeKind = Union[
 # --- Richardson extrapolation ---------------------------------------------
 
 
-def _richardson(values: Sequence, p: int, r: float = 2.0):
-    # values[i] computed at step base * r^-i (floats, or arrays over a grid,
-    # extrapolated elementwise); error powers p, 2p, 3p, ...
-    vals = list(values)
+def _richardson(values, p: int, r: float = 2.0):
+    # values[i] computed at step base * r^-i: floats, or the rows of a stack
+    # over a grid, extrapolated elementwise with the same arithmetic; error
+    # powers p, 2p, 3p, ...
+    stacked = isinstance(values, np.ndarray)
+    vals = values if stacked else list(values)
     n = len(vals)
     for j in range(1, n):
         factor = r ** (p * j)
+        if stacked:  # every row k >= j at once, from the rows of level j - 1
+            vals[j:] = (factor * vals[j:] - vals[j - 1:-1]) / (factor - 1.0)
+            continue
         for k in range(n - 1, j - 1, -1):
             vals[k] = (factor * vals[k] - vals[k - 1]) / (factor - 1.0)
     return vals[-1]
 
 
-def _limit(quotient: Callable, settings: DiffSettings | None, p: int, cap=None):
+# A stack of probe steps holds at most this many values (64 KiB): over a grid
+# of more than _STACK_VALUES / (levels + 1) points, each call of the quotient
+# takes fewer steps, down to one, which is faster there and keeps the memory
+# of one step at a time.
+_STACK_VALUES = 8192
+
+
+def _limit(quotient: Callable, x, settings: DiffSettings | None, p: int, cap=None):
     """The Richardson limit, error powers p, 2p, ..., of quotient(h) over the
     probe steps h = base 2^-j, j = 0..richardson_levels, where base is
-    base_step, capped at ``cap`` (elementwise over an array) when given."""
+    base_step, capped at ``cap`` (elementwise over an array) when given.
+
+    Over an array of x, quotient takes its steps as a stack with one row per
+    step, all of them in one call unless the stack would pass
+    ``_STACK_VALUES``.  If a call raises, the steps run one at a time, so the
+    error is the one the first failing step raises, as at a float x.
+    """
     s = settings or _DEFAULT_SETTINGS
     base = s.base_step
     if cap is not None:
         base = min(base, cap) if np.ndim(cap) == 0 else np.minimum(base, cap)
+    levels = range(s.richardson_levels + 1)
+    if isinstance(x, np.ndarray) and x.ndim:
+        shrink = np.array([0.5**j for j in levels]).reshape((-1,) + (1,) * x.ndim)
+        rows = max(1, _STACK_VALUES // max(x.size, 1))
+        values = np.empty((len(levels),) + x.shape)
+        try:
+            for j in range(0, len(levels), rows):
+                values[j:j + rows] = quotient(base * shrink[j:j + rows])
+            return _richardson(values, p)
+        except Exception:  # whatever a stack raises, raise what the first failing step raises
+            pass
     try:
-        values = [quotient(base * 0.5**j) for j in range(s.richardson_levels + 1)]
+        values = [quotient(base * 0.5**j) for j in levels]
     except ZeroDivisionError as exc:  # at a float x; over an array the quotient is inf or nan
         raise DomainError("the difference quotient divides by zero: a probe step is lost "
                           "to round-off at this x") from exc
@@ -168,7 +198,7 @@ def classical_derivative(f, x, settings: DiffSettings | None = None):
     available.  Requires f evaluable on [x - base_step, x + base_step].
     """
     f = as_real_function(f)
-    return _limit(lambda h: (f(x + h) - f(x - h)) / (2.0 * h), settings, 2)
+    return _limit(lambda h: (f(x + h) - f(x - h)) / (2.0 * h), x, settings, 2)
 
 
 def _closed_form(f, x, settings: DiffSettings | None, prefactor):
@@ -195,7 +225,7 @@ def q_derivative_quotient(f, x, q: QParam | float, settings: DiffSettings | None
     deformed-difference singularity y = 1/(q-1)."""
     f = as_real_function(f)
     fx = f(x)
-    return _limit(lambda h: (fx - f(x - h)) / q_difference(x, x - h, q), settings, 1)
+    return _limit(lambda h: (fx - f(x - h)) / q_difference(x, x - h, q), x, settings, 1)
 
 
 def hausdorff_derivative(f, x, hp: HausdorffParams, settings: DiffSettings | None = None):
@@ -217,7 +247,7 @@ def hausdorff_quotient(f, x, zeta: float, settings: DiffSettings | None = None):
     _reject(x <= 0.0, x, "hausdorff_quotient requires x > 0")
     fx = f(x)
     xz = x**zeta
-    return _limit(lambda h: (f(x + h) - fx) / ((x + h) ** zeta - xz), settings, 1, x / 4.0)
+    return _limit(lambda h: (f(x + h) - fx) / ((x + h) ** zeta - xz), x, settings, 1, x / 4.0)
 
 
 def kaniadakis_derivative(f, x, kappa: KappaParam | float, settings: DiffSettings | None = None):
@@ -237,7 +267,7 @@ def conformable_derivative(f, t, alpha: float, settings: DiffSettings | None = N
     f = as_real_function(f)
     ft = f(t)
     scale = t ** (1.0 - alpha)
-    return _limit(lambda eps: (f(t + eps * scale) - ft) / eps, settings, 1)
+    return _limit(lambda eps: (f(t + eps * scale) - ft) / eps, t, settings, 1)
 
 
 # --- Grunwald-Letnikov / Jumarie chain ------------------------------------

@@ -511,7 +511,11 @@ def _compile(ast: Expr) -> Callable:
         xs = x.astype(float, copy=False)
         ok = np.ones(xs.shape, dtype=bool)
         with np.errstate(all="ignore"):
-            values = np.array(np.broadcast_to(node(xs, ok), xs.shape), dtype=float)
+            values = node(xs, ok)
+        if values is xs or np.shape(values) != xs.shape:  # x itself, or a constant
+            values = np.full(xs.shape, values)
+        if ok.all():
+            return values
         for i in np.flatnonzero(~ok):
             try:
                 values.flat[i] = evaluate(ast, float(xs.flat[i]))

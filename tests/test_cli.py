@@ -19,6 +19,7 @@ import defcalc
 import defcalc._csv17 as csv17
 import defcalc.cli as cli
 import defcalc.eigen_solvers
+import defcalc.selftest
 from defcalc.cli import ENV_FORMAT, RunConfig, build_parser, main
 from defcalc.derivative_ops import OPERATORS
 from defcalc.function_catalog import BUILTINS
@@ -731,6 +732,57 @@ class TestOutputPolicy:
         assert not path.parent.exists()
 
 
+def _skew_last(rel):
+    """A fault maker: the operation's value times 1 + rel, only in the last
+    element of an array."""
+    def make(original):
+        def skewed(*args, **kwargs):
+            value = original(*args, **kwargs)
+            if not isinstance(value, np.ndarray):
+                return value * (1.0 + rel)
+            value = value.copy()
+            value.flat[-1] *= 1.0 + rel
+            return value
+        return skewed
+    return make
+
+
+# One fault per selftest check, in the order of CHECKS: the check's name, and
+# the module attribute through which it calls the operation the fault skews
+SELFTEST_FAULTS = [
+    pytest.param("q-exponential/logarithm round-trip", "deformed_algebra", "q_log",
+                 _skew_last(1e-6), id="q_round_trip"),
+    pytest.param("deformed sum/difference inverse", "deformed_algebra", "q_difference",
+                 _skew_last(1e-9), id="q_sum_difference"),
+    pytest.param("q eigen-equation ODE residual", "eigen_solvers", "q_exp",
+                 _skew_last(1e-4), id="q_eigen_ode"),
+    pytest.param("hausdorff eigen-equation ODE residual", "eigen_solvers", "balankin_exp",
+                 _skew_last(1e-4), id="hausdorff_eigen_ode"),
+    pytest.param("fractional eigen-equation GL residual", "eigen_solvers",
+                 "gl_jumarie_derivative", _skew_last(0.2), id="fractional_eigen"),
+    pytest.param("closed-form eigenfunction identities", "derivative_ops",
+                 "conformable_derivative", _skew_last(1e-5), id="eigenfunctions"),
+    pytest.param("classical reductions", "derivative_ops", "kaniadakis_derivative",
+                 _skew_last(1e-7), id="classical_reductions"),
+    pytest.param("mittag-leffler identities", "special_functions", "mittag_leffler",
+                 _skew_last(1e-9), id="mittag_leffler"),
+    pytest.param("mapping round-trip and limits", "mappings", "zeta_from_q",
+                 lambda original: lambda q, l0: original(q + 1e-9, l0), id="mapping"),
+    pytest.param("first-order agreement bound", "mappings", "first_order_agreement",
+                 lambda original: lambda hp, x: original(hp, x)._replace(
+                     residual=2.0 * original(hp, x).residual), id="first_order"),
+    pytest.param("GL sum vs power rule", "derivative_ops", "gl_jumarie_derivative",
+                 _skew_last(0.1), id="gl_power_rule"),
+    pytest.param("yang/hausdorff dilatation ratio", "mappings", "yang_lfd",
+                 _skew_last(1e-9), id="yang_ratio"),
+    pytest.param("conformable/hausdorff chain-rule constant", "mappings",
+                 "conformable_derivative", _skew_last(1e-6), id="conformable_hausdorff"),
+    pytest.param("kappa expansion parity", "deformed_algebra", "kappa_exp",
+                 lambda original: lambda x, kappa: original(x, kappa) * (
+                     1.0 + 1e-9 * (kappa > 0.0)), id="kappa_parity"),
+]
+
+
 class TestSelftest:
     def test_fresh_build_passes_within_budget(self, capsys):
         started = time.time()
@@ -740,15 +792,19 @@ class TestSelftest:
         assert "0 failed" in out
         assert elapsed < 10.0
 
-    def test_injected_fault_is_detected(self, capsys, monkeypatch):
-        # skew the closed form the q eigen check compares against
-        original = defcalc.eigen_solvers.q_exp
-        monkeypatch.setattr(
-            defcalc.eigen_solvers, "q_exp", lambda x, q: original(x, q) * (1.0 + 1e-4)
-        )
+    @pytest.mark.parametrize("check,module,attr,fault", SELFTEST_FAULTS)
+    def test_injected_fault_is_detected(self, capsys, monkeypatch, check, module, attr, fault):
+        # each check sees a skew of the operation it covers, made through the
+        # module attribute it calls; a skew of an array touches its last element only
+        holder = getattr(defcalc, module)
+        monkeypatch.setattr(holder, attr, fault(getattr(holder, attr)))
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 1
-        assert "FAIL" in out
+        assert f"FAIL {check} (" in out
+
+    def test_the_fault_table_covers_every_check(self):
+        names = [name for name, _ in defcalc.selftest.CHECKS]
+        assert [p.values[0] for p in SELFTEST_FAULTS] == names
 
 
 def test_module_entry_point():

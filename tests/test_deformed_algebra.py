@@ -142,6 +142,33 @@ class TestQLog:
         with pytest.raises(DomainError):
             q_log(-1.0, 1.0)
 
+    @given(
+        x=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40),
+        q=st.one_of(
+            st.floats(-2.0, 3.0),
+            st.floats(-1e-11, 1e-11).map(lambda d: 1.0 + d),  # either side of CLASSICAL_EPS
+            st.just(1.0),
+        ),
+    )
+    def test_array_has_the_bits_of_each_point(self, x, q):
+        want = np.array([q_log(v, q) for v in x])
+        got = q_log(np.array(x), q)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert q_log(np.array(x).reshape(-1, 1), q).shape == (len(x), 1)
+
+    def test_classical_branch_over_an_array(self):
+        xs = [1.0, math.e, 0.25]
+        assert q_log(np.array(xs), 1.0).tolist() == [math.log(v) for v in xs]
+
+    @pytest.mark.parametrize("q", [0.5, 1.0])
+    def test_array_domain_error_names_the_first_x_at_or_below_zero(self, q):
+        with pytest.raises(DomainError, match=r"q_log requires x > 0, got 0\.0$") as err:
+            q_log(np.array([1.0, 2.0, 0.0, -1.0]), q)
+        assert err.value.index == 2
+        with pytest.raises(DomainError, match=r"got -1\.0$") as err:
+            q_log(-1.0, q)
+        assert err.value.index is None
+
     def test_round_trip_grid(self):
         for q in Q_VALUES:
             for x in np.linspace(-0.5, 2.0, 26):
@@ -178,6 +205,24 @@ class TestKappaExp:
 
     def test_accepts_kappaparam(self):
         assert kappa_exp(1.0, KappaParam(0.5)) == kappa_exp(1.0, 0.5)
+
+    @given(
+        x=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=40),
+        kappa=st.one_of(
+            st.floats(-1.5, 1.5),
+            st.floats(-1e-11, 1e-11),  # either side of CLASSICAL_EPS
+            st.just(0.0),
+        ),
+    )
+    def test_array_has_the_bits_of_each_point(self, x, kappa):
+        want = np.array([kappa_exp(v, kappa) for v in x])
+        got = kappa_exp(np.array(x), kappa)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert kappa_exp(np.array(x).reshape(-1, 1), kappa).shape == (len(x), 1)
+
+    def test_classical_branch_over_an_array(self):
+        xs = [0.0, 1.0, -2.5]
+        assert kappa_exp(np.array(xs), 0.0).tolist() == [math.exp(v) for v in xs]
 
 
 class TestKappaLog:

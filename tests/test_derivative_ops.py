@@ -33,8 +33,10 @@ from defcalc import (
     rl_power_rule,
     yang_lfd,
 )
-from defcalc import derivative_ops
+from defcalc import DefcalcError, derivative_ops, q_difference
 from defcalc.derivative_ops import _lattice_point, gl_weights
+from defcalc.function_catalog import to_source
+from exprgen import SAMPLE_POINTS, generate
 from gl_reference import gl_chain_by_chain
 
 EPS = float(np.finfo(float).eps)
@@ -659,3 +661,174 @@ class TestOperatorsOverArrays:
         with pytest.raises(DomainError, match=r"got -1\.0$") as err:
             op("x", np.array([0.5, 1.0, -1.0, 2.0, -3.0]), *args)
         assert err.value.index == 2
+
+
+def _per_step_limit(quotient, p, settings, cap=None):
+    """The Richardson limit with one quotient call per probe step h = base 2^-j,
+    and the tableau run one level and one entry at a time."""
+    base = settings.base_step if cap is None else np.minimum(settings.base_step, cap)
+    values = [quotient(base * 0.5**j) for j in range(settings.richardson_levels + 1)]
+    for j in range(1, len(values)):
+        factor = 2.0 ** (p * j)
+        for k in range(len(values) - 1, j - 1, -1):
+            values[k] = (factor * values[k] - values[k - 1]) / (factor - 1.0)
+    return values[-1]
+
+
+def _per_step_form(form, f, x, param, settings):
+    """The four limit forms, each probe step its own call of f."""
+    f = RealFunction.from_expression(f) if isinstance(f, str) else f
+    if form == "classical":
+        return _per_step_limit(lambda h: (f(x + h) - f(x - h)) / (2.0 * h), 2, settings)
+    fx = f(x)
+    if form == "q":
+        return _per_step_limit(lambda h: (fx - f(x - h)) / q_difference(x, x - h, param), 1,
+                               settings)
+    if form == "hausdorff":
+        xz = x**param
+        return _per_step_limit(lambda h: (f(x + h) - fx) / ((x + h) ** param - xz), 1,
+                               settings, x / 4.0)
+    scale = x ** (1.0 - param)
+    return _per_step_limit(lambda eps: (f(x + eps * scale) - fx) / eps, 1, settings)
+
+
+LIMIT_FORMS = {
+    "classical": lambda f, x, param, s: classical_derivative(f, x, s),
+    "q": q_derivative_quotient,
+    "hausdorff": hausdorff_quotient,
+    "conformable": conformable_derivative,
+}
+
+
+def _outcome(call):
+    """(values, None) or (None, (type, message, index)) of the error raised."""
+    try:
+        return call(), None
+    except DefcalcError as exc:
+        return None, (type(exc), str(exc), exc.index)
+
+
+def _assert_same_outcome(form, f, x, param, settings=DiffSettings()):
+    got, got_err = _outcome(lambda: LIMIT_FORMS[form](f, x, param, settings))
+    want, want_err = _outcome(lambda: _per_step_form(form, f, x, param, settings))
+    assert got_err == want_err
+    if want_err is None:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    return want_err
+
+
+class TestStackedLimit:
+    """Over an array of x, a limit form takes all its probe steps in one call
+    of its quotient; the values and errors are those of one call per step."""
+
+    PARAMS = {"classical": None, "q": 0.6, "hausdorff": 0.6, "conformable": 0.6}
+    # the generated trees are safe within 0.013 of each sample point
+    NEAR_SAMPLES = (np.array(SAMPLE_POINTS)[:, None] + np.linspace(-3e-3, 3e-3, 5)).ravel()
+
+    @pytest.fixture(params=[derivative_ops._STACK_VALUES, 60, 4],
+                    ids=["one_stack", "some_steps_per_stack", "one_step_per_stack"])
+    def stack_values(self, request, monkeypatch):
+        """All steps in one stack, a few per stack, or one per stack."""
+        monkeypatch.setattr(derivative_ops, "_STACK_VALUES", request.param)
+
+    @pytest.mark.parametrize("form", LIMIT_FORMS)
+    def test_bit_equal_on_generated_trees(self, form, stack_values):
+        for ast, _ in generate(25, seed=5):
+            f = RealFunction.from_expression(to_source(ast))
+            _assert_same_outcome(form, f, self.NEAR_SAMPLES, self.PARAMS[form])
+
+    @pytest.mark.parametrize("levels", [1, 6])
+    @pytest.mark.parametrize("form", LIMIT_FORMS)
+    def test_bit_equal_for_a_scalar_only_callable(self, form, levels, stack_values):
+        f = RealFunction(value=lambda t: math.exp(math.sin(t)) + math.sqrt(t))
+        xs = np.linspace(0.2, 2.0, 19)
+        settings = DiffSettings(richardson_levels=levels)
+        assert _assert_same_outcome(form, f, xs, self.PARAMS[form], settings) is None
+
+    @pytest.mark.parametrize("f", [
+        "sin(x)*exp(x)", "x^2.5 + sqrt(x)", RealFunction(value=lambda t: math.cos(t) * t**1.5),
+    ], ids=["sin_exp", "powers", "scalar_only"])
+    def test_hausdorff_steps_below_and_above_the_cap(self, f, stack_values):
+        # x/4 caps the steps below x = 4 base_step: per-element steps in the stack
+        xs = np.geomspace(1e-4, 2.0, 40)
+        assert (xs < 4 * 1e-2).any() and (xs > 4 * 1e-2).any()
+        for zeta in (0.3, 0.6, 1.0):
+            assert _assert_same_outcome("hausdorff", f, xs, zeta) is None
+
+    def test_two_dimensional_grid(self):
+        xs = np.linspace(0.2, 2.0, 12).reshape(3, 4)
+        for form in LIMIT_FORMS:
+            got = LIMIT_FORMS[form]("sin(x)*exp(x)", xs, self.PARAMS[form], None)
+            rows = [LIMIT_FORMS[form]("sin(x)*exp(x)", row, self.PARAMS[form], None) for row in xs]
+            assert got.shape == xs.shape and np.array_equal(got, np.array(rows))
+
+    @pytest.mark.parametrize("form,f,xs,param,settings,error", [
+        # ln's argument x - h reaches 0 and below in the first probe step
+        pytest.param("classical", "ln(x)", [0.5, 0.02, 0.005, 0.004, 1.0], None,
+                     DiffSettings(), EvaluationError, id="ln_near_0"),
+        # q = 2 puts the singular line at y = 1: x = 1.125 meets it at the third step,
+        # x = 1.5 at the first, so the per-step path names x = 1.5
+        pytest.param("q", "x^2", [0.5, 1.125, 1.5], 2.0, DiffSettings(base_step=0.5),
+                     DomainError, id="q_singular_line"),
+        pytest.param("q", "x^2", [0.5, 1.125, 1.3], 2.0, DiffSettings(base_step=0.5),
+                     DomainError, id="q_singular_line_late_step"),
+        # a sampled f is scalar-only; the probes of t near 1 leave [0, 1]
+        pytest.param("conformable", RealFunction.from_samples(np.linspace(0.0, 1.0, 11),
+                                                              np.linspace(0.0, 1.0, 11) ** 2),
+                     [0.5, 0.98, 0.999], 0.5, DiffSettings(), EvaluationError,
+                     id="samples_out_of_range"),
+    ])
+    def test_failing_probe_raises_what_the_first_failing_step_raises(
+            self, form, f, xs, param, settings, error, stack_values):
+        err = _assert_same_outcome(form, f, np.array(xs), param, settings)
+        assert err is not None and err[0] is error and err[2] is not None
+
+    def test_late_step_failure_names_its_grid_position(self):
+        with pytest.raises(DomainError) as err:
+            q_derivative_quotient("x^2", np.array([0.5, 1.125, 1.3]), 2.0,
+                                  DiffSettings(base_step=0.5))
+        assert err.value.index == 1
+
+    @pytest.mark.parametrize("levels", [1, 4, 6])
+    @pytest.mark.parametrize("form", LIMIT_FORMS)
+    def test_one_call_of_f_per_probe_stack(self, form, levels):
+        shapes = []
+
+        def f(t):
+            shapes.append(np.shape(t))
+            return np.sin(t)
+
+        xs = np.linspace(0.2, 2.0, 7)
+        LIMIT_FORMS[form](RealFunction(value=f), xs, self.PARAMS[form],
+                          DiffSettings(richardson_levels=levels))
+        stack = (levels + 1, xs.size)
+        # the classical form calls f once for each side; the others once at x
+        # and once on the stack
+        want = [stack, stack] if form == "classical" else [xs.shape, stack]
+        assert shapes == want
+
+    def test_a_large_stack_is_split_by_steps(self, monkeypatch):
+        # 7 steps of 7 points in stacks of at most 21 values: 3 + 3 + 1 steps
+        monkeypatch.setattr(derivative_ops, "_STACK_VALUES", 21)
+        shapes = []
+
+        def f(t):
+            shapes.append(np.shape(t))
+            return np.sin(t)
+
+        xs = np.linspace(0.2, 2.0, 7)
+        settings = DiffSettings(richardson_levels=6)
+        got = conformable_derivative(RealFunction(value=f), xs, 0.5, settings)
+        assert shapes == [(7,), (3, 7), (3, 7), (1, 7)]
+        want = _per_step_form("conformable", RealFunction(value=np.sin), xs, 0.5, settings)
+        assert got.tobytes() == want.tobytes()
+
+    def test_float_x_keeps_one_call_per_step(self):
+        shapes = []
+
+        def f(t):
+            shapes.append(np.shape(t))
+            return math.sin(t)
+
+        conformable_derivative(RealFunction(value=f), 1.3, 0.5)
+        assert shapes == [()] * 6

@@ -385,6 +385,23 @@ class TestCompiledAgreement:
         assert np.array_equal(f(xs), np.full(5, 2.0))
         assert np.array_equal(f.derivative_at(xs), np.zeros(5))
 
+    def test_identity_returns_a_new_array(self):
+        f = RealFunction.from_expression("x")
+        xs = np.linspace(0.0, 1.0, 5)
+        values = f(xs)
+        assert np.array_equal(values, xs) and not np.shares_memory(values, xs)
+        values[0] = 9.0
+        assert xs[0] == 0.0
+
+    def test_two_dimensional_grid_is_elementwise(self):
+        # the limit forms pass a stack of probe rows
+        f = RealFunction.from_expression("sin(x)*exp(x) + ln(x)")
+        xs = np.linspace(0.2, 2.0, 12).reshape(3, 4)
+        assert np.array_equal(f(xs), np.array([f(row) for row in xs]))
+        with pytest.raises(EvaluationError) as err:
+            f(np.array([[0.5, 1.0], [-1.0, 2.0]]))
+        assert err.value.index == 2
+
     def test_scalar_only_callable_is_applied_point_by_point(self):
         f = RealFunction.from_callable(math.sin, df=math.cos)
         xs = np.linspace(0.0, 1.0, 7)
