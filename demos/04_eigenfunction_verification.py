@@ -36,5 +36,5 @@ print()
 report = solve_q_eigen(2.0, (0.0, 0.9), 21, tol=1e-10)
 print("sample rows (q=2, solution 1/(1-x), domain stops before the pole):")
 print(f"{'x':>6} {'integrated':>14} {'closed form':>14}")
-for x, y_num, y_closed in report.grid[::5]:
+for x, y_num, y_closed in report.table[::5, :3].tolist():
     print(f"{x:6.3f} {y_num:14.9f} {y_closed:14.9f}")

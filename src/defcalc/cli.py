@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import math
 import os
@@ -106,21 +105,18 @@ _KERNEL_CELLS = 1024
 
 
 def _emit(config: RunConfig, params: dict, header: tuple[str, ...], rows, out) -> None:
-    """Write the table; ``rows`` holds one float per header column in each
-    row, as row tuples or as a 2-D float array.
+    """Write the table; ``rows`` is a 2-D float array with one column per
+    header name.
 
     Each format fills a template of the whole table in one ``%`` call, with
     the bytes of ``json.dumps(payload, indent=2)`` or of ``f"{v:.17g}"``; the
-    CSV of a large array comes from ``csv_rows``, with the same bytes."""
-    if isinstance(rows, np.ndarray):
-        if config.output_format == "csv" and rows.size >= _KERNEL_CELLS:
-            out.write(",".join(header) + "\n")
-            for text in csv_rows(rows):
-                out.write(text)
-            return
-        cells = tuple(rows.ravel().tolist())
-    else:
-        cells = tuple(itertools.chain.from_iterable(rows))
+    CSV of a large table comes from ``csv_rows``, with the same bytes."""
+    if config.output_format == "csv" and rows.size >= _KERNEL_CELLS:
+        out.write(",".join(header) + "\n")
+        for text in csv_rows(rows):
+            out.write(text)
+        return
+    cells = tuple(rows.ravel().tolist())
     if config.output_format == "json":
         # any indent makes json run its pure-Python encoder, so only the head
         # goes through it; the floats come from its C encoder, with the same
@@ -229,9 +225,8 @@ def _run_grid(compute: Callable, xs: np.ndarray, where: str, overflow: str):
     (``where`` names it) or holds a non-finite value.
 
     An error need not name the first failing x: the probe arrays of a limit
-    form run one after another, and the Mittag-Leffler series reports a
-    non-convergence before an out-of-domain z.  So the part of the grid before
-    a failure runs again until it passes; a non-finite value there comes first.
+    form run one after another.  So the part of the grid before a failure runs
+    again until it passes; a non-finite value there comes before the error.
     """
     failure, end, values = None, xs.size, xs[:0]
     while end > 0:
@@ -303,8 +298,8 @@ def _run_map(config: RunConfig):
         result = q_from_zeta(_from_options(HausdorffParams, opt, "map"))
     else:
         result = zeta_from_q(opt["q"], _given(opt, "l0", 1.0))
-    rows = [(result.q, result.zeta, result.l0, result.first_order_residual_bound)]
-    return ("q", "zeta", "l0", "first_order_residual_bound"), rows
+    row = [result.q, result.zeta, result.l0, result.first_order_residual_bound]
+    return ("q", "zeta", "l0", "first_order_residual_bound"), np.array([row])
 
 
 def _run_expand(config: RunConfig):
@@ -317,7 +312,8 @@ def _run_expand(config: RunConfig):
                                                opt["order"])
     else:
         expansion = kappa_expansion(_from_options(KappaParam, opt, "expand"), opt["order"])
-    return ("x", "value"), [(float(k), c) for k, c in enumerate(expansion.coefficients)]
+    c = expansion.coefficients
+    return ("x", "value"), np.column_stack((np.arange(len(c), dtype=float), c))
 
 
 def _run_ml(config: RunConfig):

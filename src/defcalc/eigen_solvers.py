@@ -41,7 +41,6 @@ class EigenReport:
 
     max_rel_residual: float
     rms_rel_residual: float
-    grid: tuple[tuple[float, float, float], ...]  # (x, y_numeric, y_closed_form)
     table: np.ndarray = field(repr=False, compare=False)
 
 
@@ -51,7 +50,6 @@ def _make_report(xs: Sequence[float], numeric: Sequence[float], closed: Sequence
     return EigenReport(
         max_rel_residual=float(np.max(res)),
         rms_rel_residual=float(math.sqrt(np.mean(res**2))),
-        grid=tuple(zip(xs.tolist(), numeric.tolist(), closed.tolist())),
         table=np.column_stack((xs, numeric, closed, res)),
     )
 

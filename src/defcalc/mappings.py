@@ -15,6 +15,7 @@ conformable/Yang identifications with the Hausdorff form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,8 +66,8 @@ class SeriesExpansion:
 
 @dataclass(frozen=True)
 class MappingResult:
-    """A (q, zeta, l0) triple on the bridge 1 - q = (1 - zeta)/l0, with the
-    magnitude of the second-order expansion coefficient as residual bound."""
+    """A finite (q, zeta, l0) triple on the bridge 1 - q = (1 - zeta)/l0, with
+    the magnitude of the second-order expansion coefficient as residual bound."""
 
     q: float
     zeta: float
@@ -74,6 +75,9 @@ class MappingResult:
     first_order_residual_bound: float
 
     def __post_init__(self):
+        for name in ("q", "zeta", "l0", "first_order_residual_bound"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if abs((1.0 - self.q) - (1.0 - self.zeta) / self.l0) > 1e-14 * max(
             1.0, abs(1.0 - self.q)
         ):
@@ -81,7 +85,17 @@ class MappingResult:
 
 
 def _second_order_bound(zeta: float, l0: float) -> float:
-    return abs((1.0 - zeta) * zeta) / (2.0 * l0 * l0)
+    c, den = abs((1.0 - zeta) * zeta), 2.0 * l0 * l0
+    # a subnormal 2 l0^2 loses digits or is 0: divide by l0 twice (inf past the range)
+    return c / den if den >= sys.float_info.min else c / (2.0 * l0) / l0
+
+
+def _scaled(c: float, base: float, power: int) -> float:
+    """c * base**power; a signed inf (c if 0) where Python's ** overflows."""
+    try:
+        return c * base**power
+    except OverflowError:
+        return c * math.inf if c else c
 
 
 def expand_hausdorff_prefactor(hp: HausdorffParams, order: int) -> SeriesExpansion:
@@ -91,7 +105,7 @@ def expand_hausdorff_prefactor(hp: HausdorffParams, order: int) -> SeriesExpansi
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    coeffs = tuple(gen_binomial(1.0 - hp.zeta, k) * hp.l0 ** (-k) for k in range(order + 1))
+    coeffs = tuple(_scaled(gen_binomial(1.0 - hp.zeta, k), hp.l0, -k) for k in range(order + 1))
     return SeriesExpansion(coeffs)
 
 
@@ -137,7 +151,7 @@ def kappa_expansion(kappa, order: int) -> SeriesExpansion:
     k = _as_kappa(kappa).kappa
     coeffs = [0.0] * (order + 1)
     for m in range(order // 2 + 1):
-        coeffs[2 * m] = gen_binomial(0.5, m) * k ** (2 * m)
+        coeffs[2 * m] = _scaled(gen_binomial(0.5, m), k, 2 * m)
     return SeriesExpansion(tuple(coeffs))
 
 

@@ -29,24 +29,26 @@ CORPUS = (
 
 
 def _check_q_round_trip():
-    worst = 0.0
+    errors = []
     x = np.linspace(-0.5, 2.0, 26)
     for q in (0.3, 0.5, 0.7, 1.0, 1.3):
         xs = x[~(1.0 + (1.0 - q) * x <= 0.01)]
         back = deformed_algebra.q_log(deformed_algebra.q_exp(xs, q), q)
-        worst = max(worst, _worst(abs(back - xs)))
+        errors.append(abs(back - xs))
+    worst = _worst(*errors)
     return worst <= 1e-10, f"max |q_log(q_exp(x)) - x| = {worst:.3e}"
 
 
 def _check_q_sum_difference():
-    worst = 0.0
+    errors = []
     x, y = np.meshgrid(np.linspace(-2.0, 2.0, 20), np.linspace(-2.0, 2.0, 20), indexing="ij")
     for q in (0.3, 0.7, 1.3):
         keep = ~(abs(1.0 + (1.0 - q) * y) < 0.05)
         xs, ys = x[keep], y[keep]
         s = deformed_algebra.q_sum(xs, ys, q)
         back = deformed_algebra.q_difference(s, ys, q)
-        worst = max(worst, float(np.max(abs(back - xs) / np.maximum(abs(xs), 1e-30))))
+        errors.append(abs(back - xs) / np.maximum(abs(xs), 1e-30))
+    worst = _worst(*errors)
     return worst <= 1e-12, f"max relative round-trip error = {worst:.3e}"
 
 
@@ -65,15 +67,15 @@ def _check_fractional_eigen():
     return report.max_rel_residual <= 5e-2, f"max residual = {report.max_rel_residual:.3e}"
 
 
-def _worst(errors) -> float:
-    """The largest of the array ``errors``, inf if one is NaN (Python's max
-    would drop a NaN)."""
-    worst = float(np.max(errors, initial=0.0))
+def _worst(*errors) -> float:
+    """The largest value in ``errors`` (arrays or floats), inf if one is NaN
+    (Python's max would drop a NaN)."""
+    worst = float(np.max(np.concatenate([np.ravel(e) for e in errors]), initial=0.0))
     return math.inf if math.isnan(worst) else worst
 
 
-def _worst_relative(values, expected) -> float:
-    return _worst(abs(values - expected) / abs(expected))
+def _relative(values, expected):
+    return abs(values - expected) / abs(expected)
 
 
 def _check_eigenfunctions():
@@ -83,37 +85,34 @@ def _check_eigenfunctions():
         value=lambda x: deformed_algebra.q_exp(x, q),
         derivative=lambda x: np.array([v**q for v in deformed_algebra.q_exp(x, q).tolist()]),
     )
-    expected = deformed_algebra.q_exp(x, q)
-    worst = _worst_relative(derivative_ops.q_derivative(fq, x, q), expected)
+    errors = [_relative(derivative_ops.q_derivative(fq, x, q), deformed_algebra.q_exp(x, q))]
     kappa = 0.5
     fk = RealFunction(
         value=lambda x: deformed_algebra.kappa_exp(x, kappa),
         derivative=lambda x: deformed_algebra.kappa_exp(x, kappa)
         / np.sqrt(1.0 + kappa * kappa * x * x),
     )
-    expected = deformed_algebra.kappa_exp(x, kappa)
     value = derivative_ops.kaniadakis_derivative(fk, x, kappa)
-    worst = max(worst, _worst_relative(value, expected))
+    errors.append(_relative(value, deformed_algebra.kappa_exp(x, kappa)))
     hp = HausdorffParams(0.4, 1.0)
     fh = RealFunction(
         value=lambda x: special_functions.balankin_exp(x, hp),
         derivative=lambda x: (x / hp.l0 + 1.0) ** (hp.zeta - 1.0)
         * special_functions.balankin_exp(x, hp),
     )
-    expected = special_functions.balankin_exp(x, hp)
     value = derivative_ops.hausdorff_derivative(fh, x, hp)
-    worst = max(worst, _worst_relative(value, expected))
+    errors.append(_relative(value, special_functions.balankin_exp(x, hp)))
     alpha = 0.5
     fc = RealFunction(value=lambda t: math.exp(t**alpha / alpha))
     t = np.linspace(0.2, 2.0, 41)
     expected = np.array([fc.value(v) for v in t.tolist()])
-    value = derivative_ops.conformable_derivative(fc, t, alpha)
-    worst = max(worst, _worst_relative(value, expected))
+    errors.append(_relative(derivative_ops.conformable_derivative(fc, t, alpha), expected))
+    worst = _worst(*errors)
     return worst <= 1e-6, f"max eigen residual = {worst:.3e}"
 
 
 def _check_classical_reductions():
-    worst = 0.0
+    errors = []
     grid = np.linspace(0.1, 2.1, 11)
     for f in CORPUS:
         reference = derivative_ops.classical_derivative(f, grid)
@@ -123,29 +122,30 @@ def _check_classical_reductions():
             derivative_ops.hausdorff_derivative(f, grid, HausdorffParams(1.0, 1.0)),
             derivative_ops.conformable_derivative(f, grid, 1.0),
         ):
-            worst = max(worst, _worst_relative(value, reference))
+            errors.append(_relative(value, reference))
+    worst = _worst(*errors)
     return worst <= 1e-8, f"max reduction mismatch = {worst:.3e}"
 
 
 def _check_mittag_leffler():
     # E_1/2(-x) = e^(x^2) erfc(x) on the contour (z < -1), E_2(x^2) = cosh x on the series
-    xs = np.linspace(1.5, 10.0, 18).tolist()
-    values = special_functions.mittag_leffler(-np.array(xs), 0.5).tolist()
-    exact = [math.exp(x * x) * math.erfc(x) for x in xs]
-    worst = max(abs(v - e) / e for e, v in zip(exact, values))
+    xs = np.linspace(1.5, 10.0, 18)
+    exact = np.array([math.exp(x * x) * math.erfc(x) for x in xs.tolist()])
+    worst = _worst(_relative(special_functions.mittag_leffler(-xs, 0.5), exact))
     xs = np.linspace(0.0, 2.0, 21).tolist()
-    values = special_functions.mittag_leffler(np.array([x**2 for x in xs]), 2.0).tolist()
-    worst2 = max(abs(v - math.cosh(x)) / math.cosh(x) for x, v in zip(xs, values))
+    exact = np.array([math.cosh(x) for x in xs])
+    values = special_functions.mittag_leffler(np.array([x**2 for x in xs]), 2.0)
+    worst2 = _worst(_relative(values, exact))
     return worst <= 1e-11 and worst2 <= 1e-8, f"E1/2 error {worst:.3e}, E2 error {worst2:.3e}"
 
 
 def _check_mapping():
     rng = np.random.default_rng(20240827)
-    worst = 0.0
+    errors = []
     for zeta, l0 in rng.uniform((-1.0, 0.1), (1.5, 10.0), (100, 2)).tolist():
         q = mappings.q_from_zeta(HausdorffParams(zeta, l0)).q
-        back = mappings.zeta_from_q(q, l0).zeta
-        worst = max(worst, abs(back - zeta))
+        errors.append(abs(mappings.zeta_from_q(q, l0).zeta - zeta))
+    worst = _worst(errors)
     limits_ok = (
         mappings.q_from_zeta(HausdorffParams(1.0, 1.0)).q == 1.0
         and mappings.zeta_from_q(0.0, 1.0).zeta == 0.0
@@ -155,46 +155,40 @@ def _check_mapping():
 
 
 def _check_first_order():
-    worst_ratio = 0.0
+    ratios = []
     for zeta, l0 in ((0.3, 0.5), (0.5, 1.0), (0.8, 2.0)):
         hp = HausdorffParams(zeta, l0)
         bound_coeff = abs((1.0 - zeta) * zeta) / (2.0 * l0 * l0)
         for x in np.linspace(1e-4 * l0, 0.01 * l0, 9):
-            agreement = mappings.first_order_agreement(hp, float(x))
             bound = 1.1 * bound_coeff * x * x
-            worst_ratio = max(worst_ratio, agreement.residual / bound)
+            ratios.append(mappings.first_order_agreement(hp, float(x)).residual / bound)
+    worst_ratio = _worst(ratios)
     return worst_ratio <= 1.0, f"worst residual/bound = {worst_ratio:.3f}"
 
 
 def _check_gl_power_rule():
-    worst = 0.0
+    errors = []
     for g in (1.0, 2.0):
         f = RealFunction(value=lambda t, g=g: t**g)
         value = derivative_ops.gl_jumarie_derivative(f, 1.0, 0.5, 1e-4)
-        exact = derivative_ops.rl_power_rule(g, 0.5, 1.0)
-        worst = max(worst, abs(value - exact) / abs(exact))
+        errors.append(_relative(value, derivative_ops.rl_power_rule(g, 0.5, 1.0)))
+    worst = _worst(errors)
     return worst <= 1e-2, f"max relative error = {worst:.3e}"
 
 
 def _check_yang_ratio():
     alpha = 0.5
     expected = special_functions.gamma(alpha + 1.0)
-    worst = 0.0
-    for f in CORPUS:
-        for x in (0.3, 0.9, 1.4):
-            ratio = mappings.yang_hausdorff_check(alpha, HausdorffParams(alpha, 1.0), f, x)
-            worst = max(worst, abs(ratio - expected) / expected)
+    ratios = [mappings.yang_hausdorff_check(alpha, HausdorffParams(alpha, 1.0), f, x)
+              for f in CORPUS for x in (0.3, 0.9, 1.4)]
+    worst = _worst(_relative(np.array(ratios), expected))
     return worst <= 1e-10, f"max |ratio - Gamma(1.5)|/Gamma(1.5) = {worst:.3e}"
 
 
 def _check_conformable_hausdorff():
-    worst = 0.0
-    for alpha in (0.5, 0.8):
-        for l0 in (1.0, 2.0):
-            for f in CORPUS:
-                for x in (0.3, 1.0, 1.7):
-                    result = mappings.conformable_hausdorff_check(alpha, l0, f, x)
-                    worst = max(worst, result.rel_diff)
+    worst = _worst([mappings.conformable_hausdorff_check(alpha, l0, f, x).rel_diff
+                    for alpha in (0.5, 0.8) for l0 in (1.0, 2.0) for f in CORPUS
+                    for x in (0.3, 1.0, 1.7)])
     return worst <= 1e-8, f"max rel_diff = {worst:.3e}"
 
 

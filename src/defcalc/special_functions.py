@@ -91,8 +91,11 @@ _ML_ACCUMULATE_BELOW = 256
 
 def _ml_term_ratio(alpha: float, k: int) -> float:
     # term_{k+1} / term_k divided by z: Gamma(alpha k + 1) / Gamma(alpha k + alpha + 1),
-    # in log space so large-argument gammas never overflow.
-    return math.exp(math.lgamma(alpha * k + 1.0) - math.lgamma(alpha * k + alpha + 1.0))
+    # in log space; where lgamma passes the double range the ratio is below 5e-324
+    try:
+        return math.exp(math.lgamma(alpha * k + 1.0) - math.lgamma(alpha * k + alpha + 1.0))
+    except OverflowError:
+        return 0.0
 
 
 def _ml_series(z: np.ndarray, alpha: float) -> tuple[np.ndarray, int]:
@@ -106,20 +109,19 @@ def _ml_series(z: np.ndarray, alpha: float) -> tuple[np.ndarray, int]:
     runs on a whole block at once.  The first block reaches the term at which
     the largest |z| falls below _ML_REL_TOL twice (enough for every z >= 0);
     later blocks double.  After each block the active set keeps only the
-    elements that neither finished nor failed and lie before the first
-    failure.  A non-finite term stays non-finite and never qualifies, so its
-    element fails at once.
+    elements not yet finished.  On the region the series serves no term
+    exceeds about e^10; a non-finite term would never qualify, so its element
+    would run to the budget.
 
-    Returns the totals and the index of the first element that fails (-1 if
-    none).  The failing element holds its last partial sum, which is not
-    finite where a term overflowed; elements after it may be left unsummed.
+    Returns the totals and the index of the first element still unconverged
+    when the budget runs out (-1 if none); such elements hold their last
+    partial sums.
     """
     tol = _ML_REL_TOL
     out = np.empty(z.size)
     # the active set: position in z, z, last term, partial sum, last term qualified
     pos, zs, term, total = np.arange(z.size), z, np.ones(z.size), np.ones(z.size)
     streak = np.zeros(z.size, dtype=bool)
-    first_fail = -1
     ratios: list[float] = []
     lead, lead_small = 1.0, 0  # |term| of the largest |z| and its run below tol
     z_max = float(np.max(np.abs(z))) if z.size else 0.0
@@ -164,16 +166,11 @@ def _ml_series(z: np.ndarray, alpha: float) -> tuple[np.ndarray, int]:
             if hit.any():
                 done = np.flatnonzero(hit)
                 out[pos[done]] = totals[stop[:, done].argmax(axis=0), done]
-            failed = ~hit & ~np.isfinite(term)
-            if failed.any():  # pos ascends: the first failure and all after it drop out
-                i = int(failed.argmax())
-                first_fail, hit = int(pos[i]), hit[:i]
-                out[first_fail] = total[i]
             keep = np.flatnonzero(~hit)
             pos, zs, term, total, streak = (a[keep] for a in (pos, zs, term, total, small[-1]))
             k += b
     out[pos] = total  # pos left: the budget ran out on these
-    return out, int(pos[0]) if pos.size else first_fail
+    return out, int(pos[0]) if pos.size else -1
 
 
 # The fixed contour of Weideman & Trefethen, Math. Comp. 76 (2007) 1341: the

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -580,6 +581,17 @@ class TestMapCommand:
         code, _, err = run_cli(capsys, "map")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, err", [
+        # 2 l0^2 overflows, and (1 - zeta) zeta too: inf / inf
+        (("--q", "0.5", "--l0", "1e300"), "first_order_residual_bound must be finite, got nan"),
+        (("--zeta", "1e300", "--l0", "1e-10"), "q must be finite, got inf"),
+        # 2 l0^2 underflows to 0
+        (("--zeta", "0.5", "--l0", "1e-300"), "first_order_residual_bound must be finite, got inf"),
+    ])
+    def test_non_finite_values_are_config_errors(self, capsys, argv, err):
+        for fmt in ("json", "csv"):
+            assert run_cli(capsys, "map", *argv, "--format", fmt) == (2, "", f"error: {err}\n")
+
 
 class TestExpandCommand:
     def test_hausdorff_coefficients(self, capsys):
@@ -594,6 +606,23 @@ class TestExpandCommand:
         assert code == 0
         coeffs = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
         assert coeffs == [1.0, 0.0, 0.5, 0.0, -0.125]
+
+    @pytest.mark.parametrize("argv", [
+        # l0^-2 and kappa^4 pass the double range, where Python's ** raises
+        ("--zeta", "0.5", "--l0", "1e-300", "--order", "5"),
+        ("--kappa", "1e200", "--order", "4"),
+        ("--zeta", "1e300", "--order", "3"),
+    ])
+    def test_coefficients_past_the_double_range_are_config_errors(self, capsys, argv):
+        for fmt in ("csv", "json"):
+            assert run_cli(capsys, "expand", *argv, "--format", fmt) == (
+                2, "", "error: coefficients must be finite\n")
+
+    def test_zero_coefficients_stay_zero_at_a_tiny_cutoff(self, capsys):
+        # zeta = 1: C(0, k) = 0 for k >= 1, although l0^-k passes the double range
+        code, out, _ = run_cli(capsys, "expand", "--zeta", "1", "--l0", "1e-300", "--order", "3")
+        assert code == 0
+        assert out == "x,value\n0,1\n1,0\n2,-0\n3,0\n"
 
 
 class TestMlCommand:
@@ -622,6 +651,10 @@ class TestMlCommand:
         assert code == 0
         value = float(out.strip().splitlines()[1].split(",")[1])
         assert value == pytest.approx(0.06998516620088092, rel=1e-12)  # e^64 erfc(8)
+
+    def test_huge_alpha_is_one(self, capsys):
+        # lgamma(alpha k + 1) passes the double range; every term after the first is 0
+        assert run_cli(capsys, "ml", "--alpha", "1e306", "--z", "0.5") == (0, "x,value\n0.5,1\n", "")
 
     def test_out_of_series_domain_is_numerical_failure(self, capsys):
         code, _, err = run_cli(capsys, "ml", "--alpha", "0.5", "--z", "11")
@@ -783,6 +816,43 @@ SELFTEST_FAULTS = [
 ]
 
 
+# A NaN from the operation each selftest check covers, in the order of CHECKS;
+# Python's max(0.0, nan) is 0.0, so a running max would pass every one of them.
+# MappingResult holds no NaN, so the round trips of the mapping check get a
+# stand-in result (the limit check at q = 0 keeps the real one).
+SELFTEST_NANS = [
+    pytest.param(check, module, attr, fault, id=f"nan_{p.id}")
+    for p, (check, module, attr, fault) in zip(SELFTEST_FAULTS, [
+        ("q-exponential/logarithm round-trip", "deformed_algebra", "q_log",
+         _skew_last(math.nan)),
+        ("deformed sum/difference inverse", "deformed_algebra", "q_difference",
+         _skew_last(math.nan)),
+        ("q eigen-equation ODE residual", "eigen_solvers", "q_exp", _skew_last(math.nan)),
+        ("hausdorff eigen-equation ODE residual", "eigen_solvers", "balankin_exp",
+         _skew_last(math.nan)),
+        ("fractional eigen-equation GL residual", "eigen_solvers", "gl_jumarie_derivative",
+         _skew_last(math.nan)),
+        ("closed-form eigenfunction identities", "derivative_ops", "conformable_derivative",
+         _skew_last(math.nan)),
+        ("classical reductions", "derivative_ops", "kaniadakis_derivative",
+         _skew_last(math.nan)),
+        ("mittag-leffler identities", "special_functions", "mittag_leffler",
+         _skew_last(math.nan)),
+        ("mapping round-trip and limits", "mappings", "zeta_from_q",
+         lambda original: lambda q, l0: (original(q, l0) if q == 0.0
+                                         else types.SimpleNamespace(zeta=math.nan))),
+        ("first-order agreement bound", "mappings", "first_order_agreement",
+         lambda original: lambda hp, x: original(hp, x)._replace(residual=math.nan)),
+        ("GL sum vs power rule", "derivative_ops", "gl_jumarie_derivative",
+         _skew_last(math.nan)),
+        ("yang/hausdorff dilatation ratio", "mappings", "yang_lfd", _skew_last(math.nan)),
+        ("conformable/hausdorff chain-rule constant", "mappings", "conformable_derivative",
+         _skew_last(math.nan)),
+        ("kappa expansion parity", "deformed_algebra", "kappa_exp", _skew_last(math.nan)),
+    ])
+]
+
+
 class TestSelftest:
     def test_fresh_build_passes_within_budget(self, capsys):
         started = time.time()
@@ -792,10 +862,10 @@ class TestSelftest:
         assert "0 failed" in out
         assert elapsed < 10.0
 
-    @pytest.mark.parametrize("check,module,attr,fault", SELFTEST_FAULTS)
+    @pytest.mark.parametrize("check,module,attr,fault", SELFTEST_FAULTS + SELFTEST_NANS)
     def test_injected_fault_is_detected(self, capsys, monkeypatch, check, module, attr, fault):
-        # each check sees a skew of the operation it covers, made through the
-        # module attribute it calls; a skew of an array touches its last element only
+        # each check sees a skew (or a NaN) of the operation it covers, made through
+        # the module attribute it calls; a fault in an array touches its last element only
         holder = getattr(defcalc, module)
         monkeypatch.setattr(holder, attr, fault(getattr(holder, attr)))
         code, out, _ = run_cli(capsys, "selftest")
@@ -805,6 +875,7 @@ class TestSelftest:
     def test_the_fault_table_covers_every_check(self):
         names = [name for name, _ in defcalc.selftest.CHECKS]
         assert [p.values[0] for p in SELFTEST_FAULTS] == names
+        assert [p.values[0] for p in SELFTEST_NANS] == names
 
 
 def test_module_entry_point():
@@ -982,7 +1053,7 @@ class TestCsvBytes:
         n = len(EDGE_VALUES)
         rows = [tuple(EDGE_VALUES[(i + j) % n] for j in range(len(header))) for i in range(n)]
         out = io.StringIO()
-        cli._emit(RunConfig(command=command), {}, header, rows, out)
+        cli._emit(RunConfig(command=command), {}, header, np.array(rows), out)
         assert out.getvalue() == _old_csv(header, rows)
 
     @pytest.mark.parametrize(
@@ -1005,14 +1076,15 @@ class TestCsvBytes:
         emit = cli._emit
 
         def capture(config, params, header, rows, out):
-            seen.extend(rows)
+            seen.append((len(header), rows))
             emit(config, params, header, rows, out)
 
         monkeypatch.setattr(cli, "_emit", capture)
         assert main(list(argv)) == 0
         capsys.readouterr()
-        assert seen
-        assert all(isinstance(v, float) for row in seen for v in row)
+        [(width, rows)] = seen
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.float64
+        assert rows.ndim == 2 and rows.shape[0] >= 1 and rows.shape[1] == width
 
 
 def _old_json(command, params, header, rows):
@@ -1022,8 +1094,10 @@ def _old_json(command, params, header, rows):
 
 
 def _emitted(fmt, command, params, header, rows):
+    """The table ``rows`` (rows of floats, or an array) as ``_emit`` writes it."""
+    table = np.array(rows, dtype=float).reshape(-1, len(header))
     out = io.StringIO()
-    cli._emit(RunConfig(command=command, output_format=fmt), params, header, rows, out)
+    cli._emit(RunConfig(command=command, output_format=fmt), params, header, table, out)
     return out.getvalue()
 
 
@@ -1145,7 +1219,6 @@ class TestCsvKernel:
             table = np.linspace(0.1, 2.0, cells).reshape(-1, 2)
             _emitted("csv", "deriv", {}, ("x", "value"), table)
             _emitted("json", "deriv", {}, ("x", "value"), table)
-            _emitted("csv", "deriv", {}, ("x", "value"), [tuple(row) for row in table.tolist()])
         assert calls == [cli._KERNEL_CELLS]
 
     @pytest.mark.parametrize("argv", [
@@ -1169,7 +1242,8 @@ class TestCsvKernel:
 ])
 def test_solve_table_matches_the_report_grid(capsys, monkeypatch, problem, solve):
     """A 4,004-cell solve table goes through the CSV kernel, with the bytes of
-    one "%.17g" or json.dumps pass over ``report.grid`` and Python residuals."""
+    one "%.17g" or json.dumps pass over the first three columns of
+    ``report.table`` and residuals computed in Python."""
     calls = []
     kernel = cli.csv_rows
 
@@ -1179,7 +1253,7 @@ def test_solve_table_matches_the_report_grid(capsys, monkeypatch, problem, solve
 
     monkeypatch.setattr(cli, "csv_rows", counting)
     header = ("x", "value", "closed_form", "residual")
-    rows = [(x, a, b, abs(a - b) / abs(b)) for x, a, b in solve().grid]
+    rows = [(x, a, b, abs(a - b) / abs(b)) for x, a, b in solve().table[:, :3].tolist()]
     argv = ["solve", "--problem", *problem, "--grid", "0:2:1001", "--tol", "1e-10"]
     assert main(argv) == 0
     _assert_same_text(capsys.readouterr().out, _old_csv(header, rows))

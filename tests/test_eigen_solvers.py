@@ -176,18 +176,18 @@ class TestSolveQEigen:
     def test_half(self):
         report = solve_q_eigen(0.5, (0.0, 2.0), 101)
         assert report.max_rel_residual <= 1e-7
-        x, y_num, y_closed = report.grid[-1]
+        x, y_num, y_closed = report.table[-1, :3].tolist()
         assert y_closed == pytest.approx((1.0 + 0.5 * x) ** 2, rel=1e-14)
 
     def test_q_two_against_pole_form(self):
         report = solve_q_eigen(2.0, (0.0, 0.9), 101)
         assert report.max_rel_residual <= 1e-7
-        x, _, y_closed = report.grid[-1]
+        x, _, y_closed = report.table[-1, :3].tolist()
         assert y_closed == pytest.approx(1.0 / (1.0 - x), rel=1e-12)
 
     def test_report_shape(self):
         report = solve_q_eigen(0.7, (0.0, 1.0), 11)
-        assert len(report.grid) == 11
+        assert report.table.shape == (11, 4)
         assert report.rms_rel_residual <= report.max_rel_residual
 
     def test_domain_outside_support(self):
@@ -205,7 +205,7 @@ class TestSolveHausdorffEigen:
     def test_classical(self):
         report = solve_hausdorff_eigen(HausdorffParams(1.0, 1.0), (0.0, 2.0), 101)
         assert report.max_rel_residual <= 1e-8
-        x, _, y_closed = report.grid[-1]
+        x, _, y_closed = report.table[-1, :3].tolist()
         assert y_closed == pytest.approx(math.exp(x + 1.0), rel=1e-13)
 
     @pytest.mark.parametrize("zeta,l0,domain", [(0.5, 1.0, (0.0, 3.0)), (0.4, 2.0, (0.0, 2.0))])
@@ -213,13 +213,13 @@ class TestSolveHausdorffEigen:
         hp = HausdorffParams(zeta, l0)
         report = solve_hausdorff_eigen(hp, domain, 101)
         assert report.max_rel_residual <= 1e-7
-        x, _, y_closed = report.grid[0]
+        x, _, y_closed = report.table[0, :3].tolist()
         assert y_closed == pytest.approx(balankin_exp(domain[0], hp), rel=1e-14)
 
     def test_initial_value_from_closed_form(self):
         hp = HausdorffParams(0.5, 1.0)
         report = solve_hausdorff_eigen(hp, (0.0, 1.0), 11)
-        assert report.grid[0][1] == pytest.approx(math.exp(2.0), rel=1e-14)
+        assert report.table[0, 1] == pytest.approx(math.exp(2.0), rel=1e-14)
 
     def test_domain_validation(self):
         with pytest.raises(DomainError):
@@ -269,4 +269,4 @@ def test_eigen_problem_validation():
         with pytest.raises(ValueError, match="grid_points must be >= 11"):
             solve(param, (0.0, 1.0), 5)
         report = solve(param, (0.0, 1.0), 11)
-        assert [row[0] for row in report.grid] == np.linspace(0.0, 1.0, 11).tolist()
+        assert report.table[:, 0].tolist() == np.linspace(0.0, 1.0, 11).tolist()

@@ -50,6 +50,14 @@ class TestExpandHausdorffPrefactor:
             value = expand_hausdorff_prefactor(hp, 30).evaluate(0.5)
             assert abs(value - closed) <= 1e-8
 
+    def test_coefficients_past_the_double_range_are_rejected(self):
+        # l0^-2 = 1e600: Python's ** raises, the coefficient is inf
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            expand_hausdorff_prefactor(HausdorffParams(0.5, 1e-300), 5)
+        # zeta = 1: C(0, k) = 0 for k >= 1 stays 0
+        expansion = expand_hausdorff_prefactor(HausdorffParams(1.0, 1e-300), 3)
+        assert expansion.coefficients == (1.0, 0.0, 0.0, 0.0)
+
     def test_order_validation(self):
         with pytest.raises(ValueError):
             expand_hausdorff_prefactor(HausdorffParams(0.5, 1.0), 0)
@@ -104,6 +112,29 @@ class TestMapping:
     def test_non_finite_q_rejected(self, q):
         with pytest.raises(ValueError, match="q must be finite"):
             zeta_from_q(q, 1.0)
+
+    @pytest.mark.parametrize("field", ["q", "zeta", "l0", "first_order_residual_bound"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_result_fields_must_be_finite(self, field, value):
+        fields = {"q": 0.5, "zeta": 0.5, "l0": 1.0, "first_order_residual_bound": 0.125}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            MappingResult(**{**fields, field: value})
+
+    def test_bound_past_the_double_range_is_rejected(self):
+        # (1 - zeta) zeta and 2 l0^2 both overflow: inf / inf
+        with pytest.raises(ValueError, match="^first_order_residual_bound must be finite, got nan"):
+            zeta_from_q(0.5, 1e300)
+        # 2 l0^2 underflows to 0: the bound is inf, not a ZeroDivisionError
+        with pytest.raises(ValueError, match="^first_order_residual_bound must be finite, got inf"):
+            q_from_zeta(HausdorffParams(0.5, 1e-300))
+        with pytest.raises(ValueError, match="^q must be finite, got inf"):
+            q_from_zeta(HausdorffParams(1e300, 1e-10))
+
+    def test_bound_below_the_normal_range(self):
+        # 2 l0^2 = 2e-320 is subnormal; dividing by l0 twice keeps the digits
+        result = q_from_zeta(HausdorffParams(1e-20, 1e-160))
+        assert result.first_order_residual_bound == pytest.approx(5e299, rel=1e-15)
+        assert q_from_zeta(HausdorffParams(1.0, 1e-300)).first_order_residual_bound == 0.0
 
 
 class TestFirstOrderAgreement:
@@ -168,6 +199,12 @@ class TestKappaExpansion:
         kappa = 0.5
         value = kappa_expansion(kappa, 40).evaluate(0.8)
         assert value == pytest.approx(math.sqrt(1.0 + kappa**2 * 0.8**2), abs=1e-9)
+
+    def test_coefficients_past_the_double_range_are_rejected(self):
+        # kappa^4 = 1e400: Python's ** raises, the coefficient is inf
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            kappa_expansion(1e200, 4)
+        assert kappa_expansion(1e100, 2).coefficients == (1.0, 0.0, 0.5e200)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):

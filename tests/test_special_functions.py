@@ -16,7 +16,7 @@ from defcalc import (
     mittag_leffler,
     stretched_exp,
 )
-from defcalc.special_functions import mittag_leffler_array
+from defcalc.special_functions import _ml_series, mittag_leffler_array
 
 
 class TestGamma:
@@ -137,6 +137,21 @@ class TestMittagLeffler:
             mittag_leffler(-0.999, 0.001)
         assert math.isfinite(mittag_leffler(-0.999, 0.004))
         assert math.isfinite(mittag_leffler(10.0**0.004, 0.004))
+
+    @pytest.mark.parametrize("alpha", [2e305, 1e306, 1e307, 1.7e308])
+    def test_huge_alpha_is_one(self, alpha):
+        # lgamma(alpha k + 1) passes the double range there: Gamma(alpha k + 1) /
+        # Gamma(alpha k + alpha + 1) is below the smallest double, and E_alpha(z) = 1
+        assert mittag_leffler(0.5, alpha) == 1.0
+        assert mittag_leffler(np.linspace(-10.0, 10.0, 41), alpha).tolist() == [1.0] * 41
+
+    def test_a_non_finite_term_runs_to_the_budget(self):
+        # no term of the series region is non-finite; one that were would never
+        # qualify, so its element is the first left when the budget runs out
+        values, unconverged = _ml_series(np.array([0.5, math.inf, -0.5, math.nan]), 0.5)
+        assert unconverged == 1
+        assert values[[0, 2]].tolist() == [mittag_leffler(0.5, 0.5), mittag_leffler(-0.5, 0.5)]
+        assert _ml_series(np.array([0.5, -0.5]), 0.5)[1] == -1
 
     def test_config_validation(self):
         # E_0.05(1.3) took 5,719 terms and E_0.05(1.37) ran out of its 10,000;
