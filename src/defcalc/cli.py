@@ -421,6 +421,62 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.lru_cache(maxsize=1)
+def _flag_tables(parser: argparse.ArgumentParser) -> dict:
+    """Per subcommand of ``parser``: the Namespace ``parse_args`` starts
+    from, in its attribute order; the store actions that take one value, by
+    option string; and the dests of the required flags.  A subcommand with a
+    positional argument or a ``set_defaults`` value gets no table."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+    def defaults(p):
+        return {a.dest: a.default for a in p._actions
+                if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS}
+
+    return {name: ({**defaults(parser), sub.dest: name, **defaults(p)},
+                   {s: a for a in p._actions if type(a) is argparse._StoreAction
+                    and a.nargs is None for s in a.option_strings},
+                   {a.dest for a in p._actions if a.required})
+            for name, p in sub.choices.items()
+            if all(a.option_strings for a in p._actions) and not p._defaults}
+
+
+def _fast_parse(tables: dict, argv: list) -> Optional[argparse.Namespace]:
+    """The Namespace ``parse_args(argv)`` builds, for a subcommand followed
+    only by exact ``--flag value`` or ``--flag=value`` pairs of its table's
+    actions whose values pass their ``type`` and ``choices`` checks, with
+    every required flag given; None for any other argv.  A two-token value
+    that starts with "-" and an "=" value of "--" are left to ``parse_args``,
+    which has rules of its own for them."""
+    if not argv or not isinstance(argv[0], str) or argv[0] not in tables:
+        return None
+    values, flags, required = tables[argv[0]]
+    values, i = dict(values), 1
+    while i < len(argv):
+        token = argv[i]
+        if not isinstance(token, str):
+            return None
+        if token in flags:
+            action, text = flags[token], argv[i + 1] if i + 1 < len(argv) else None
+            i += 2
+            if not isinstance(text, str) or text.startswith("-"):
+                return None
+        else:
+            flag, _, text = token.partition("=")
+            action, i = flags.get(flag), i + 1
+            if action is None or text == "--":
+                return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+        required = required - {action.dest}
+    return None if required else argparse.Namespace(**values)
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.command == "selftest":
         return RunConfig(command="selftest")
@@ -437,8 +493,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv=None) -> int:
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _fast_parse(_flag_tables(parser), argv)
     try:
-        args = _parser().parse_args(argv)
+        if args is None:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

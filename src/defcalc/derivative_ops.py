@@ -260,14 +260,16 @@ def conformable_derivative(f, t, alpha: float, settings: DiffSettings | None = N
     """Conformable derivative lim (f(t + eps t^(1-alpha)) - f(t)) / eps for t > 0.
 
     Evaluated on a halving eps sequence with Richardson extrapolation; equals
-    t^(1-alpha) f'(t) for classically differentiable f.
+    t^(1-alpha) f'(t) for classically differentiable f.  The probes start at
+    eps = min(base_step, t^alpha/4), so that t + eps t^(1-alpha) stays within
+    t/4 of t, as in :func:`hausdorff_quotient`.
     """
     Conformable(alpha)  # checks alpha
     _reject(t <= 0.0, t, "conformable_derivative requires t > 0")
     f = as_real_function(f)
     ft = f(t)
     scale = t ** (1.0 - alpha)
-    return _limit(lambda eps: (f(t + eps * scale) - ft) / eps, t, settings, 1)
+    return _limit(lambda eps: (f(t + eps * scale) - ft) / eps, t, settings, 1, t**alpha / 4.0)
 
 
 # --- Grunwald-Letnikov / Jumarie chain ------------------------------------

@@ -66,8 +66,11 @@ class SeriesExpansion:
 
 @dataclass(frozen=True)
 class MappingResult:
-    """A finite (q, zeta, l0) triple on the bridge 1 - q = (1 - zeta)/l0, with
-    the magnitude of the second-order expansion coefficient as residual bound."""
+    """A finite (q, zeta, l0) triple on the bridge 1 - q = (1 - zeta)/l0.
+
+    ``first_order_residual_bound`` is |c_2| = |(1 - zeta) zeta| / (2 l0^2),
+    the magnitude of the second-order expansion coefficient: a coefficient of
+    the bound :func:`first_order_agreement` states, not a bound itself."""
 
     q: float
     zeta: float
@@ -131,9 +134,14 @@ class FirstOrderAgreement(NamedTuple):
 def first_order_agreement(hp: HausdorffParams, x: float) -> FirstOrderAgreement:
     """Compare the Hausdorff prefactor with its first-order q-form at x.
 
-    With q from the bridge, the residual |(1 + x/l0)^(1-zeta) - (1 + (1-q) x)|
-    is second order: bounded by |c_2| x^2 (1 + |x/l0|) inside the series
-    regime |x/l0| < 1.
+    With q from the bridge and u = x/l0, the residual
+    |(1 + u)^(1-zeta) - (1 + (1-zeta) u)| is second order: by Lagrange's form
+    of the Taylor remainder it is at most
+
+        |C(1-zeta, 2)| u^2 max(1, (1 + u)^(-1-zeta))
+
+    inside the series regime |u| < 1.  For zeta > -1 the last factor is 1 at
+    x >= 0 and grows without bound as u -> -1, where |c_2| x^2 is no bound.
     """
     if abs(x / hp.l0) >= 1.0:
         raise DomainError(f"series regime requires |x/l0| < 1, got x/l0 = {x / hp.l0}")
@@ -173,7 +181,9 @@ def conformable_hausdorff_check(
     lhs applies the conformable limit to g(t) = f(l0 (t - 1)) at t = 1 + x/l0;
     rhs is the chain-rule closed form l0 (1 + x/l0)^(1-alpha) f'(x), i.e. l0
     times the Hausdorff derivative with zeta = alpha.  The two agree for
-    differentiable f, so rel_diff stays within the settings tolerance.
+    differentiable f, so rel_diff is the error of the conformable limit,
+    whose probe steps and Richardson levels ``settings`` sets; no tolerance
+    is checked here.
     """
     hp = HausdorffParams(zeta=alpha, l0=l0)
     t = 1.0 + x / l0

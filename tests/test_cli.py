@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import dataclasses
 import io
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import defcalc
@@ -1014,6 +1015,116 @@ class TestParserCost:
             assert main(["map", "--bogus"]) == 2
         capsys.readouterr()
         assert len(built) <= 1
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# Each subcommand's option strings, with the choices of the flag's action.
+VOCABULARY = {name: {s: tuple(a.choices or ()) for a in p._actions for s in a.option_strings}
+              for name, p in _subparsers(build_parser()).items()}
+# Values that the required flags accept.
+REQUIRED_VALUES = {"--op": "q", "--fn": "sin(x)", "--grid": "0.1:1:4", "--problem": "q"}
+VALUES = ["0.5", "3", "0.1:1:4", "x", "-8", "-.5", "-1e-3", "inf", "nan", "", "sin(x) + x^2",
+          "--", "1e999"]
+# 7 is a token that is not a str
+STRAY = ["-h", "--help", "--", "--no-such-flag", "x", 7]
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand, then flags of its vocabulary, repeated or not, in any
+    order.  Half the draws are well formed but for their values: the required
+    flags given, then flags other than help in the exact and "=" forms with
+    their choices or a few plain values.  The other half adds the abbreviated
+    and value-less forms, the values of ``VALUES``, at most one stray token,
+    and the required flags only half the time."""
+    name = draw(st.sampled_from(sorted(VOCABULARY)))
+    flags = VOCABULARY[name]
+    clean = draw(st.booleans())
+    items = []
+    if clean or draw(st.booleans()):
+        items += [[flag, REQUIRED_VALUES[flag]] for flag in flags if flag in REQUIRED_VALUES]
+    forms = ["exact", "equals"] + ([] if clean else ["abbreviated", "missing"])
+    names = sorted(flag for flag in flags if not (clean and flag in ("-h", "--help")))
+    for flag in draw(st.lists(st.sampled_from(names), max_size=6)) if names else []:
+        plain = list(flags[flag]) or ["3", "-8"]
+        text = draw(st.sampled_from(plain if clean else VALUES + plain))
+        items.append({"exact": [flag, text], "equals": [f"{flag}={text}"],
+                      "abbreviated": [flag[:-1], text], "missing": [flag]}[draw(st.sampled_from(forms))])
+    if not clean:
+        items += [[token] for token in draw(st.lists(st.sampled_from(STRAY), max_size=1))]
+    return [name] + [token for item in draw(st.permutations(items)) for token in item]
+
+
+class TestFastParse:
+    """``main`` builds the Namespace of a well-formed argv from the parser's
+    own tables and leaves every other argv to ``parse_args``."""
+
+    @given(_argvs())
+    @example(["ml", "--alpha", "0.5", "--z", "-8"])
+    @example(["ml", "--alpha", "0.5", "--z=-8"])
+    @example(["deriv", "--op", "gl", "--alpha", "0.5", "--h", "0.01", "--fn", "x",
+              "--grid", "0.1:1:4"])
+    @example(["deriv", "--op", "q", "--fn=", "--grid", "0.1:1:4", "--fn", "x"])
+    @example(["map", "--output=--"])  # argparse drops a "--" value
+    @settings(max_examples=400)
+    def test_namespace_matches_parse_args(self, argv):
+        parser = cli._parser()
+        fast = cli._fast_parse(cli._flag_tables(parser), argv)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                want = parser.parse_args(argv)
+        except (SystemExit, TypeError):  # TypeError: argparse indexes a token that is not a str
+            assert fast is None
+            return
+        if fast is not None:
+            assert list(vars(fast).items()) == list(vars(want).items())
+
+    @pytest.mark.parametrize("argv", [
+        ["selftest"],
+        ["map", "--q", "0.5"],
+        ["ml", "--alpha", "0.5", "--z=-8"],
+        ["deriv", "--op", "q", "--q", "0.5", "--fn", "sin(x)", "--grid", "0:1:5"],
+        ["deriv", "--op", "gl", "--alpha", "0.5", "--h", "0.01", "--fn", "x", "--grid=0.1:1:4",
+         "--alpha", "0.25"],
+        ["solve", "--problem", "fractional", "--alpha", "0.5", "--grid", "0.1:1:5",
+         "--format", "json", "--output", "table with spaces.json"],
+    ])
+    def test_takes_well_formed_argv(self, argv):
+        assert cli._fast_parse(cli._flag_tables(cli._parser()), argv) is not None
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["deriv", "-h"], ["map", "--"], ["map", "--q"], ["map", "--qq", "1"],
+        ["ml", "--alpha", "0.5", "--z", "-8"],
+        ["deriv", "--op", "q", "--q", "0.5", "--fn", "sin(x)", "--gri", "0:1:5"],
+        ["deriv", "--op", "q", "--fn", "x"],
+        ["deriv", "--op", "nope", "--fn", "x", "--grid", "0:1:3"],
+        ["ml", "--alpha", "inf"], ["expand", "--order", "1.5"], ["map", "--output=--"],
+        ["map", 0.5], ["map", "--q", 0.5], ["map", "0.5"],
+    ])
+    def test_leaves_the_rest_to_parse_args(self, argv):
+        assert cli._fast_parse(cli._flag_tables(cli._parser()), argv) is None
+
+    def test_tables_follow_the_parser(self, capsys, monkeypatch, fresh_parser):
+        assert main(["map", "--q", "0.5"]) == 0
+        first = cli._parser()
+        cli._parser.cache_clear()
+
+        def tagged():
+            parser = build_parser()
+            _subparsers(parser)["map"].add_argument("--tag", default=None)
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", tagged)
+        fast, taken = cli._fast_parse, []
+        monkeypatch.setattr(cli, "_fast_parse", lambda tables, argv: taken.append(fast(tables, argv))
+                            or taken[-1])
+        assert main(["map", "--q", "0.5", "--tag", "new"]) == 0
+        capsys.readouterr()
+        assert cli._parser() is not first
+        assert taken[-1].tag == "new"
 
 
 # the per-value formatter the CSV writer replaced

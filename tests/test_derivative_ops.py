@@ -213,6 +213,15 @@ class TestConformableDerivative:
             math.exp(2.0), rel=1e-8
         )
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.9])
+    def test_probe_steps_stay_near_small_t(self, alpha):
+        # each probe t + eps t^(1-alpha) stays within t/4: with eps up to
+        # base_step alone it reached 1.6e-3 at t = 1e-8, and the worst error
+        # here was 0.97
+        t = np.geomspace(1e-8, 1e-2, 400)
+        exact = t ** (1.0 - alpha) * 0.5 / np.sqrt(t)
+        assert np.max(np.abs(conformable_derivative("x^0.5", t, alpha) / exact - 1.0)) <= 1e-7
+
     def test_domain_and_validation(self):
         with pytest.raises(DomainError):
             conformable_derivative("x", 0.0, 0.5)

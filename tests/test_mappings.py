@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from defcalc import (
     DegenerateInput,
@@ -154,6 +156,28 @@ class TestFirstOrderAgreement:
     def test_series_regime_required(self):
         with pytest.raises(DomainError):
             first_order_agreement(HausdorffParams(0.5, 1.0), 1.0)
+
+    @given(zeta=st.floats(0.01, 4.0, exclude_min=True, exclude_max=True),
+           l0=st.floats(1e-2, 1e2),
+           u=st.floats(-0.999, 0.999, exclude_min=True, exclude_max=True))
+    @example(zeta=0.9, l0=1.0, u=-0.9)  # 0.1157 against the old "bound" 0.0693
+    @example(zeta=3.5, l0=1.0, u=-0.998)
+    @example(zeta=1.9, l0=1.0, u=-0.1)
+    @settings(max_examples=200)
+    def test_residual_within_the_lagrange_bound(self, zeta, l0, u):
+        mpmath = pytest.importorskip("mpmath")
+        x = u * l0
+        got = first_order_agreement(HausdorffParams(zeta, l0), x)
+        # expm1 and log1p keep their relative precision at small u; the bits
+        # of 1/|u| are lost once to the cancellation against (1 - z) u, and
+        # once more to the gap of order u^3 between the residual and the bound
+        with mpmath.workprec(120 + 2 * max(0, -math.frexp(u)[1])):
+            v, z = mpmath.mpf(x) / mpmath.mpf(l0), mpmath.mpf(zeta)
+            bound = abs((1 - z) * z) / 2 * v**2 * max(1, mpmath.exp((-1 - z) * mpmath.log1p(v)))
+            assert abs(mpmath.expm1((1 - z) * mpmath.log1p(v)) - (1 - z) * v) <= bound
+            # the float residual also carries the rounding of 1 + x/l0 raised
+            # to the power 1 - zeta, and of both prefactors
+            assert got.residual <= bound + 8 * math.ulp(got.hausdorff_prefactor)
 
     def test_dominance_inside_hundredth_radius(self):
         for zeta in (0.3, 0.5, 0.8):
