@@ -17,7 +17,7 @@ Grammar (EBNF, also published in the README):
 "^" binds tighter than unary minus, so -x^2 parses as -(x^2).  Each
 builtin's arity, like its float and numpy functions and its derivative rule,
 comes from the operation table ``_OPERATIONS``.  The single free variable is
-x.  Parsed trees are limited to depth 64.
+x.  A number must be finite as a double.  Parsed trees are limited to depth 64.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -114,6 +114,16 @@ def _gamma_or_nan(u: float) -> float:
         return math.nan
 
 
+def _gamma_array(u):
+    """gamma elementwise, NaN where it raises.  Neither that NaN nor its inf
+    sets a floating-point flag, so under a raising ``invalid`` error mode a
+    non-finite value raises FloatingPointError here, as a ufunc's would."""
+    values = np.vectorize(_gamma_or_nan, otypes=[float])(u)
+    if np.geterr()["invalid"] == "raise" and not np.isfinite(values).all():
+        raise FloatingPointError("non-finite value encountered in gamma")
+    return values
+
+
 # Keyed by operator symbol or builtin name.  gamma is called through its
 # module-global name, so a wrapper installed on special_functions sees it.
 _OPERATIONS: dict[str, _Operation] = {
@@ -128,8 +138,7 @@ _OPERATIONS: dict[str, _Operation] = {
     "cos": _Operation(math.cos, np.cos, 1, lambda u, du: _mul(Neg(Call("sin", (u,))), du)),
     "sqrt": _Operation(math.sqrt, np.sqrt, 1,
                        lambda u, du: _div(du, _mul(_num(2.0), Call("sqrt", (u,))))),
-    "gamma": _Operation(lambda u: special_functions.gamma(u),
-                        np.vectorize(_gamma_or_nan, otypes=[float])),
+    "gamma": _Operation(lambda u: special_functions.gamma(u), _gamma_array),
     "abs": _Operation(abs, np.abs),
     "pow": _Operation(math.pow, np.power, 2),
 }
@@ -149,19 +158,13 @@ _TOKEN = re.compile(
 )
 
 
-class _Token(NamedTuple):
-    kind: str  # "number" | "ident" | "op" | "end"
-    text: str  # a single operator character only for an "op" token
-    pos: int
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for match in _TOKEN.finditer(source):
-        if match.lastgroup == "bad":
-            raise ParseError(match.start(), "a number, name, or operator", repr(match.group()))
-        tokens.append(_Token(match.lastgroup, match.group(), match.start()))
-    tokens.append(_Token("end", "end of input", len(source)))
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    """(kind, text, pos) tuples, kind a group name of _TOKEN or, last, "end"."""
+    tokens = [(match.lastgroup, match.group(), match.start()) for match in _TOKEN.finditer(source)]
+    for kind, text, pos in tokens:
+        if kind == "bad":
+            raise ParseError(pos, "a number, name, or operator", repr(text))
+    tokens.append(("end", "end of input", len(source)))
     return tokens
 
 
@@ -173,14 +176,12 @@ def _tokenize(source: str) -> list[_Token]:
 # that could not yield a legal tree anyway (and keeps the stack shallow).
 _NESTING_LIMIT = 2 * MAX_DEPTH + 8
 
-# Binding power of the left-associative operators ("^" is right-associative,
-# in power()).  Like every test of a token's text below, this needs no kind
-# check: no number, name or end token has an operator's text.
-_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}
-
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    """Recursive descent over the token list.  Tests of a token's text need
+    no kind check: no number, name or end token has an operator's text."""
+
+    def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.i = 0
         self.nesting = 0
@@ -189,22 +190,12 @@ class _Parser:
         self.nesting += 1
         if self.nesting > _NESTING_LIMIT:
             raise ParseError(
-                self.peek().pos, f"an expression of depth <= {MAX_DEPTH}", "deeper nesting"
+                self.tokens[self.i][2], f"an expression of depth <= {MAX_DEPTH}", "deeper nesting"
             )
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "end":
-            self.i += 1
-        return tok
-
     def fail(self, expected: str):
-        tok = self.peek()
-        found = tok.text if tok.kind != "end" else "end of input"
-        raise ParseError(tok.pos, expected, found)
+        _, found, pos = self.tokens[self.i]
+        raise ParseError(pos, expected, found)
 
     def guard(self, node: Expr, depth: int, pos: int) -> tuple[Expr, int]:
         if depth > MAX_DEPTH:
@@ -212,95 +203,101 @@ class _Parser:
         return node, depth
 
     def expression(self) -> tuple[Expr, int]:
+        """A sum of products of unary operands, each grouped to the left."""
         self.enter()
         try:
-            return self.binary(1)
+            tokens = self.tokens
+            pending = None  # (op, left operand, its depth, op position) of a sum
+            while True:
+                node, depth = self.unary()
+                while tokens[self.i][1] in ("*", "/"):
+                    _, op, pos = tokens[self.i]
+                    self.i += 1
+                    rhs, rdepth = self.unary()
+                    node, depth = self.guard(BinOp(op, node, rhs), max(depth, rdepth) + 1, pos)
+                if pending is not None:
+                    op, lhs, ldepth, pos = pending
+                    node, depth = self.guard(BinOp(op, lhs, node), max(ldepth, depth) + 1, pos)
+                _, op, pos = tokens[self.i]
+                if op not in ("+", "-"):
+                    return node, depth
+                self.i += 1
+                pending = (op, node, depth, pos)
         finally:
             self.nesting -= 1
-
-    def binary(self, floor: int) -> tuple[Expr, int]:
-        """Unary operands joined by the operators binding at least ``floor``,
-        grouped to the left: a sum of products from floor 1, a product from 2."""
-        node, depth = self.unary()
-        while _BINDING.get(self.peek().text, 0) >= floor:
-            op = self.advance()
-            rhs, rdepth = self.binary(_BINDING[op.text] + 1)
-            node, depth = self.guard(BinOp(op.text, node, rhs), max(depth, rdepth) + 1, op.pos)
-        return node, depth
 
     def unary(self) -> tuple[Expr, int]:
+        """A negation, or an operand with an optional right-associative ^."""
         self.enter()
         try:
-            tok = self.peek()
-            if tok.text == "-":
-                self.advance()
+            kind, text, pos = self.tokens[self.i]
+            if text == "-":
+                self.i += 1
                 node, depth = self.unary()
-                return self.guard(Neg(node), depth + 1, tok.pos)
-            return self.power()
+                return self.guard(Neg(node), depth + 1, pos)
+            if kind == "number":
+                self.i += 1
+                value = float(text)
+                if not math.isfinite(value):
+                    raise ParseError(pos, "a finite number", text)
+                node, depth = Number(value), 1
+            elif kind == "ident":
+                self.i += 1
+                if text == "x":
+                    node, depth = Var(), 1
+                elif text in BUILTINS:
+                    node, depth = self.call(text, pos)
+                else:
+                    raise ParseError(pos, "x or a builtin function name", text)
+            elif text == "(":
+                self.i += 1
+                node, depth = self.expression()
+                if self.tokens[self.i][1] != ")":
+                    self.fail("')'")
+                self.i += 1
+            else:
+                self.fail("an operand")
+            _, text, pos = self.tokens[self.i]
+            if text == "^":
+                self.i += 1
+                rhs, rdepth = self.unary()
+                return self.guard(BinOp("^", node, rhs), max(depth, rdepth) + 1, pos)
+            return node, depth
         finally:
             self.nesting -= 1
 
-    def power(self) -> tuple[Expr, int]:
-        node, depth = self.atom()
-        tok = self.peek()
-        if tok.text == "^":
-            self.advance()
-            rhs, rdepth = self.unary()  # right-associative exponent
-            return self.guard(BinOp("^", node, rhs), max(depth, rdepth) + 1, tok.pos)
-        return node, depth
-
-    def atom(self) -> tuple[Expr, int]:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            return Number(float(tok.text)), 1
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "x":
-                return Var(), 1
-            if tok.text in BUILTINS:
-                return self.call(tok)
-            raise ParseError(tok.pos, "x or a builtin function name", tok.text)
-        if self.peek().text == "(":
-            self.advance()
-            node, depth = self.expression()
-            if self.peek().text != ")":
-                self.fail("')'")
-            self.advance()
-            return node, depth
-        self.fail("an operand")
-
-    def call(self, name_tok: _Token) -> tuple[Expr, int]:
-        if self.peek().text != "(":
-            self.fail(f"'(' after {name_tok.text}")
-        self.advance()
+    def call(self, name: str, name_pos: int) -> tuple[Expr, int]:
+        if self.tokens[self.i][1] != "(":
+            self.fail(f"'(' after {name}")
+        self.i += 1
         parsed = [self.expression()]
-        while self.peek().text == ",":
-            self.advance()
+        while self.tokens[self.i][1] == ",":
+            self.i += 1
             parsed.append(self.expression())
-        if self.peek().text != ")":
+        if self.tokens[self.i][1] != ")":
             self.fail("')' or ','")
-        closing = self.advance()
-        arity = _OPERATIONS[name_tok.text].arity
+        closing = self.tokens[self.i][2]
+        self.i += 1
+        arity = _OPERATIONS[name].arity
         if len(parsed) != arity:
             raise ParseError(
-                name_tok.pos,
-                f"{name_tok.text} with {arity} argument{'s' if arity > 1 else ''}",
+                name_pos,
+                f"{name} with {arity} argument{'s' if arity > 1 else ''}",
                 f"{len(parsed)} arguments",
             )
         args, depths = zip(*parsed)
-        return self.guard(Call(name_tok.text, args), max(depths) + 1, closing.pos)
+        return self.guard(Call(name, args), max(depths) + 1, closing)
 
 
 def parse(source: str) -> Expr:
     """Parse an expression in the single free variable x.
 
     Raises :class:`ParseError` carrying the character position plus
-    expected/found token descriptions.
+    expected/found token descriptions; a number literal must be finite.
     """
     parser = _Parser(_tokenize(source))
     node, _ = parser.expression()
-    if parser.peek().kind != "end":
+    if parser.tokens[parser.i][0] != "end":
         parser.fail("end of input")
     return node
 
@@ -449,8 +446,8 @@ def _diff_power(base: Expr, exponent: Expr) -> Expr:
 
 def to_source(ast: Expr) -> str:
     """Render a tree as parseable source; parse(to_source(t)) == t structurally
-    whenever every number literal in t is non-negative (the parser only builds
-    such trees)."""
+    whenever every number literal in t is finite and non-negative (the parser
+    only builds such trees)."""
     if isinstance(ast, Number):
         return repr(ast.value)
     if isinstance(ast, Var):
@@ -462,59 +459,58 @@ def to_source(ast: Expr) -> str:
     return f"{ast.name}({', '.join(to_source(a) for a in ast.args)})"
 
 
-# --- Compilation to numpy ------------------------------------------------
+# --- Evaluation over arrays ---------------------------------------------
 
 
-def _lower(ast: Expr) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Lower ``ast`` to node(xs, ok), its value elementwise over the array xs.
-
-    Every BinOp and Call node clears ``ok`` where its result is not finite:
-    these are the nodes at which :func:`evaluate` raises, so ``ok`` ends up
-    false exactly where the scalar evaluation would fail.
-    """
+def _evaluate_array(ast: Expr, xs: np.ndarray, ok: Optional[np.ndarray]):
+    """``ast`` elementwise over the array xs by numpy ufuncs.  Given ``ok``,
+    every BinOp and Call node clears it where its value is not finite: these
+    are the nodes at which :func:`evaluate` raises, so ``ok`` ends up false
+    exactly where the scalar evaluation would fail."""
     if isinstance(ast, Number):
-        value = ast.value
-        return lambda xs, ok: value
+        return ast.value
     if isinstance(ast, Var):
-        return lambda xs, ok: xs
+        return xs
     if isinstance(ast, Neg):
-        operand = _lower(ast.operand)
-        return lambda xs, ok: np.negative(operand(xs, ok))
+        return np.negative(_evaluate_array(ast.operand, xs, ok))
     if isinstance(ast, BinOp):
-        name, args = ast.op, (_lower(ast.left), _lower(ast.right))
+        name, args = ast.op, (_evaluate_array(ast.left, xs, ok), _evaluate_array(ast.right, xs, ok))
     else:
-        name, args = ast.name, tuple(map(_lower, ast.args))
-    ufunc = _OPERATIONS[name].ufunc
-
-    def node(xs, ok):
-        value = ufunc(*[arg(xs, ok) for arg in args])
+        name, args = ast.name, [_evaluate_array(a, xs, ok) for a in ast.args]
+    value = _OPERATIONS[name].ufunc(*args)
+    if ok is not None:
         ok &= np.isfinite(value)
-        return value
-
-    return node
+    return value
 
 
 def _compile(ast: Expr) -> Callable:
     """``ast`` as a function of a float, by :func:`evaluate`, or of an array
-    of x, by numpy ufuncs over the whole array at once.
-
-    Where the array pass meets a non-finite intermediate, :func:`evaluate`
-    runs at that x, in array order: it raises the same
-    :class:`EvaluationError` as a point-by-point evaluation would, with
-    ``index`` set to the position of that x.
+    of x, by one :func:`_evaluate_array` walk that traps numpy's overflow,
+    divide and invalid flags: with finite x and literals, a walk that raises
+    none met only finite values.  Otherwise a second walk masks the
+    non-finite ones, and :func:`evaluate` runs at each masked x in array
+    order: it raises the same :class:`EvaluationError` as a point-by-point
+    evaluation would, with ``index`` set to the position of that x.
     """
-    node = _lower(ast)
 
     def fn(x):
         if not isinstance(x, np.ndarray) or x.ndim == 0:
             return evaluate(ast, x)
         xs = x.astype(float, copy=False)
-        ok = np.ones(xs.shape, dtype=bool)
-        with np.errstate(all="ignore"):
-            values = node(xs, ok)
+        values = ok = None
+        if np.isfinite(xs).all():
+            try:
+                with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+                    values = _evaluate_array(ast, xs, None)
+            except FloatingPointError:
+                pass
+        if values is None:
+            ok = np.ones(xs.shape, dtype=bool)
+            with np.errstate(all="ignore"):
+                values = _evaluate_array(ast, xs, ok)
         if values is xs or np.shape(values) != xs.shape:  # x itself, or a constant
             values = np.full(xs.shape, values)
-        if ok.all():
+        if ok is None or ok.all():
             return values
         for i in np.flatnonzero(~ok):
             try:
@@ -572,6 +568,8 @@ class RealFunction:
 
     def derivative_at(self, x):
         """The attached derivative at a float, or elementwise over an array of x."""
+        if self.derivative is None:
+            raise UnsupportedDerivative(f"no derivative is attached to {self.label}")
         return _apply(self.derivative, x)
 
     @classmethod
@@ -582,9 +580,9 @@ class RealFunction:
     def from_expression(cls, source: str) -> "RealFunction":
         """Parse ``source`` and attach its symbolic derivative when the tree
         is differentiable (a builtin without a derivative rule leaves
-        derivative = None).  Both are
-        compiled once to numpy, so either evaluates a whole array of x in one
-        pass; a float x still goes through :func:`evaluate`."""
+        derivative = None).  Either takes an array of x in one walk of its
+        tree by numpy ufuncs, and a second, masked walk only where the first
+        meets a non-finite value (:func:`_compile`); a float x, :func:`evaluate`."""
         ast = parse(source)
         try:
             dast = differentiate(ast)

@@ -96,6 +96,12 @@ class TestDerivCommand:
         argv = ("deriv", "--op", "q", "--q", "0.5", "--fn", fn, "--grid", "0:1:3")
         assert run_cli(capsys, *argv) == (2, "", f"error: --fn expression error {err}")
 
+    def test_overflowing_literal_is_an_expression_error(self, capsys):
+        # 1e999 is past the double range: f would be inf at every x
+        argv = ("deriv", "--op", "q", "--q", "0.5", "--fn", "x+1e999", "--grid", "0:1:3")
+        err = "at position 2: expected a finite number, found 1e999\n  x+1e999\n    ^\n"
+        assert run_cli(capsys, *argv) == (2, "", f"error: --fn expression error {err}")
+
     def test_builtin_lists_are_the_table(self, capsys):
         builtins = " | ".join(BUILTINS)
         assert builtins == "exp | ln | sin | cos | sqrt | gamma | abs | pow"

@@ -18,7 +18,7 @@ from defcalc import (
     parse,
     to_source,
 )
-from defcalc.function_catalog import BinOp, Call, MAX_DEPTH, Neg, Number, Var, _tokenize
+from defcalc.function_catalog import BUILTINS, BinOp, Call, MAX_DEPTH, Neg, Number, Var, _tokenize
 
 from exprgen import ORACLE_SETTINGS, SAMPLE_POINTS, generate
 
@@ -89,7 +89,7 @@ class TestParse:
         ("x٣_1", [("ident", "x٣_1", 0)]),
     ])
     def test_tokens(self, source, tokens):
-        assert [(t.kind, t.text, t.pos) for t in _tokenize(source)] == tokens + [
+        assert _tokenize(source) == tokens + [
             ("end", "end of input", len(source))
         ]
 
@@ -100,6 +100,9 @@ class TestParse:
         ("2²*x", 1, "end of input", "²"),  # ² is a digit to str.isdigit, not to float()
         ("٣*x", 0, "a number, name, or operator", "'٣'"),  # digits are ASCII only
         ("½", 0, "x or a builtin function name", "½"),
+        ("x*1e999", 2, "a finite number", "1e999"),  # would print as "inf", which no parse takes
+        ("1e999+x@", 7, "a number, name, or operator", "'@'"),  # the lexer reports first
+        ("(1e-400+1.8e308)", 8, "a finite number", "1.8e308"),
     ])
     def test_error_positions(self, source, position, expected, found):
         with pytest.raises(ParseError) as err:
@@ -252,6 +255,13 @@ class TestRealFunction:
         assert f.derivative is None
         assert f(3.0) == pytest.approx(2.0, rel=1e-10)
 
+    def test_derivative_at_without_a_derivative_is_a_typed_error(self):
+        for f in (RealFunction.from_expression("gamma(x)"), RealFunction.from_callable(math.sin)):
+            for x in (0.5, np.linspace(0.5, 1.0, 3)):
+                with pytest.raises(UnsupportedDerivative) as err:
+                    f.derivative_at(x)
+                assert str(err.value) == f"no derivative is attached to {f.label}"
+
     def test_from_callable(self):
         f = RealFunction.from_callable(math.sin, df=math.cos)
         assert f(0.0) == 0.0
@@ -340,6 +350,37 @@ SINGULAR_SOURCES = (
 )
 WIDE_GRID = np.linspace(-3.0, 3.0, 241)
 
+# At the edges of the array pass's floating-point trap: a NaN or inf that sets
+# no flag (gamma), a non-finite intermediate that a later node hides, an
+# overflow between two literals, and underflow, which is not trapped.
+TRAP_SOURCES = (
+    "pow(gamma(x), 0)", "1/exp(exp(x))", "0*exp(1000*x)", "1e308*10*x", "5e-324*x", "exp(710)",
+)
+TRAP_GRIDS = (
+    np.array([-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.5]),  # 0 and negative integers
+    np.array([1.0, -1e300, 2.0, 1e300]),
+    np.array([5e-324, 1e-310, 1.0, 3.0]),  # subnormal
+    np.linspace(0.0, 7.0, 50),  # exp(exp(x)) overflows from x = 6.566
+    np.array([0.0, 1.0, np.inf]),  # inf x sets no flag
+)
+
+# Source text for the trap: literals as written, from the smallest subnormal
+# to the largest double, and those that overflow exp and gamma.
+_literal_text = st.one_of(
+    st.sampled_from(["0", "5e-324", "1e-300", "171.7", "710", "1000", "1e308", "1.7976931348623157e308"]),
+    st.floats(0.0, allow_nan=False, allow_infinity=False).map(repr),
+)
+_sources = st.recursive(
+    st.one_of(_literal_text, st.just("x")),
+    lambda children: st.one_of(
+        st.builds("(-{})".format, children),
+        st.builds("{}({})".format, st.sampled_from([name for name in BUILTINS if name != "pow"]), children),
+        st.builds("pow({}, {})".format, children, children),
+        st.builds("({}{}{})".format, children, st.sampled_from("+-*/^"), children),
+    ),
+    max_leaves=20,
+)
+
 
 class TestCompiledAgreement:
     def test_generated_trees_and_derivatives(self):
@@ -372,6 +413,25 @@ class TestCompiledAgreement:
         assert got_err == want_err
         if want is not None and not _inexact(tree):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("source", TRAP_SOURCES)
+    def test_trap_edges(self, source):
+        f = RealFunction.from_expression(source)
+        tree = parse(source)
+        for xs in TRAP_GRIDS:
+            _assert_agree(f, f, tree, xs)
+            if f.derivative is not None:
+                _assert_agree(f.derivative, f.derivative_at, differentiate(tree), xs)
+
+    @given(source=_sources)
+    def test_literals_written_as_text(self, source):
+        f = RealFunction.from_expression(source)
+        for xs in (np.linspace(-2.0, 2.0, 41), np.concatenate((TRAP_GRIDS[0], TRAP_GRIDS[1], [5e-324]))):
+            want, want_err = _point_by_point(f, xs)
+            got, got_err = _whole_array(f, xs)
+            assert got_err == want_err
+            if want is not None and not _inexact(parse(source)):
+                assert np.array_equal(got, want)
 
     def test_scalar_inputs_use_the_scalar_evaluator(self):
         f = RealFunction.from_expression("exp(x)*x^1.5")
