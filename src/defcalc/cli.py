@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable, Optional, get_type_hints
 
 import numpy as np
@@ -57,17 +57,6 @@ examples: "x^2", "exp(-x^2/2)", "sin(x)*sqrt(1+x^2)"
 
 class ConfigError(Exception):
     """Invalid flag combination or out-of-domain grid; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One batch invocation: command, grid, output policy and every flag's value."""
-
-    command: str
-    grid: Optional[tuple[float, float, int]] = None
-    output_format: str = "csv"
-    output_path: Optional[str] = None
-    options: dict = field(default_factory=dict, compare=False)
 
 
 # The flags that set a field of a parameter class, and --tol, which sets the
@@ -104,24 +93,24 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 _KERNEL_CELLS = 1024
 
 
-def _emit(config: RunConfig, params: dict, header: tuple[str, ...], rows, out) -> None:
+def _emit(fmt: str, command: str, params: dict, header: tuple[str, ...], rows, out) -> None:
     """Write the table; ``rows`` is a 2-D float array with one column per
     header name.
 
     Each format fills a template of the whole table in one ``%`` call, with
     the bytes of ``json.dumps(payload, indent=2)`` or of ``f"{v:.17g}"``; the
     CSV of a large table comes from ``csv_rows``, with the same bytes."""
-    if config.output_format == "csv" and rows.size >= _KERNEL_CELLS:
+    if fmt == "csv" and rows.size >= _KERNEL_CELLS:
         out.write(",".join(header) + "\n")
         for text in csv_rows(rows):
             out.write(text)
         return
     cells = tuple(rows.ravel().tolist())
-    if config.output_format == "json":
+    if fmt == "json":
         # any indent makes json run its pure-Python encoder, so only the head
         # goes through it; the floats come from its C encoder, with the same
         # bytes (NaN and Infinity included), and contain no ", "
-        head = json.dumps({"command": config.command, "params": params, "rows": []}, indent=2)
+        head = json.dumps({"command": command, "params": params, "rows": []}, indent=2)
         if cells:
             fill = ",\n".join([f"      {json.dumps(name)}: %s" for name in header])
             row = "    {\n" + fill + "\n    }"
@@ -247,8 +236,7 @@ def _run_grid(compute: Callable, xs: np.ndarray, where: str, overflow: str):
     return values
 
 
-def _run_deriv(config: RunConfig):
-    opt = config.options
+def _run_deriv(opt: dict, grid):
     name = opt["op"]
     op = OPERATORS[name]
     settings = DiffSettings(opt["base_step"], opt["levels"])
@@ -259,20 +247,21 @@ def _run_deriv(config: RunConfig):
     kind = _from_options(op.kind, opt, f"--op {name}", unread=way.unread,
                          unread_by=f"--op {name} --form {opt['form']}")
     f = _build_function(opt["fn"])
-    xs = np.linspace(*config.grid)
-    message = way.rejects(kind, float(xs[0]))
-    if message:
-        raise ConfigError(message)
-    values = _run_grid(lambda grid: way.evaluate(kind, f, grid, settings), xs,
-                       f"{name} operator at x", "non-finite value")
+    xs = np.linspace(*grid)
+    try:
+        values = _run_grid(lambda part: way.evaluate(kind, f, part, settings), xs,
+                           f"{name} operator at x", "non-finite value")
+    except DefcalcError as exc:
+        if isinstance(exc.__cause__, DomainError):  # the operator's own domain check
+            raise ConfigError(f"--grid outside the operator domain: {exc}") from exc
+        raise
     return ("x", "value"), np.column_stack((xs, values))
 
 
-def _run_solve(config: RunConfig):
-    opt = config.options
+def _run_solve(opt: dict, grid):
     problem = opt["problem"]
     cls, extra, solve = _PROBLEMS[problem]
-    start, stop, points = config.grid
+    start, stop, points = grid
     try:
         report = solve(_from_options(cls, opt, f"--problem {problem}", extra=extra),
                        (start, stop), points, _given(opt, "tol", 1e-10))
@@ -289,8 +278,7 @@ def _run_solve(config: RunConfig):
     return ("x", "value", "closed_form", "residual"), report.table
 
 
-def _run_map(config: RunConfig):
-    opt = config.options
+def _run_map(opt: dict, grid):
     has_zeta, has_q = opt.get("zeta") is not None, opt.get("q") is not None
     if has_zeta == has_q:
         raise ConfigError("map needs exactly one of --zeta or --q")
@@ -302,8 +290,7 @@ def _run_map(config: RunConfig):
     return ("q", "zeta", "l0", "first_order_residual_bound"), np.array([row])
 
 
-def _run_expand(config: RunConfig):
-    opt = config.options
+def _run_expand(opt: dict, grid):
     has_zeta, has_kappa = opt.get("zeta") is not None, opt.get("kappa") is not None
     if has_zeta == has_kappa:
         raise ConfigError("expand needs exactly one of --zeta or --kappa")
@@ -316,49 +303,55 @@ def _run_expand(config: RunConfig):
     return ("x", "value"), np.column_stack((np.arange(len(c), dtype=float), c))
 
 
-def _run_ml(config: RunConfig):
-    opt = config.options
+def _run_ml(opt: dict, grid):
     alpha = opt.get("alpha")
     if alpha is None:
         raise ConfigError("ml requires --alpha")
-    if (opt.get("z") is None) == (config.grid is None):
+    if (opt.get("z") is None) == (grid is None):
         raise ConfigError("ml needs exactly one of --z or --grid")
-    zs = np.array([opt["z"]]) if opt.get("z") is not None else np.linspace(*config.grid)
+    zs = np.array([opt["z"]]) if opt.get("z") is not None else np.linspace(*grid)
     values = _run_grid(lambda z: mittag_leffler(z, alpha), zs, "ml at z",
                        "the series overflowed to")
     return ("x", "value"), np.column_stack((zs, values))
 
 
-def run(config: RunConfig) -> int:
-    """Execute a validated RunConfig; deterministic output for fixed input.
+def run(args: argparse.Namespace) -> int:
+    """Execute a parsed command line; deterministic output for fixed input.
 
-    Each handler returns its table ``(header, rows)`` or raises; the table is
+    Each handler reads the flags from ``vars(args)`` and the parsed grid,
+    and returns its table ``(header, rows)`` or raises; the table is
     written, and ``--output`` opened, only after it is complete.  An
     ``--output`` that cannot be opened is a configuration error."""
-    if config.command == "selftest":
+    if args.command == "selftest":
         failures = selftest_module.run_selftest()
         return 0 if failures == 0 else 1
-    handlers = {
+    handler = {
         "deriv": _run_deriv,
         "solve": _run_solve,
         "map": _run_map,
         "expand": _run_expand,
         "ml": _run_ml,
-    }
-    handler = handlers.get(config.command)
-    if handler is None:
-        raise ConfigError(f"unknown command {config.command!r}")
+    }[args.command]
+    fmt = args.format or os.environ.get(ENV_FORMAT)
+    if fmt is None:
+        fmt = "json" if args.command == "map" else "csv"
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"{ENV_FORMAT} must be csv or json, got {fmt!r}")
+    grid = _parse_grid(args.grid) if args.grid else None
+    if args.command in ("deriv", "solve") and grid is None:  # --grid ""
+        raise ConfigError("--grid is required")
+    opt = vars(args)
     try:
-        header, rows = handler(config)
+        header, rows = handler(opt, grid)
     except ValueError as exc:  # a parameter set's own check
         raise ConfigError(str(exc)) from exc
     try:
-        out = (open(config.output_path, "w", newline="") if config.output_path
+        out = (open(args.output, "w", newline="") if args.output
                else contextlib.nullcontext(sys.stdout))
     except OSError as exc:
-        raise ConfigError(f"cannot write --output {config.output_path}: {exc.strerror}") from exc
+        raise ConfigError(f"cannot write --output {args.output}: {exc.strerror}") from exc
     with out as stream:
-        _emit(config, _params(config.options), header, rows, stream)
+        _emit(fmt, args.command, _params(opt), header, rows, stream)
     return 0
 
 
@@ -477,21 +470,6 @@ def _fast_parse(tables: dict, argv: list) -> Optional[argparse.Namespace]:
     return None if required else argparse.Namespace(**values)
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.command == "selftest":
-        return RunConfig(command="selftest")
-    fmt = args.format or os.environ.get(ENV_FORMAT)
-    if fmt is None:
-        fmt = "json" if args.command == "map" else "csv"
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"{ENV_FORMAT} must be csv or json, got {fmt!r}")
-    grid = _parse_grid(args.grid) if getattr(args, "grid", None) else None
-    if args.command in ("deriv", "solve") and grid is None:
-        raise ConfigError("--grid is required")
-    return RunConfig(command=args.command, grid=grid, output_format=fmt,
-                     output_path=args.output, options=vars(args))
-
-
 def main(argv=None) -> int:
     parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -502,8 +480,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        config = config_from_args(args)
-        return run(config)
+        return run(args)
     except (ConfigError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

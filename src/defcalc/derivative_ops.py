@@ -18,8 +18,12 @@ closed form is one elementwise product prefactor(xs) * f'(xs), and each
 limit form evaluates its probe steps as stacks with one row per step, all
 steps in one call of f up to ``_STACK_VALUES`` values.
 
-``OPERATORS`` describes each operator once: its parameters, its closed and
-quotient forms and the lowest grid x each form accepts.
+``OPERATORS`` describes each operator once: its parameters and its closed
+and quotient forms.  Each operator checks its own domain before it evaluates
+f, and raises :class:`DomainError` at the first x outside (its ``index`` over
+an array): Hausdorff and Yang act on the fractal-metric coordinate 1 + x/l0
+and need x > -l0, the conformable operator and the Hausdorff quotient x > 0,
+and the GL chain x >= 0.
 """
 
 from __future__ import annotations
@@ -435,26 +439,13 @@ def jumarie_taylor_eval(
 
 @dataclass(frozen=True)
 class Form:
-    """One form of an operator, ``evaluate(kind, f, x, settings)``, and the
-    lowest grid x it accepts: x > bound(kind), or x >= bound(kind) when not
-    ``strict`` (no bound if None).  ``message`` is the CLI's ``--grid`` error
-    below it, where ``{bound}`` stands for the bound.  ``unread`` names the
-    fields of the kind this form does not read; the CLI rejects their flags."""
+    """One form of an operator, ``evaluate(kind, f, x, settings)``.  The
+    operator it calls checks its own domain, before it evaluates f.
+    ``unread`` names the fields of the kind this form does not read; the CLI
+    rejects their flags."""
 
     evaluate: Callable
-    bound: Optional[Callable[[DerivativeKind], float]] = None
-    strict: bool = True
-    message: str = ""
     unread: tuple[str, ...] = ()
-
-    def rejects(self, kind: DerivativeKind, x: float) -> Optional[str]:
-        """The message if x lies below the lowest grid x, else None."""
-        if self.bound is None:
-            return None
-        bound = self.bound(kind)
-        if x <= bound if self.strict else x < bound:
-            return self.message.format(bound=bound)
-        return None
 
 
 @dataclass(frozen=True)
@@ -468,8 +459,6 @@ class Operator:
     quotient: Optional[Form] = None
 
 
-_BELOW_MINUS_L0 = "--grid enters x <= -l0 = {bound}, outside the operator domain"
-
 # Keyed by the CLI's --op name.  Each form calls the public operator by its
 # module-global name, so a wrapper installed on the module sees the call.
 OPERATORS: dict[str, Operator] = {
@@ -482,20 +471,15 @@ OPERATORS: dict[str, Operator] = {
     "kappa": Operator(KappaParam, Form(lambda k, f, x, s: kaniadakis_derivative(f, x, k, s))),
     "hausdorff": Operator(
         HausdorffParams,
-        Form(lambda k, f, x, s: hausdorff_derivative(f, x, k, s), lambda k: -k.l0,
-             message=_BELOW_MINUS_L0),
-        Form(lambda k, f, x, s: hausdorff_quotient(f, x, k.zeta, s), lambda k: 0.0,
-             message="--grid must stay at x > 0 for the quotient form", unread=("l0",)),
+        Form(lambda k, f, x, s: hausdorff_derivative(f, x, k, s)),
+        Form(lambda k, f, x, s: hausdorff_quotient(f, x, k.zeta, s), unread=("l0",)),
     ),
     "conformable": Operator(Conformable, Form(
-        lambda k, f, x, s: conformable_derivative(f, x, k.alpha, s), lambda k: 0.0,
-        message="--grid must stay at t > 0 for the conformable operator")),
+        lambda k, f, x, s: conformable_derivative(f, x, k.alpha, s))),
     "gl": Operator(GrunwaldJumarie, Form(
-        lambda k, f, x, s: gl_jumarie_derivative(f, x, k.alpha, k.h, k.n_terms), lambda k: 0.0,
-        strict=False, message="--grid must stay at x >= 0 for the GL chain")),
+        lambda k, f, x, s: gl_jumarie_derivative(f, x, k.alpha, k.h, k.n_terms))),
     "yang": Operator(YangLFD, Form(
-        lambda k, f, x, s: yang_lfd(f, x, k.alpha, HausdorffParams(k.alpha, k.l0), s),
-        lambda k: -k.l0, message=_BELOW_MINUS_L0)),
+        lambda k, f, x, s: yang_lfd(f, x, k.alpha, HausdorffParams(k.alpha, k.l0), s))),
 }
 
 _BY_KIND = {op.kind: op for op in OPERATORS.values()}

@@ -254,13 +254,11 @@ def verify_fractional_eigen(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"verify_fractional_eigen requires 0 < alpha < 1, got {alpha}")
-    if h <= 0.0:
-        raise ValueError(f"h must be positive, got {h}")
+    GrunwaldJumarie(alpha, h)  # checks h, before the domain
     if domain[0] <= 0.0:
         raise DomainError(f"domain must lie inside (0, inf), got {domain}")
     if domain[1] ** alpha > 10.0:
         raise DomainError("domain end exceeds the Mittag-Leffler series domain x^alpha <= 10")
-    GrunwaldJumarie(alpha, h)  # rejects a non-finite h
     grid = _grid(domain, grid_points)
 
     def eigenfunction(t):

@@ -489,8 +489,11 @@ def _compile(ast: Expr) -> Callable:
     divide and invalid flags: with finite x and literals, a walk that raises
     none met only finite values.  Otherwise a second walk masks the
     non-finite ones, and :func:`evaluate` runs at each masked x in array
-    order: it raises the same :class:`EvaluationError` as a point-by-point
-    evaluation would, with ``index`` set to the position of that x.
+    order: the call raises evaluate's :class:`EvaluationError` at the first x
+    where both fail, with ``index`` set to its position.  Where numpy and
+    libm round differently, evaluate may fail at an earlier x that the array
+    walk passed, so ``index`` is never below, but may lie above, the first
+    failure of a point-by-point evaluation.
     """
 
     def fn(x):

@@ -22,7 +22,7 @@ import defcalc._csv17 as csv17
 import defcalc.cli as cli
 import defcalc.eigen_solvers
 import defcalc.selftest
-from defcalc.cli import ENV_FORMAT, RunConfig, build_parser, main
+from defcalc.cli import ENV_FORMAT, build_parser, main
 from defcalc.derivative_ops import OPERATORS
 from defcalc.function_catalog import BUILTINS
 from gl_reference import EPS, gl_chain_by_chain
@@ -285,23 +285,20 @@ class TestOperatorTable:
         for f in dataclasses.fields(entry.kind)
         if f.default is dataclasses.MISSING
     ]
-    # The per-operator grid checks the table replaced, at l0 = 2: the lowest x
-    # bound, whether the bound itself is rejected, and the --grid message.
+    # Each form's grid domain, stated here apart from the operators that check
+    # it, at l0 = 2: the lowest x bound and whether the bound itself is outside.
     DOMAIN_RULES = {
-        ("hausdorff", "closed"):
-            (-2.0, True, "--grid enters x <= -l0 = -2.0, outside the operator domain"),
-        ("hausdorff", "quotient"): (0.0, True, "--grid must stay at x > 0 for the quotient form"),
-        ("conformable", "closed"):
-            (0.0, True, "--grid must stay at t > 0 for the conformable operator"),
-        ("gl", "closed"): (0.0, False, "--grid must stay at x >= 0 for the GL chain"),
-        ("yang", "closed"):
-            (-2.0, True, "--grid enters x <= -l0 = -2.0, outside the operator domain"),
+        ("hausdorff", "closed"): (-2.0, True),
+        ("hausdorff", "quotient"): (0.0, True),
+        ("conformable", "closed"): (0.0, True),
+        ("gl", "closed"): (0.0, False),
+        ("yang", "closed"): (-2.0, True),
     }
-    BOUNDED = [
+    FORMS = [
         (op, form)
         for op, entry in OPERATORS.items()
         for form in ("closed", "quotient")
-        if getattr(entry, form) is not None and getattr(entry, form).bound is not None
+        if getattr(entry, form) is not None
     ]
 
     def test_op_choices_are_the_table_keys_in_order(self):
@@ -328,19 +325,26 @@ class TestOperatorTable:
         assert code == 0
         assert out.startswith("x,value\n")
 
-    def test_domain_rules(self):
-        assert sorted(self.BOUNDED) == sorted(self.DOMAIN_RULES)
+    def test_domain_rules(self, capsys):
+        # every form of the table has a rule here, or takes a grid far below 0
+        assert set(self.DOMAIN_RULES) <= set(self.FORMS)
+        for op, form in self.FORMS:
+            if (op, form) not in self.DOMAIN_RULES:
+                code, _, err = run_cli(capsys, *_deriv(op, _flags(op, form), -1000.0, form))
+                assert code == 0, (op, form, err)
 
-    @pytest.mark.parametrize("op,form", BOUNDED)
+    @pytest.mark.parametrize("op,form", list(DOMAIN_RULES))
     def test_domain_rule_at_its_bound(self, capsys, op, form):
-        bound, strict, message = self.DOMAIN_RULES[op, form]
+        bound, strict = self.DOMAIN_RULES[op, form]
         outside = bound if strict else float(np.nextafter(bound, -np.inf))
         inside = float(np.nextafter(bound, np.inf)) if strict else bound
         code, out, err = run_cli(capsys, *_deriv(op, _flags(op, form), outside, form))
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --grid outside the operator domain: {op} operator at "
+                              f"x = {outside!r}: "), err
         code, out, err = run_cli(capsys, *_deriv(op, _flags(op, form), inside, form))
         if (op, form) == ("hausdorff", "quotient"):
-            # The --grid check passes, but the probe steps, capped at x/4, round to 0
+            # Inside the domain, but the probe steps, capped at x/4, round to 0
             # at x = 5e-324.
             assert (code, out, err) == (
                 3, "", "numerical failure: hausdorff operator at x = 5e-324: non-finite value nan\n"
@@ -348,6 +352,21 @@ class TestOperatorTable:
             return
         assert code == 0, err
         assert float(out.splitlines()[1].split(",")[0]) == inside
+
+    def test_domain_message_is_the_operators_own(self, capsys):
+        code, out, err = run_cli(capsys, "deriv", "--op", "hausdorff", "--zeta", "0.5", "--l0",
+                                 "2", "--fn", "x", "--grid=-2:1:3")
+        assert (code, out, err) == (2, "", "error: --grid outside the operator domain: hausdorff "
+                                    "operator at x = -2.0: hausdorff_derivative requires "
+                                    "x > -l0 = -2.0, got -2.0\n")
+
+    def test_q_quotient_probe_on_the_singular_line(self, capsys):
+        # the probe x - 0.01 at x = -1.99 lands on y = 1/(q - 1) = -2
+        code, out, err = run_cli(capsys, "deriv", "--op", "q", "--q", "0.5", "--form", "quotient",
+                                 "--fn", "sin(x)", "--grid=-2.5:-1.99:3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --grid outside the operator domain: q operator at "
+                              "x = -1.99: "), err
 
     @pytest.mark.parametrize("op", [op for op, entry in OPERATORS.items() if entry.quotient is None])
     def test_quotient_form_only_where_the_table_has_one(self, capsys, op):
@@ -418,6 +437,13 @@ class TestSolveCommand:
         assert err.startswith("error: --grid outside the problem domain: "
                               "mittag_leffler overflows the double range at z=")
         assert err.endswith(" (alpha=0.1)\n")
+
+    @pytest.mark.parametrize("grid", ["0.2:1:11", "0:1:11"])
+    def test_fractional_h_is_checked_by_the_gl_chain(self, capsys, grid):
+        # h's rule is GrunwaldJumarie's, checked before the domain (0:1:11 is outside it)
+        code, out, err = run_cli(capsys, "solve", "--problem", "fractional", "--alpha", "0.5",
+                                 "--h", "0", "--grid", grid)
+        assert (code, out, err) == (2, "", "error: GrunwaldJumarie requires finite h > 0, got 0.0\n")
 
     def test_step_underflow_is_numerical_failure(self, capsys):
         code, out, err = run_cli(capsys, *SOLVE_UNDERFLOW)
@@ -1170,7 +1196,7 @@ class TestCsvBytes:
         n = len(EDGE_VALUES)
         rows = [tuple(EDGE_VALUES[(i + j) % n] for j in range(len(header))) for i in range(n)]
         out = io.StringIO()
-        cli._emit(RunConfig(command=command), {}, header, np.array(rows), out)
+        cli._emit("csv", command, {}, header, np.array(rows), out)
         assert out.getvalue() == _old_csv(header, rows)
 
     @pytest.mark.parametrize(
@@ -1192,9 +1218,9 @@ class TestCsvBytes:
         seen = []
         emit = cli._emit
 
-        def capture(config, params, header, rows, out):
+        def capture(fmt, command, params, header, rows, out):
             seen.append((len(header), rows))
-            emit(config, params, header, rows, out)
+            emit(fmt, command, params, header, rows, out)
 
         monkeypatch.setattr(cli, "_emit", capture)
         assert main(list(argv)) == 0
@@ -1214,7 +1240,7 @@ def _emitted(fmt, command, params, header, rows):
     """The table ``rows`` (rows of floats, or an array) as ``_emit`` writes it."""
     table = np.array(rows, dtype=float).reshape(-1, len(header))
     out = io.StringIO()
-    cli._emit(RunConfig(command=command, output_format=fmt), params, header, table, out)
+    cli._emit(fmt, command, params, header, table, out)
     return out.getvalue()
 
 

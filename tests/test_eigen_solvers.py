@@ -261,6 +261,11 @@ class TestVerifyFractionalEigen:
         with pytest.raises(ValueError):
             verify_fractional_eigen(1.5, (0.2, 1.0), 11, h=1e-3)
 
+    @pytest.mark.parametrize("h", [0.0, -1e-3, math.inf, math.nan])
+    def test_h_is_checked_by_the_chain_before_the_domain(self, h):
+        with pytest.raises(ValueError, match=r"^GrunwaldJumarie requires finite h > 0, got "):
+            verify_fractional_eigen(0.5, (0.0, 1.0), 11, h=h)
+
 
 def test_eigen_problem_validation():
     for solve, param in ((solve_q_eigen, 0.5), (solve_hausdorff_eigen, HausdorffParams(0.5))):

@@ -397,6 +397,20 @@ class TestCompiledAgreement:
         assert want is not None, "the grid should cross a singularity"
         assert _whole_array(f, WIDE_GRID)[1] == want
 
+    def test_array_failure_never_comes_before_the_float_loops(self):
+        # x^x passes 1e39 by x = 27.7: where numpy's power and libm's pow round
+        # an ulp apart, sin of the two differs in sign, and the float loop can
+        # fail at an x that the array walk passed.  Which x does depends on libm.
+        f = RealFunction.from_expression("pow(sin(x^x), ln(x))")
+        xs = np.linspace(0.1, 800, 30)
+        first, _ = _point_by_point(f, xs)[1]
+        with pytest.raises(EvaluationError) as got:
+            f(xs)
+        with pytest.raises(EvaluationError) as want:
+            f(float(xs[got.value.index]))
+        assert str(got.value) == str(want.value)
+        assert got.value.index >= first
+
     def test_generated_trees_across_singularities(self):
         failing = 0
         for ast, _ in generate(60, seed=11):
