@@ -36,23 +36,17 @@ from .deformed_algebra import KappaParam, QParam
 from .derivative_ops import OPERATORS, DiffSettings
 from .eigen_solvers import solve_hausdorff_eigen, solve_q_eigen, verify_fractional_eigen
 from .errors import DefcalcError, DomainError, ParseError
-from .function_catalog import BUILTINS, RealFunction
+from .function_catalog import GRAMMAR, RealFunction
 from .mappings import expand_hausdorff_prefactor, kappa_expansion, q_from_zeta, zeta_from_q
 from .special_functions import HausdorffParams, mittag_leffler
 
 ENV_FORMAT = "DEFCALC_OUTPUT_FORMAT"
 
-_EXPRESSION_HELP = """\
-expression syntax for --fn (single free variable x):
-  expression = term , { ("+" | "-") , term } ;
-  term       = unary , { ("*" | "/") , unary } ;
-  unary      = "-" , unary | power ;
-  power      = atom , [ "^" , unary ] ;          (right-associative)
-  atom       = number | "x" | call | "(" , expression , ")" ;
-  call       = builtin , "(" , expression , { "," , expression } , ")" ;
-  builtin    = %s
-examples: "x^2", "exp(-x^2/2)", "sin(x)*sqrt(1+x^2)"
-""" % " | ".join(BUILTINS)
+_EXPRESSION_HELP = (
+    "expression syntax for --fn (single free variable x):\n"
+    + "".join(f"  {line}\n" for line in GRAMMAR.splitlines())
+    + 'examples: "x^2", "exp(-x^2/2)", "sin(x)*sqrt(1+x^2)"\n'
+)
 
 
 class ConfigError(Exception):
@@ -209,7 +203,7 @@ def _from_options(cls, opt: dict, who: str, extra=(), unread=(), unread_by: str 
     return cls(**values)
 
 
-def _run_grid(compute: Callable, xs: np.ndarray, where: str, overflow: str):
+def _run_grid(compute: Callable, xs: np.ndarray, where: str):
     """``compute(xs)``; a :class:`DefcalcError` names the first x that fails
     (``where`` names it) or holds a non-finite value.
 
@@ -230,7 +224,7 @@ def _run_grid(compute: Callable, xs: np.ndarray, where: str, overflow: str):
     bad = ~np.isfinite(values)
     if bad.any():
         i = int(np.argmax(bad))
-        raise DefcalcError(f"{where} = {xs[i]}: {overflow} {values[i]}")
+        raise DefcalcError(f"{where} = {xs[i]}: non-finite value {values[i]}")
     if failure is not None:
         raise DefcalcError(f"{where} = {xs[end]}: {failure}") from failure
     return values
@@ -250,7 +244,7 @@ def _run_deriv(opt: dict, grid):
     xs = np.linspace(*grid)
     try:
         values = _run_grid(lambda part: way.evaluate(kind, f, part, settings), xs,
-                           f"{name} operator at x", "non-finite value")
+                           f"{name} operator at x")
     except DefcalcError as exc:
         if isinstance(exc.__cause__, DomainError):  # the operator's own domain check
             raise ConfigError(f"--grid outside the operator domain: {exc}") from exc
@@ -304,14 +298,10 @@ def _run_expand(opt: dict, grid):
 
 
 def _run_ml(opt: dict, grid):
-    alpha = opt.get("alpha")
-    if alpha is None:
-        raise ConfigError("ml requires --alpha")
     if (opt.get("z") is None) == (grid is None):
         raise ConfigError("ml needs exactly one of --z or --grid")
     zs = np.array([opt["z"]]) if opt.get("z") is not None else np.linspace(*grid)
-    values = _run_grid(lambda z: mittag_leffler(z, alpha), zs, "ml at z",
-                       "the series overflowed to")
+    values = _run_grid(lambda z: mittag_leffler(z, opt["alpha"]), zs, "ml at z")
     return ("x", "value"), np.column_stack((zs, values))
 
 
@@ -337,10 +327,10 @@ def run(args: argparse.Namespace) -> int:
         fmt = "json" if args.command == "map" else "csv"
     if fmt not in ("csv", "json"):
         raise ConfigError(f"{ENV_FORMAT} must be csv or json, got {fmt!r}")
-    grid = _parse_grid(args.grid) if args.grid else None
+    opt = vars(args)
+    grid = _parse_grid(opt["grid"]) if opt.get("grid") else None
     if args.command in ("deriv", "solve") and grid is None:  # --grid ""
         raise ConfigError("--grid is required")
-    opt = vars(args)
     try:
         header, rows = handler(opt, grid)
     except ValueError as exc:  # a parameter set's own check
@@ -364,8 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, grid_required: bool):
-        p.add_argument("--grid", required=grid_required, help="start:stop:points")
+    def add_common(p):
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--output", default=None, help="write the table to this file")
 
@@ -375,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", choices=("closed", "quotient"), default="closed")
     for flag, kind in _param_flags(op.kind for op in OPERATORS.values()).items():
         p.add_argument(flag, type=kind, default=None)
-    add_common(p, grid_required=True)
+    p.add_argument("--grid", required=True, help="start:stop:points")
+    add_common(p)
     p.add_argument("--base-step", type=_finite_float, default=1e-2)
     p.add_argument("--levels", type=int, default=4)
 
@@ -384,23 +374,25 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, kind in _param_flags(cls for cls, _, _ in _PROBLEMS.values()).items():
         p.add_argument(flag, type=kind, default=None)
     p.add_argument("--tol", type=_finite_float, default=None)
-    add_common(p, grid_required=True)
+    p.add_argument("--grid", required=True, help="start:stop:points")
+    add_common(p)
 
     p = sub.add_parser("map", help="bridge the entropic index q and scaling exponent zeta")
     for flag in ("--q", "--zeta", "--l0"):
         p.add_argument(flag, type=_finite_float, default=None)
-    add_common(p, grid_required=False)
+    add_common(p)
 
     p = sub.add_parser("expand", help="series coefficients of an operator prefactor")
     for flag in ("--zeta", "--l0", "--kappa"):
         p.add_argument(flag, type=_finite_float, default=None)
     p.add_argument("--order", type=int, default=8)
-    add_common(p, grid_required=False)
+    add_common(p)
 
     p = sub.add_parser("ml", help="evaluate the Mittag-Leffler function")
-    p.add_argument("--alpha", type=_finite_float, default=None)
+    p.add_argument("--alpha", type=_finite_float, required=True)
     p.add_argument("--z", type=_finite_float, default=None)
-    add_common(p, grid_required=False)
+    p.add_argument("--grid", default=None, help="start:stop:points")
+    add_common(p)
 
     sub.add_parser("selftest", help="run the built-in invariant suite")
     return parser
@@ -481,7 +473,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return run(args)
-    except (ConfigError, ParseError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DefcalcError as exc:

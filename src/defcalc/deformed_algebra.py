@@ -165,8 +165,7 @@ def kappa_exp(x: float | np.ndarray, kappa: KappaParam | float) -> float | np.nd
 def kappa_log(x: float, kappa: KappaParam | float) -> float:
     """kappa-logarithm (x^k - x^(-k)) / (2k), inverse of :func:`kappa_exp` for x > 0."""
     kp = _as_kappa(kappa)
-    if x <= 0.0:
-        raise DomainError(f"kappa_log requires x > 0, got {x}")
+    _reject(x <= 0.0, x, "kappa_log requires x > 0")
     if kp.is_classical:
         return math.log(x)
     k = kp.kappa

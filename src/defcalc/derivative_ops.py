@@ -9,14 +9,16 @@ Closed forms multiply f'(x) by the operator's prefactor:
     conformable    t^(1-alpha) f'(t)            (realized as a limit below)
 
 Limit-quotient forms evaluate the defining difference quotient on a geometric
-probe sequence (step halving) and Richardson-extrapolate.  The
+probe sequence (step halving) and Richardson-extrapolate; the Hausdorff and
+conformable probes start at min(base_step, reach/4), reach x and t^alpha.  The
 Grunwald-Letnikov / Jumarie sum realizes the non-local fractional derivative
 as an alternating binomial chain anchored at the origin.
 
 Every operator takes x as a float or as a 1-d array; over an array, each
 closed form is one elementwise product prefactor(xs) * f'(xs), and each
 limit form evaluates its probe steps as stacks with one row per step, all
-steps in one call of f up to ``_STACK_VALUES`` values.
+steps in one call of f up to ``_STACK_VALUES`` values; a stack that raises
+runs again one step per call, to raise the first failing step's error.
 
 ``OPERATORS`` describes each operator once: its parameters and its closed
 and quotient forms.  Each operator checks its own domain before it evaluates
@@ -138,15 +140,15 @@ DerivativeKind = Union[
 # --- Richardson extrapolation ---------------------------------------------
 
 
-def _richardson(values, p: int, r: float = 2.0):
-    # values[i] computed at step base * r^-i: floats, or the rows of a stack
+def _richardson(values, p: int):
+    # values[i] computed at step base * 2^-i: floats, or the rows of a stack
     # over a grid, extrapolated elementwise with the same arithmetic; error
     # powers p, 2p, 3p, ...
     stacked = isinstance(values, np.ndarray)
     vals = values if stacked else list(values)
     n = len(vals)
     for j in range(1, n):
-        factor = r ** (p * j)
+        factor = 2.0 ** (p * j)
         if stacked:  # every row k >= j at once, from the rows of level j - 1
             vals[j:] = (factor * vals[j:] - vals[j - 1:-1]) / (factor - 1.0)
             continue
@@ -162,36 +164,41 @@ def _richardson(values, p: int, r: float = 2.0):
 _STACK_VALUES = 8192
 
 
-def _limit(quotient: Callable, x, settings: DiffSettings | None, p: int, cap=None):
+def _limit(quotient: Callable, x, settings: DiffSettings | None, p: int, reach=None):
     """The Richardson limit, error powers p, 2p, ..., of quotient(h) over the
     probe steps h = base 2^-j, j = 0..richardson_levels, where base is
-    base_step, capped at ``cap`` (elementwise over an array) when given.
+    base_step, or min(base_step, reach/4) (elementwise over an array) when
+    ``reach`` is given: the distance from x within which a probe stays smooth.
 
     Over an array of x, quotient takes its steps as a stack with one row per
     step, all of them in one call unless the stack would pass
-    ``_STACK_VALUES``.  If a call raises, the steps run one at a time, so the
-    error is the one the first failing step raises, as at a float x.
+    ``_STACK_VALUES``.  If a call raises, the steps run again one per call, so
+    the error is the one the first failing step raises, as at a float x.
     """
     s = settings or _DEFAULT_SETTINGS
     base = s.base_step
-    if cap is not None:
-        base = min(base, cap) if np.ndim(cap) == 0 else np.minimum(base, cap)
+    if reach is not None:
+        base = (min if np.ndim(reach) == 0 else np.minimum)(base, reach / 4.0)
     levels = range(s.richardson_levels + 1)
     if isinstance(x, np.ndarray) and x.ndim:
         shrink = np.array([0.5**j for j in levels]).reshape((-1,) + (1,) * x.ndim)
         rows = max(1, _STACK_VALUES // max(x.size, 1))
         values = np.empty((len(levels),) + x.shape)
+        while True:
+            try:
+                for j in range(0, len(levels), rows):
+                    values[j:j + rows] = quotient(base * shrink[j:j + rows])
+                break
+            except Exception:  # whatever a stack raises, raise what the first failing step raises
+                if rows == 1:
+                    raise
+                rows = 1
+    else:
         try:
-            for j in range(0, len(levels), rows):
-                values[j:j + rows] = quotient(base * shrink[j:j + rows])
-            return _richardson(values, p)
-        except Exception:  # whatever a stack raises, raise what the first failing step raises
-            pass
-    try:
-        values = [quotient(base * 0.5**j) for j in levels]
-    except ZeroDivisionError as exc:  # at a float x; over an array the quotient is inf or nan
-        raise DomainError("the difference quotient divides by zero: a probe step is lost "
-                          "to round-off at this x") from exc
+            values = [quotient(base * 0.5**j) for j in levels]
+        except ZeroDivisionError as exc:  # over an array the quotient is inf or nan instead
+            raise DomainError("the difference quotient divides by zero: a probe step is lost "
+                              "to round-off at this x") from exc
     return _richardson(values, p)
 
 
@@ -251,7 +258,7 @@ def hausdorff_quotient(f, x, zeta: float, settings: DiffSettings | None = None):
     _reject(x <= 0.0, x, "hausdorff_quotient requires x > 0")
     fx = f(x)
     xz = x**zeta
-    return _limit(lambda h: (f(x + h) - fx) / ((x + h) ** zeta - xz), x, settings, 1, x / 4.0)
+    return _limit(lambda h: (f(x + h) - fx) / ((x + h) ** zeta - xz), x, settings, 1, x)
 
 
 def kaniadakis_derivative(f, x, kappa: KappaParam | float, settings: DiffSettings | None = None):
@@ -273,7 +280,7 @@ def conformable_derivative(f, t, alpha: float, settings: DiffSettings | None = N
     f = as_real_function(f)
     ft = f(t)
     scale = t ** (1.0 - alpha)
-    return _limit(lambda eps: (f(t + eps * scale) - ft) / eps, t, settings, 1, t**alpha / 4.0)
+    return _limit(lambda eps: (f(t + eps * scale) - ft) / eps, t, settings, 1, t**alpha)
 
 
 # --- Grunwald-Letnikov / Jumarie chain ------------------------------------
@@ -364,26 +371,23 @@ def gl_jumarie_derivative(f, x, alpha: float, h: float, n_terms: Optional[int] =
     weights = gl_weights(alpha, max(n for _, _, n in chains))
     scale = h ** (-alpha)
     sums = np.empty(xs.size)
-    for a, lo, hi, members in _lattices(chains):
-        # node j is j h on the lattice, else x_a - (t_a - j) h: chain a's own nodes
-        x_a, t_a = (0.0, 0) if chains[a][1] == 0.0 else (xs[a], chains[a][0])
-        try:
+    try:
+        for a, lo, hi, members in _lattices(chains):
+            # node j is j h on the lattice, else x_a - (t_a - j) h: chain a's own nodes
+            x_a, t_a = (0.0, 0) if chains[a][1] == 0.0 else (xs[a], chains[a][0])
             values = f(x_a + (np.arange(lo, hi + 1, dtype=float) - t_a) * h)
-        except Exception:  # whatever f raises, raise what the first failing chain raises
-            break
-        for i in members:
-            t, _, n = chains[i]
-            sums[i] = scale * _chain_sum(weights[: n + 1], values[t - lo - n: t - lo + 1][::-1])
-    else:
-        return sums if np.ndim(x) else float(sums[0])
-    for i, (t, r, n) in enumerate(chains):
-        k = np.arange(n + 1, dtype=float)
-        try:
-            values = f((t - k) * h if r == 0.0 else xs[i] - k * h)
-        except DefcalcError as exc:
-            exc.index = i
-            raise
-        sums[i] = scale * _chain_sum(weights[: n + 1], values)
+            for i in members:
+                t, _, n = chains[i]
+                sums[i] = scale * _chain_sum(weights[: n + 1], values[t - lo - n: t - lo + 1][::-1])
+    except Exception:  # whatever f raises, raise what the first failing chain raises
+        for i, (t, r, n) in enumerate(chains):
+            k = np.arange(n + 1, dtype=float)
+            try:
+                values = f((t - k) * h if r == 0.0 else xs[i] - k * h)
+            except DefcalcError as exc:
+                exc.index = i
+                raise
+            sums[i] = scale * _chain_sum(weights[: n + 1], values)
     return sums if np.ndim(x) else float(sums[0])
 
 
@@ -394,10 +398,8 @@ def rl_power_rule(gamma_exp: float, alpha: float, x: float) -> float:
     (lower terminal 0).  Requires gamma > -1 and x > 0; a pole of the
     denominator gamma propagates as :class:`PoleError`.
     """
-    if gamma_exp <= -1.0:
-        raise DomainError(f"rl_power_rule requires gamma > -1, got {gamma_exp}")
-    if x <= 0.0:
-        raise DomainError(f"rl_power_rule requires x > 0, got {x}")
+    _reject(gamma_exp <= -1.0, gamma_exp, "rl_power_rule requires gamma > -1")
+    _reject(x <= 0.0, x, "rl_power_rule requires x > 0")
     return gamma(gamma_exp + 1.0) * x ** (gamma_exp - alpha) / gamma(gamma_exp - alpha + 1.0)
 
 

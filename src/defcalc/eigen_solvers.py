@@ -18,7 +18,7 @@ import numpy as np
 
 from .deformed_algebra import QParam, _as_q, q_exp
 from .derivative_ops import GrunwaldJumarie, gl_jumarie_derivative
-from .errors import DomainError, StepFailure
+from .errors import DomainError, StepFailure, _reject
 from .function_catalog import RealFunction
 from .special_functions import HausdorffParams, balankin_exp, mittag_leffler
 
@@ -255,8 +255,7 @@ def verify_fractional_eigen(
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"verify_fractional_eigen requires 0 < alpha < 1, got {alpha}")
     GrunwaldJumarie(alpha, h)  # checks h, before the domain
-    if domain[0] <= 0.0:
-        raise DomainError(f"domain must lie inside (0, inf), got {domain}")
+    _reject(domain[0] <= 0.0, domain, "domain must lie inside (0, inf)")
     if domain[1] ** alpha > 10.0:
         raise DomainError("domain end exceeds the Mittag-Leffler series domain x^alpha <= 10")
     grid = _grid(domain, grid_points)

@@ -1,23 +1,11 @@
 """Expression language for user-supplied test functions.
 
-Grammar (EBNF, also published in the README):
-
-    expression = term , { ("+" | "-") , term } ;
-    term       = unary , { ("*" | "/") , unary } ;
-    unary      = "-" , unary | power ;
-    power      = atom , [ "^" , unary ] ;          (* right-associative *)
-    atom       = number | "x" | call | "(" , expression , ")" ;
-    call       = builtin , "(" , expression , { "," , expression } , ")" ;
-    builtin    = (* a name in BUILTINS *) ;
-    number     = digits , [ "." , [ digits ] ] , [ exponent ]
-               | "." , digits , [ exponent ] ;
-    exponent   = ( "e" | "E" ) , [ "+" | "-" ] , digits ;
-    digits     = ( "0" | "1" | ... | "9" ) , { "0" | "1" | ... | "9" } ;
-
-"^" binds tighter than unary minus, so -x^2 parses as -(x^2).  Each
-builtin's arity, like its float and numpy functions and its derivative rule,
-comes from the operation table ``_OPERATIONS``.  The single free variable is
-x.  A number must be finite as a double.  Parsed trees are limited to depth 64.
+The grammar is :data:`GRAMMAR`, in EBNF; README quotes it and ``defcalc
+--help`` prints it.  "^" binds tighter than unary minus, so -x^2 parses as
+-(x^2).  Each builtin's arity, like its float and numpy functions and its
+derivative rule, comes from the operation table ``_OPERATIONS``.  The single
+free variable is x.  A number must be finite as a double.  Parsed trees are
+limited to depth 64.
 """
 
 from __future__ import annotations
@@ -46,6 +34,7 @@ __all__ = [
     "Call",
     "Expr",
     "BUILTINS",
+    "GRAMMAR",
     "MAX_DEPTH",
     "parse",
     "evaluate",
@@ -144,6 +133,21 @@ _OPERATIONS: dict[str, _Operation] = {
 }
 BUILTINS = tuple(name for name in _OPERATIONS if name.isalpha())
 
+# The language :func:`parse` accepts; README quotes it and the CLI prints it.
+GRAMMAR = """\
+expression = term , { ("+" | "-") , term } ;
+term       = unary , { ("*" | "/") , unary } ;
+unary      = "-" , unary | power ;
+power      = atom , [ "^" , unary ] ;          (* right-associative *)
+atom       = number | "x" | call | "(" , expression , ")" ;
+call       = builtin , "(" , expression , { "," , expression } , ")" ;
+builtin    = %s ;
+number     = digits , [ "." , [ digits ] ] , [ exponent ]
+           | "." , digits , [ exponent ] ;
+exponent   = ( "e" | "E" ) , [ "+" | "-" ] , digits ;
+digits     = ( "0" | "1" | ... | "9" ) , { "0" | "1" | ... | "9" } ;""" % " | ".join(
+    f'"{name}"' for name in BUILTINS)
+
 
 # --- Lexer ---------------------------------------------------------------
 
@@ -179,16 +183,16 @@ _NESTING_LIMIT = 2 * MAX_DEPTH + 8
 
 class _Parser:
     """Recursive descent over the token list.  Tests of a token's text need
-    no kind check: no number, name or end token has an operator's text."""
+    no kind check: no number, name or end token has an operator's text.
+    ``nesting`` counts the expression and unary productions open, the one
+    called included; ``call`` gets the count of its unary."""
 
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.i = 0
-        self.nesting = 0
 
-    def enter(self):
-        self.nesting += 1
-        if self.nesting > _NESTING_LIMIT:
+    def enter(self, nesting: int):
+        if nesting > _NESTING_LIMIT:
             raise ParseError(
                 self.tokens[self.i][2], f"an expression of depth <= {MAX_DEPTH}", "deeper nesting"
             )
@@ -202,78 +206,72 @@ class _Parser:
             raise ParseError(pos, f"an expression of depth <= {MAX_DEPTH}", "deeper nesting")
         return node, depth
 
-    def expression(self) -> tuple[Expr, int]:
+    def expression(self, nesting: int) -> tuple[Expr, int]:
         """A sum of products of unary operands, each grouped to the left."""
-        self.enter()
-        try:
-            tokens = self.tokens
-            pending = None  # (op, left operand, its depth, op position) of a sum
-            while True:
-                node, depth = self.unary()
-                while tokens[self.i][1] in ("*", "/"):
-                    _, op, pos = tokens[self.i]
-                    self.i += 1
-                    rhs, rdepth = self.unary()
-                    node, depth = self.guard(BinOp(op, node, rhs), max(depth, rdepth) + 1, pos)
-                if pending is not None:
-                    op, lhs, ldepth, pos = pending
-                    node, depth = self.guard(BinOp(op, lhs, node), max(ldepth, depth) + 1, pos)
+        self.enter(nesting)
+        tokens = self.tokens
+        pending = None  # (op, left operand, its depth, op position) of a sum
+        while True:
+            node, depth = self.unary(nesting + 1)
+            while tokens[self.i][1] in ("*", "/"):
                 _, op, pos = tokens[self.i]
-                if op not in ("+", "-"):
-                    return node, depth
                 self.i += 1
-                pending = (op, node, depth, pos)
-        finally:
-            self.nesting -= 1
+                rhs, rdepth = self.unary(nesting + 1)
+                node, depth = self.guard(BinOp(op, node, rhs), max(depth, rdepth) + 1, pos)
+            if pending is not None:
+                op, lhs, ldepth, pos = pending
+                node, depth = self.guard(BinOp(op, lhs, node), max(ldepth, depth) + 1, pos)
+            _, op, pos = tokens[self.i]
+            if op not in ("+", "-"):
+                return node, depth
+            self.i += 1
+            pending = (op, node, depth, pos)
 
-    def unary(self) -> tuple[Expr, int]:
+    def unary(self, nesting: int) -> tuple[Expr, int]:
         """A negation, or an operand with an optional right-associative ^."""
-        self.enter()
-        try:
-            kind, text, pos = self.tokens[self.i]
-            if text == "-":
-                self.i += 1
-                node, depth = self.unary()
-                return self.guard(Neg(node), depth + 1, pos)
-            if kind == "number":
-                self.i += 1
-                value = float(text)
-                if not math.isfinite(value):
-                    raise ParseError(pos, "a finite number", text)
-                node, depth = Number(value), 1
-            elif kind == "ident":
-                self.i += 1
-                if text == "x":
-                    node, depth = Var(), 1
-                elif text in BUILTINS:
-                    node, depth = self.call(text, pos)
-                else:
-                    raise ParseError(pos, "x or a builtin function name", text)
-            elif text == "(":
-                self.i += 1
-                node, depth = self.expression()
-                if self.tokens[self.i][1] != ")":
-                    self.fail("')'")
-                self.i += 1
+        self.enter(nesting)
+        kind, text, pos = self.tokens[self.i]
+        if text == "-":
+            self.i += 1
+            node, depth = self.unary(nesting + 1)
+            return self.guard(Neg(node), depth + 1, pos)
+        if kind == "number":
+            self.i += 1
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(pos, "a finite number", text)
+            node, depth = Number(value), 1
+        elif kind == "ident":
+            self.i += 1
+            if text == "x":
+                node, depth = Var(), 1
+            elif text in BUILTINS:
+                node, depth = self.call(text, pos, nesting)
             else:
-                self.fail("an operand")
-            _, text, pos = self.tokens[self.i]
-            if text == "^":
-                self.i += 1
-                rhs, rdepth = self.unary()
-                return self.guard(BinOp("^", node, rhs), max(depth, rdepth) + 1, pos)
-            return node, depth
-        finally:
-            self.nesting -= 1
+                raise ParseError(pos, "x or a builtin function name", text)
+        elif text == "(":
+            self.i += 1
+            node, depth = self.expression(nesting + 1)
+            if self.tokens[self.i][1] != ")":
+                self.fail("')'")
+            self.i += 1
+        else:
+            self.fail("an operand")
+        _, text, pos = self.tokens[self.i]
+        if text == "^":
+            self.i += 1
+            rhs, rdepth = self.unary(nesting + 1)
+            return self.guard(BinOp("^", node, rhs), max(depth, rdepth) + 1, pos)
+        return node, depth
 
-    def call(self, name: str, name_pos: int) -> tuple[Expr, int]:
+    def call(self, name: str, name_pos: int, nesting: int) -> tuple[Expr, int]:
         if self.tokens[self.i][1] != "(":
             self.fail(f"'(' after {name}")
         self.i += 1
-        parsed = [self.expression()]
+        parsed = [self.expression(nesting + 1)]
         while self.tokens[self.i][1] == ",":
             self.i += 1
-            parsed.append(self.expression())
+            parsed.append(self.expression(nesting + 1))
         if self.tokens[self.i][1] != ")":
             self.fail("')' or ','")
         closing = self.tokens[self.i][2]
@@ -296,7 +294,7 @@ def parse(source: str) -> Expr:
     expected/found token descriptions; a number literal must be finite.
     """
     parser = _Parser(_tokenize(source))
-    node, _ = parser.expression()
+    node, _ = parser.expression(1)
     if parser.tokens[parser.i][0] != "end":
         parser.fail("end of input")
     return node
@@ -372,8 +370,6 @@ def _mul(a: Expr, b: Expr) -> Expr:
 def _div(a: Expr, b: Expr) -> Expr:
     if _is_const(a, 0.0):
         return _num(0.0)
-    if _is_const(b, 1.0):
-        return a
     return BinOp("/", a, b)
 
 

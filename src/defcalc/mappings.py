@@ -27,7 +27,7 @@ from .derivative_ops import (
     hausdorff_derivative,
     yang_lfd,
 )
-from .errors import DegenerateInput, DomainError
+from .errors import DegenerateInput, DomainError, _reject
 from .function_catalog import RealFunction, as_real_function
 from .special_functions import HausdorffParams, gen_binomial
 
@@ -187,8 +187,7 @@ def conformable_hausdorff_check(
     """
     hp = HausdorffParams(zeta=alpha, l0=l0)
     t = 1.0 + x / l0
-    if t <= 0.0:
-        raise DomainError(f"requires 1 + x/l0 > 0, got {t}")
+    _reject(t <= 0.0, t, "requires 1 + x/l0 > 0")
     f = as_real_function(f)
     g = RealFunction(
         value=lambda u: f.value(l0 * (u - 1.0)),

@@ -291,8 +291,7 @@ mittag_leffler_array = mittag_leffler
 
 def stretched_exp(x: float, alpha: float) -> float:
     """Stretched exponential exp(x^alpha) for x >= 0."""
-    if x < 0.0:
-        raise DomainError(f"stretched_exp requires x >= 0, got {x}")
+    _reject(x < 0.0, x, "stretched_exp requires x >= 0")
     return math.exp(x**alpha)
 
 

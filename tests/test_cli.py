@@ -24,7 +24,7 @@ import defcalc.eigen_solvers
 import defcalc.selftest
 from defcalc.cli import ENV_FORMAT, build_parser, main
 from defcalc.derivative_ops import OPERATORS
-from defcalc.function_catalog import BUILTINS
+from defcalc.function_catalog import BUILTINS, GRAMMAR
 from gl_reference import EPS, gl_chain_by_chain
 
 
@@ -107,14 +107,9 @@ class TestDerivCommand:
         assert builtins == "exp | ln | sin | cos | sqrt | gamma | abs | pow"
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
-        assert [line.strip() for line in out.splitlines() if "builtin    =" in line] == [
-            f"builtin    = {builtins}"
-        ]
+        assert "".join(f"  {line}\n" for line in GRAMMAR.splitlines()) in out
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        quoted = " | ".join(f'"{name}"' for name in BUILTINS)
-        assert [line for line in readme.splitlines() if line.startswith("builtin    =")] == [
-            f"builtin    = {quoted} ;"
-        ]
+        assert readme.split("```ebnf\n")[1].split("\n```")[0] == GRAMMAR
 
     def test_grid_outside_domain(self, capsys):
         code, _, err = run_cli(
@@ -183,7 +178,7 @@ class TestDerivCommand:
             raise defcalc.DefcalcError("no value", index=index)
 
         with pytest.raises(defcalc.DefcalcError) as err:
-            cli._run_grid(compute, np.linspace(0.0, 1.0, 3), "f at x", "non-finite value")
+            cli._run_grid(compute, np.linspace(0.0, 1.0, 3), "f at x")
         assert str(err.value) == "f at x = 0.0: no value"
         assert calls == [3]
 
@@ -473,10 +468,10 @@ class TestParserOptions:
         "solve": [("-h --help", None), ("--problem", None), ("--q", F), ("--zeta", F),
                   ("--l0", F), ("--alpha", F), ("--h", F), ("--tol", F), ("--grid", None),
                   ("--format", None), ("--output", None)],
-        "map": [("-h --help", None), ("--q", F), ("--zeta", F), ("--l0", F), ("--grid", None),
+        "map": [("-h --help", None), ("--q", F), ("--zeta", F), ("--l0", F),
                 ("--format", None), ("--output", None)],
         "expand": [("-h --help", None), ("--zeta", F), ("--l0", F), ("--kappa", F),
-                   ("--order", "int"), ("--grid", None), ("--format", None), ("--output", None)],
+                   ("--order", "int"), ("--format", None), ("--output", None)],
         "ml": [("-h --help", None), ("--alpha", F), ("--z", F), ("--grid", None),
                ("--format", None), ("--output", None)],
         "selftest": [("-h --help", None)],
@@ -554,6 +549,46 @@ class TestParserOptions:
     def test_fractional_h_default(self, capsys):
         argv = ("solve", "--problem", "fractional", "--alpha", "0.5", "--grid", "0.2:1:11")
         assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--h", "0.001")
+
+    @pytest.mark.parametrize("command", [("map", "--q", "0.5"), ("expand", "--kappa", "1")])
+    def test_grid_only_on_the_commands_that_read_it(self, capsys, command):
+        code, out, err = run_cli(capsys, *command, "--grid", "0:1:3")
+        assert (code, out) == (2, "")
+        assert err.endswith("defcalc: error: unrecognized arguments: --grid 0:1:3\n")
+
+
+class TestConfigErrors:
+    """Exit-2 branches of the handlers that no other test reaches, and what each prints."""
+
+    DERIV = ("deriv", "--op", "classical", "--fn")
+
+    @pytest.mark.parametrize("env, argv, err", [
+        (None, (*DERIV, "x", "--grid", "0:1:x"), "--grid must be start:stop:points, got '0:1:x'"),
+        (None, (*DERIV, "x", "--grid", "0:1:1"), "--grid needs at least 2 points, got 1"),
+        (None, (*DERIV, "x", "--grid", "1:0:3"), "--grid needs start < stop, got '1:0:3'"),
+        (None, (*DERIV, "", "--grid", "0:1:3"), "--fn is required for this command"),
+        (None, (*DERIV, "x", "--grid", ""), "--grid is required"),
+        (None, ("solve", "--problem", "q", "--q", "0.5", "--grid", ""), "--grid is required"),
+        (None, ("expand", "--zeta", "0.5", "--kappa", "1"),
+         "expand needs exactly one of --zeta or --kappa"),
+        (None, ("expand",), "expand needs exactly one of --zeta or --kappa"),
+        (None, ("ml", "--alpha", "0.5", "--z", "1", "--grid", "0:1:3"),
+         "ml needs exactly one of --z or --grid"),
+        (None, ("ml", "--alpha", "0.5"), "ml needs exactly one of --z or --grid"),
+        ("xml", ("map", "--q", "0.5"), f"{ENV_FORMAT} must be csv or json, got 'xml'"),
+        (None, (*DERIV, "sin x", "--grid", "0:1:3"),
+         "--fn expression error at position 4: expected '(' after sin, found x\n"
+         "  sin x\n      ^"),
+        (None, (*DERIV, "pow(x 2)", "--grid", "0:1:3"),
+         "--fn expression error at position 6: expected ')' or ',', found 2\n"
+         "  pow(x 2)\n        ^"),
+    ])
+    def test_exit_two(self, capsys, monkeypatch, env, argv, err):
+        if env is None:
+            monkeypatch.delenv(ENV_FORMAT, raising=False)
+        else:
+            monkeypatch.setenv(ENV_FORMAT, env)
+        assert run_cli(capsys, *argv) == (2, "", f"error: {err}\n")
 
 
 class TestGoldenBytes:
@@ -692,6 +727,12 @@ class TestMlCommand:
     def test_out_of_series_domain_is_numerical_failure(self, capsys):
         code, _, err = run_cli(capsys, "ml", "--alpha", "0.5", "--z", "11")
         assert code == 3
+
+    def test_alpha_is_required(self, capsys):
+        code, out, err = run_cli(capsys, "ml", "--z", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: defcalc ml ")
+        assert err.endswith("defcalc ml: error: the following arguments are required: --alpha\n")
 
     @staticmethod
     def per_z_stderr(alpha: float, zs) -> str:
@@ -1056,8 +1097,9 @@ def _subparsers(parser):
 # Each subcommand's option strings, with the choices of the flag's action.
 VOCABULARY = {name: {s: tuple(a.choices or ()) for a in p._actions for s in a.option_strings}
               for name, p in _subparsers(build_parser()).items()}
-# Values that the required flags accept.
-REQUIRED_VALUES = {"--op": "q", "--fn": "sin(x)", "--grid": "0.1:1:4", "--problem": "q"}
+# Values that the flags some subcommand requires accept.
+REQUIRED_VALUES = {"--op": "q", "--fn": "sin(x)", "--grid": "0.1:1:4", "--problem": "q",
+                   "--alpha": "0.5"}
 VALUES = ["0.5", "3", "0.1:1:4", "x", "-8", "-.5", "-1e-3", "inf", "nan", "", "sin(x) + x^2",
           "--", "1e999"]
 # 7 is a token that is not a str

@@ -276,6 +276,10 @@ class TestRealFunction:
         with pytest.raises(ValueError):
             RealFunction.from_samples([0.0, 0.0], [1.0, 2.0])
 
+    def test_from_samples_needs_matching_shapes(self):
+        with pytest.raises(ValueError, match="matching 1-d arrays"):
+            RealFunction.from_samples([0.0, 1.0, 2.0], [0.0, 2.0])
+
     def test_as_real_function_coercions(self):
         assert as_real_function("x^2")(3.0) == 9.0
         assert as_real_function(lambda t: 2.0 * t)(3.0) == 6.0

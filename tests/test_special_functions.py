@@ -218,6 +218,17 @@ class TestMittagLefflerArray:
         for zi, value in list(zip(z.tolist(), expected))[::10]:
             assert _bits(mittag_leffler(zi, alpha)) == _bits(value)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.5, 2.5])
+    def test_finite_or_domain_error(self, alpha):
+        # ml --grid's only check of the values: no non-finite one comes back
+        z = np.linspace(-10.0, 10.0, 2001)
+        for arg in [z] + z.tolist():
+            try:
+                values = mittag_leffler(arg, alpha)
+            except DomainError:
+                continue
+            assert np.isfinite(values).all()
+
     def test_first_failure_over_the_whole_grid(self):
         # alpha = 0.3 is finite on [-10, 0] and overflows from z = 708.6^0.3 = 7.16
         # on; the error names the first overflowing z, in either order
