@@ -31,7 +31,7 @@ from typing import Callable, Optional, get_type_hints
 import numpy as np
 
 from . import selftest as selftest_module
-from ._csv17 import csv_rows
+from ._csv17 import csv_rows, json_cells
 from .deformed_algebra import KappaParam, QParam
 from .derivative_ops import OPERATORS, DiffSettings
 from .eigen_solvers import solve_hausdorff_eigen, solve_q_eigen, verify_fractional_eigen
@@ -81,9 +81,9 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return start, stop, points
 
 
-# The CSV of an array table with this many cells or more comes from
-# ``csv_rows``.  It matched one ``%`` pass at about 256 cells; from 1,024 it
-# took less than half the time.
+# A table with this many cells or more takes its cell texts from the array
+# kernel of ``_csv17``.  For CSV it matched one ``%`` pass at about 256 cells;
+# from 1,024 it took less than half the time.
 _KERNEL_CELLS = 1024
 
 
@@ -92,29 +92,32 @@ def _emit(fmt: str, command: str, params: dict, header: tuple[str, ...], rows, o
     header name.
 
     Each format fills a template of the whole table in one ``%`` call, with
-    the bytes of ``json.dumps(payload, indent=2)`` or of ``f"{v:.17g}"``; the
-    CSV of a large table comes from ``csv_rows``, with the same bytes."""
+    the bytes of ``json.dumps(payload, indent=2)`` or of ``f"{v:.17g}"``.  A
+    table of ``_KERNEL_CELLS`` cells or more takes its cells from the kernel
+    (``csv_rows``, ``json_cells``), with the same bytes."""
     if fmt == "csv" and rows.size >= _KERNEL_CELLS:
         out.write(",".join(header) + "\n")
         for text in csv_rows(rows):
             out.write(text)
         return
-    cells = tuple(rows.ravel().tolist())
     if fmt == "json":
         # any indent makes json run its pure-Python encoder, so only the head
-        # goes through it; the floats come from its C encoder, with the same
-        # bytes (NaN and Infinity included), and contain no ", "
+        # goes through it; the floats come from the kernel or json's C
+        # encoder, with the same bytes (NaN and Infinity included), and
+        # contain no ", "
         head = json.dumps({"command": command, "params": params, "rows": []}, indent=2)
-        if cells:
+        if rows.size:
+            cells = (json_cells(rows) if rows.size >= _KERNEL_CELLS
+                     else json.dumps(rows.ravel().tolist())[1:-1].split(", "))
             fill = ",\n".join([f"      {json.dumps(name)}: %s" for name in header])
             row = "    {\n" + fill + "\n    }"
-            body = ",\n".join([row] * len(rows)) % tuple(json.dumps(cells)[1:-1].split(", "))
+            body = ",\n".join([row] * len(rows)) % tuple(cells)
             head = head[:-3] + "\n" + body + "\n  ]\n}"  # head ends with "[]\n}"
         out.write(head + "\n")
     else:
         # "%.17g" % v and f"{v:.17g}" give the same bytes for every float
         line = ",".join(["%.17g"] * len(header)) + "\n"
-        out.write(",".join(header) + "\n" + (line * len(rows)) % cells)
+        out.write(",".join(header) + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def _build_function(source: Optional[str]) -> RealFunction:

@@ -129,6 +129,7 @@ class FirstOrderAgreement(NamedTuple):
     hausdorff_prefactor: float
     q_prefactor: float
     residual: float
+    bound: float
 
 
 def first_order_agreement(hp: HausdorffParams, x: float) -> FirstOrderAgreement:
@@ -142,13 +143,23 @@ def first_order_agreement(hp: HausdorffParams, x: float) -> FirstOrderAgreement:
 
     inside the series regime |u| < 1.  For zeta > -1 the last factor is 1 at
     x >= 0 and grows without bound as u -> -1, where |c_2| x^2 is no bound.
+    That bound is the ``bound`` field (inf where the last factor passes the
+    double range).
     """
-    if abs(x / hp.l0) >= 1.0:
-        raise DomainError(f"series regime requires |x/l0| < 1, got x/l0 = {x / hp.l0}")
-    p_h = (1.0 + x / hp.l0) ** (1.0 - hp.zeta)
-    q = q_from_zeta(hp).q
-    p_q = 1.0 + (1.0 - q) * x
-    return FirstOrderAgreement(p_h, p_q, abs(p_h - p_q))
+    u = x / hp.l0
+    if abs(u) >= 1.0:
+        raise DomainError(f"series regime requires |x/l0| < 1, got x/l0 = {u}")
+    p_h = (1.0 + u) ** (1.0 - hp.zeta)
+    # (1 - q) x = (1 - zeta) u on the bridge; 1 - q formed from a rounded q
+    # would carry its rounding error times x, up to 50 ulp of 1 at l0 = 100
+    p_q = 1.0 + (1.0 - hp.zeta) * u
+    try:
+        growth = max(1.0, (1.0 + u) ** (-1.0 - hp.zeta))
+    except OverflowError:
+        growth = math.inf
+    # |C(1 - zeta, 2)| u^2 from the finite (1 - zeta) u and zeta u, never inf * 0
+    bound = abs((1.0 - hp.zeta) * u) * abs(hp.zeta * u) / 2.0 * growth
+    return FirstOrderAgreement(p_h, p_q, abs(p_h - p_q), bound)
 
 
 def kappa_expansion(kappa, order: int) -> SeriesExpansion:

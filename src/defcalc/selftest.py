@@ -155,15 +155,19 @@ def _check_mapping():
 
 
 def _check_first_order():
+    # the Lagrange bound |C(1 - zeta, 2)| u^2 max(1, (1 + u)^(-1 - zeta)),
+    # u = x/l0, on both sides of 0 and for zeta on both sides of 1
     ratios = []
-    for zeta, l0 in ((0.3, 0.5), (0.5, 1.0), (0.8, 2.0)):
+    for zeta, l0 in ((0.3, 0.5), (0.8, 2.0), (2.5, 1.5)):
         hp = HausdorffParams(zeta, l0)
-        bound_coeff = abs((1.0 - zeta) * zeta) / (2.0 * l0 * l0)
-        for x in np.linspace(1e-4 * l0, 0.01 * l0, 9):
-            bound = 1.1 * bound_coeff * x * x
-            ratios.append(mappings.first_order_agreement(hp, float(x)).residual / bound)
+        c2 = abs((1.0 - zeta) * zeta) / 2.0
+        for u in (-0.9, -0.3, -0.01, -1e-4, 1e-4, 0.003, 0.1, 0.5, 0.9):
+            agreement = mappings.first_order_agreement(hp, u * l0)
+            bound = c2 * u * u * max(1.0, (1.0 + u) ** (-1.0 - zeta))
+            ulps = 4.0 * math.ulp(agreement.hausdorff_prefactor)
+            ratios.append(agreement.residual / (bound + ulps))
     worst_ratio = _worst(ratios)
-    return worst_ratio <= 1.0, f"worst residual/bound = {worst_ratio:.3f}"
+    return worst_ratio <= 1.0, f"worst residual/(bound + 4 ulp) = {worst_ratio:.6f}"
 
 
 def _check_gl_power_rule():

@@ -1313,9 +1313,14 @@ def test_every_format_matches_the_per_value_bytes(rows):
     assert _emitted("json", "deriv", {}, header, rows) == _old_json("deriv", {}, header, rows)
 
 
+def _old(fmt, header, rows):
+    """The table as the per-value formatter of ``fmt`` writes it."""
+    return _old_csv(header, rows) if fmt == "csv" else _old_json("deriv", {}, header, rows)
+
+
 def _tiled(values, cols):
     """``values`` repeated into an array of rows of ``cols`` cells, at least
-    ``cli._KERNEL_CELLS`` of them, so that CSV takes the array kernel."""
+    ``cli._KERNEL_CELLS`` of them, so that both formats take the array kernel."""
     values = np.asarray(values, dtype=float)
     rows = -(-max(cli._KERNEL_CELLS, values.size) // cols)
     return np.resize(values, (rows, cols))
@@ -1361,6 +1366,17 @@ KERNEL_INPUTS = {
     "random bit patterns": [v for v in _RNG.integers(0, 2**64, 3000, dtype=np.uint64)
                             .view(np.float64).tolist() if math.isfinite(v)],
     "grid with round steps": np.linspace(0.0, 100.0, 10001),
+    # repr's own edges: its switch to exponent notation at X = 16, the '.0'
+    # of an integral value, the narrower gap below a power of two, doubles
+    # from 2^53 on, whose range ends are exact integers, and values exactly
+    # halfway between two 16-digit candidates (6e14 + 0.25, 129 * 2^-21)
+    "shortest digits edges": np.concatenate([
+        _around(np.array([9999999999999998.0, 1e16, 2.0**53, 1e15, 1.0, 0.1, 0.122])),
+        [1e15 + 1, 123456789012345.0, 100.0, -7.0, 5e-324, 2.2250738585072014e-308],
+        _around(2.0 ** np.arange(-1022, 1024, 7)),
+        2.0**53 + np.arange(0, 400, 2.0), 2.0**54 + np.arange(0, 800, 4.0),
+        np.arange(1, 64, dtype=float) * 1e16, 2.0 ** np.arange(53, 60) * 3,
+        6e14 + np.arange(0.25, 40, 0.5), np.arange(129, 210, 2) / 2.0**21]),
 }
 
 
@@ -1370,12 +1386,13 @@ class TestCsvKernel:
             digits = Fraction(v) * 10 ** (16 - math.floor(math.log10(v)))
             assert digits.denominator == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("cols", [2, 4])
     @pytest.mark.parametrize("name", sorted(KERNEL_INPUTS))
-    def test_matches_the_per_value_format(self, name, cols):
+    def test_matches_the_per_value_format(self, name, cols, fmt):
         table = _tiled(KERNEL_INPUTS[name], cols)
         header = ("x", "value", "closed_form", "residual")[:cols]
-        _assert_same_text(_emitted("csv", "deriv", {}, header, table), _old_csv(header, table.tolist()))
+        _assert_same_text(_emitted(fmt, "deriv", {}, header, table), _old(fmt, header, table.tolist()))
 
     def test_only_exponent_notation_builds_the_full_power_table(self):
         """A table whose normal cells all lie in [1e-4, 1e17) reads the exact
@@ -1393,18 +1410,17 @@ class TestCsvKernel:
 
     def test_arrays_from_the_cell_threshold_take_the_kernel(self, monkeypatch):
         calls = []
-        kernel = cli.csv_rows
+        for name in ("csv_rows", "json_cells"):
+            def counting(table, kernel=getattr(cli, name), name=name):
+                calls.append((name, table.size))
+                return kernel(table)
 
-        def counting(table):
-            calls.append(table.size)
-            return kernel(table)
-
-        monkeypatch.setattr(cli, "csv_rows", counting)
+            monkeypatch.setattr(cli, name, counting)
         for cells in (cli._KERNEL_CELLS - 2, cli._KERNEL_CELLS):
             table = np.linspace(0.1, 2.0, cells).reshape(-1, 2)
             _emitted("csv", "deriv", {}, ("x", "value"), table)
             _emitted("json", "deriv", {}, ("x", "value"), table)
-        assert calls == [cli._KERNEL_CELLS]
+        assert calls == [("csv_rows", cli._KERNEL_CELLS), ("json_cells", cli._KERNEL_CELLS)]
 
     @pytest.mark.parametrize("argv", [
         ("deriv", "--op", "q", "--q", "0.5", "--fn", "sin(x)*exp(x)", "--grid", "0:2:3001"),
@@ -1469,7 +1485,8 @@ def _from_bits(bits):
 @given(values=st.lists(st.one_of(st.floats(), st.integers(0, 2**64 - 1).map(_from_bits)),
                        min_size=1, max_size=64),
        cols=st.sampled_from([2, 4]))
-def test_the_kernel_matches_the_per_value_bytes(values, cols):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_the_kernel_matches_the_per_value_bytes(fmt, values, cols):
     table = _tiled(values, cols)
     header = ("x", "value", "closed_form", "residual")[:cols]
-    _assert_same_text(_emitted("csv", "deriv", {}, header, table), _old_csv(header, table.tolist()))
+    _assert_same_text(_emitted(fmt, "deriv", {}, header, table), _old(fmt, header, table.tolist()))

@@ -179,6 +179,36 @@ class TestFirstOrderAgreement:
             # to the power 1 - zeta, and of both prefactors
             assert got.residual <= bound + 8 * math.ulp(got.hausdorff_prefactor)
 
+    @given(zeta=st.floats(0.01, 4.0, exclude_min=True, exclude_max=True),
+           l0=st.floats(1e-2, 1e2),
+           u=st.floats(-0.999, 0.999, exclude_min=True, exclude_max=True))
+    @example(zeta=0.9, l0=1.0, u=-0.9)
+    @example(zeta=3.999, l0=100.0, u=-0.998)
+    @example(zeta=1.0 + 2.0**-40, l0=100.0, u=0.99)
+    @settings(max_examples=200)
+    def test_bound_field_is_the_lagrange_bound(self, zeta, l0, u):
+        """``bound`` is the docstring's bound to a few roundings, and holds
+        for the float residual with 4 ulp of the prefactor to spare."""
+        mpmath = pytest.importorskip("mpmath")
+        x = u * l0
+        got = first_order_agreement(HausdorffParams(zeta, l0), x)
+        with mpmath.workdps(40):
+            v, z = mpmath.mpf(x) / mpmath.mpf(l0), mpmath.mpf(zeta)
+            want = abs((1 - z) * z) / 2 * v**2 * max(1, (1 + v) ** (-1 - z))
+            # 1 + x/l0 is rounded once, and the power multiplies its relative
+            # error by (1 + zeta) / (1 + u); u^2 below the normal doubles
+            # loses digits to underflow
+            tol = 8 * 2.0**-53 * (1 + (1 + zeta) / (1 + u))
+            assert abs(got.bound - want) <= tol * want + 2.0**-1022
+        assert got.residual <= got.bound + 4 * math.ulp(got.hausdorff_prefactor)
+
+    def test_bound_past_the_double_range_is_inf(self):
+        # where one factor passes the double range the bound is inf, never nan
+        assert first_order_agreement(HausdorffParams(1e300, 1.0), 0.0).bound == 0.0
+        assert first_order_agreement(HausdorffParams(1e300, 1.0), 0.5).bound == math.inf
+        # 2^1023.5 and 2^1025.5: the prefactor is finite, the last factor is not
+        assert first_order_agreement(HausdorffParams(1024.5, 1.0), -0.5).bound == math.inf
+
     def test_dominance_inside_hundredth_radius(self):
         for zeta in (0.3, 0.5, 0.8):
             for l0 in (0.5, 1.0, 2.0):
