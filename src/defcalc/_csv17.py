@@ -20,35 +20,37 @@ the multiple of 10 in [L, U] nearest P, if there is one; else N.  A result of
 and keeps at least one digit after the '.' (1.0), none in exponent notation
 (1e+16).
 
-Every normal cell takes the same steps.  The product is formed as a pair
-hi + lo of doubles by Dekker's two-product (Numer. Math. 18 (1971) 224;
-Veltkamp's split stands in for a fused multiply-add), with 10^(16 - X) 2^-s
-taken from a table of double-double powers (hi + tail) and |v| prescaled by
-the exact 2^s that brings it near 1, so that no step leaves the double range.
-Where the tail is 0 (every X of fixed notation, with s = 0 and 10^(16 - X)
-<= 1e20 an exact double) the product is exact and rounding lo half to even
-rounds N exactly.  Elsewhere the tail adds an error below 4 u^2 |hi|
-(u = 2^-53), under 1e-13 for every product formed, and a cell is written
-only where the error bound rules out a tie at .5 and a product on either
-side of 1e16 or 1e17 (exact ties exist: 9 * 2^-23).  The shortest digits
-are written only where each end of [L, U] is that far from an integer, and P
-that far from halfway between two multiples of 10: the doubles from 2^52 to
-1e17, integers whose range ends are integers, all fall back, so this rule
-writes no cell with X = 16 itself.  A chunk whose
-normal cells all lie in [1e-4, 1e17) reads only the 21 exact rows of fixed
-notation, built at import, and skips the prescale, the tail and the
-product's certificate; the table of every normal X is built on the first
-chunk that needs it (about 3 ms, once per process).
+Each step is one numpy call over a chunk of cells.  The product is a pair
+hi + lo of doubles by Dekker's two-product (Numer. Math. 18 (1971) 224):
+|v| split by masking its low 27 bits, 10^(16 - X) 2^-s and its Veltkamp
+halves by one gather from a table of double-double powers (hi + tail), and
+|v| prescaled by the exact 2^s that brings it near 1, so that no step leaves
+the double range.  A chunk whose normal cells all lie in [1e-4, 1e17) reads
+the 21 exact rows of fixed notation, built at import (tail 0, s = 0): its
+product is exact, rounding lo half to even rounds N exactly, and the
+prescale, the tail and the certificates are skipped.  Any other chunk reads
+the table of every normal X, built on first use (about 3 ms); its tail adds
+an error below 4 u^2 |hi| (u = 2^-53), under 1e-13, and a cell is written
+only where that bound rules out a tie at .5 (exact ties exist: 9 * 2^-23).
+Only a cell with hi within 16 of 1e16 or 1e17 can take a wrong X from log10,
+or carry: those are settled apart, and fall back where X stays in doubt.
+The shortest digits are written only where each end of [L, U] is that far
+from an integer, and P that far from halfway between two multiples of 10:
+the doubles from 2^52 to 1e17, integers whose range ends are integers, all
+fall back, so this rule writes no cell with X = 16 itself.
 
-Each cell is laid out in a 48-byte row: sign and the "0.000" prefix, the 17
-digits each followed by a slot for the '.', "e±XX" and the separator; a mask
-per (rule, X, last nonzero digit) zeroes the digits and slots that are not
-written, and the zero bytes are dropped.  A cell in exponent notation takes the
-layout of X = 0, d.ddd..., and its "e±XX"; a cell in fixed notation has no
-exponent bytes.  Every other cell (zero, subnormal, non-finite, or one whose
+A cell is laid out in six 8-byte words: sign, "0.000" prefix, first digit
+and '.' slot; four of N's 4-digit groups, each digit followed by a '.' slot;
+"e±XX" and the separator.  K, N's last nonzero digit, is the largest of the
+groups' places of last nonzero digit; a mask per (rule, X, K) zeroes the
+digits and slots not written, and the zero bytes are dropped.  Exponent
+notation takes the layout of X = 0 and its "e±XX"; in an exact chunk
+below 1e16, all in fixed notation, the separator takes the slot after the
+17th digit, and the sixth word goes.  Every other cell (zero, subnormal, non-finite, or one whose
 digits are not certain) is written by one ``%`` call over the chunk, with
 the texts of ``%.17g`` or of one ``json.dumps`` over the chunk's fallback
-cells.
+cells.  CSV cells end with ',' or, at a row's end, '\\n'; a JSON cell in
+column c ends with chr(1 + c), for the caller to replace.
 """
 
 from __future__ import annotations
@@ -59,20 +61,21 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-_CHUNK = 2048  # cells per pass at most; at 4,096 the buffers cost 0.8 MB more peak RSS
-_WIDTH = 48  # bytes per cell: sign and prefix, 17 digits, 16 '.' slots, "e±XXX", separator
+_CHUNK = 2048  # cells per pass at most; 1,024, 3,072 and 4,096 each took longer per cell
 _LOW, _HIGH = 1e-4, 1e17  # %.17g's fixed notation: the magnitudes with exact powers of ten
-_TINY, _HUGE = 2.2250738585072014e-308, 1.7976931348623157e308  # the normal doubles
+# the normal doubles: their bits, less those of the least, as unsigned integers
+_TINY_BITS, _NORMAL_SPAN = 0x0010000000000000, 0x7FEFFFFFFFFFFFFF - 0x0010000000000000
+_TOP26 = np.uint64(0xFFFFFFFFF8000000)  # sign, exponent and the leading 26 bits of a double
+_SIGN, _MINUS = np.uint64(63), np.frombuffer(b"-".ljust(8, b"\0"), np.uint64)[0]  # '-' by sign bit
 _LAYOUTS = 22  # per rule: X = -4..16 in fixed notation, then exponent notation
 _MARGIN = 2.0**-30  # far above the inexact product's error bound, far below one digit
-_SPLITTER = 134217729.0  # 2^27 + 1
 
 
 class _Rule(NamedTuple):
     """A digit rule.  ``row``: its row of each layout table of ``_Powers``;
     ``shortest``: the shortest digits that read back, else all 17; fixed
     notation for -4 <= X <= ``last_fixed``, with at least ``point`` digits
-    after the '.'; ``end`` follows a row's last cell, ',' every other; a
+    after the '.'; ``ends(cols)``: the byte after each cell of a row; a
     cell that falls back holds ``placeholder``, and ``spell`` gives the
     texts of the fallback cells' values, in order."""
 
@@ -80,35 +83,27 @@ class _Rule(NamedTuple):
     shortest: bool
     last_fixed: int
     point: int
-    end: str
+    ends: Callable[[int], str]
     placeholder: bytes
     spell: Callable[[list], tuple]
 
 
-_G17 = _Rule(0, False, 16, 0, "\n", b"%.17g", tuple)
-_JSON = _Rule(1, True, 15, 1, ",", b"%s",
+_G17 = _Rule(0, False, 16, 0, lambda cols: "," * (cols - 1) + "\n", b"%.17g", tuple)
+_JSON = _Rule(1, True, 15, 1, lambda cols: "".join(map(chr, range(1, cols + 1))), b"%s",
               lambda values: tuple(json.dumps(values)[1:-1].split(", ")))
 _RULES = (_G17, _JSON)
 
 
-def _split(v):
-    """v = hi + lo, each half with at most 26 significant bits (Veltkamp)."""
-    t = v * _SPLITTER
-    hi = t - (t - v)
-    return hi, v - hi
-
-
 class _Powers(NamedTuple):
-    """For X in [x_min, x_min + hi.size), by row X - x_min: 10^(16 - X) 2^-s
-    as hi + tail, hi's Veltkamp halves, the prescale 2^s, the margin a product
-    must keep from 1e16, 1e17 and a tie (0 where the tail is 0); and by rule
-    row, then X: the layout (see ``_build``) and the bytes "e±XX" as a word
-    (none in fixed notation).  ``exact``: every tail is 0 and every s 0."""
+    """For X in [x_min, x_min + tail.size), by row X - x_min: 10^(16 - X) 2^-s
+    as hi + tail, with hi and its Veltkamp halves in ``power``'s three rows,
+    the prescale 2^s and the margin a product must keep from 1e16, 1e17 and
+    a tie (0 where the tail is 0); and by rule row, then X: 17 times the
+    layout (see ``_build``), and the bytes "e±XX" as a word (none in fixed
+    notation).  ``exact``: every tail is 0 and every s 0."""
 
     x_min: int
-    hi: np.ndarray
-    hi_hi: np.ndarray
-    hi_lo: np.ndarray
+    power: np.ndarray
     tail: np.ndarray
     scale: np.ndarray
     margin: np.ndarray
@@ -120,9 +115,7 @@ class _Powers(NamedTuple):
 def _powers(x_min: int, x_max: int) -> _Powers:
     """The powers of X in [x_min, x_max].  hi and tail come from the exact
     rational num/den: Python's int true division rounds correctly."""
-    tens = [1]
-    for _ in range(16 - x_min):
-        tens.append(tens[-1] * 10)
+    tens = [10**k for k in range(17 - x_min)]
     xs = range(x_min, x_max + 1)
     rows = []
     for x in xs:
@@ -134,16 +127,18 @@ def _powers(x_min: int, x_max: int) -> _Powers:
         tail = (num * h_den - h_num * den) / (den * h_den)
         rows.append((hi, tail, 2.0**s, _MARGIN if tail else 0.0))
     hi, tail, scale, margin = (np.array(column) for column in zip(*rows))
+    t = hi * 134217729.0  # Veltkamp's split by 2^27 + 1: halves of 26 significant bits
+    power = np.array([hi, t - (t - hi), hi - (t - (t - hi))])
     layout, exponent = [], []
     for rule in _RULES:
         fixed = [-4 <= x <= rule.last_fixed for x in xs]
-        layout.append([rule.row * _LAYOUTS + (x + 4 if f else _LAYOUTS - 1)
+        layout.append([17 * (rule.row * _LAYOUTS + (x + 4 if f else _LAYOUTS - 1))
                        for x, f in zip(xs, fixed)])
         words = b"".join((b"" if f else f"e{x:+03d}".encode()).ljust(8, b"\0")
                          for x, f in zip(xs, fixed))
         exponent.append(np.frombuffer(words, np.uint64))
-    return _Powers(x_min, hi, *_split(hi), tail, scale, margin, np.array(layout),
-                   np.array(exponent), -4 <= x_min and x_max <= 16)
+    return _Powers(x_min, power, tail, scale, margin, np.array(layout), np.array(exponent),
+                   -4 <= x_min and x_max <= 16)
 
 
 @functools.cache
@@ -163,28 +158,27 @@ def _build():
     digits[..., 2] = digit[:, None, None]
     digits[..., 4] = digit[:, None]
     digits[..., 6] = digit
-    zeros = np.zeros((10, 10, 10, 10), np.uint8)  # each group's trailing zeros
-    zeros[..., 0] = 1
-    zeros[..., 0, 0] = 2
-    zeros[:, 0, 0, 0] = 3
-    zeros[0, 0, 0, 0] = 4
+    # each group's place of last nonzero digit, 1 to 4, and far below 0 for none
+    last = np.full((10, 10, 10, 10), -16, np.int8)
+    last[..., 1:] = 4
+    last[..., 1:, 0] = 3
+    last[:, 1:, 0, 0] = 2
+    last[1:, 0, 0, 0] = 1
     # layouts i, one set per rule: X + 4 in fixed notation, then exponent
     # notation, laid out as X = 0
-    # the first word by (i, negative, first digit): sign, "0." and -X - 1
-    # zeros, the digit and its '.' slot
-    first = np.zeros((_LAYOUTS, 2, 10, 8), np.uint8)
-    first[:, 1, :, 0] = ord("-")
+    # the first word by (i, first digit, padded to 17): "0." and -X - 1
+    # zeros, the digit and its '.' slot; a '-' is ORed into the first byte
+    first = np.zeros((_LAYOUTS, 17, 8), np.uint8)
     for i in range(4):
-        first[i, :, :, 1:6 - i] = ord("0")
-        first[i, :, :, 2] = ord(".")
-    first[..., 6] = digit
+        first[i, :, 1:6 - i] = ord("0")
+        first[i, :, 2] = ord(".")
+    first[:, :10, 6] = digit
     first[..., 7] = ord(".")
-    # the bytes kept by (i, K), K the last nonzero digit: the prefix, digits
-    # 0..K, the '.' after digit X when a digit follows it, and the exponent
-    # word; in fixed notation digits up to X + the rule's point at least
-    keep = np.zeros((_LAYOUTS, 17, _WIDTH), np.uint8)
+    # the bytes of the first five words kept by (i, K), K the last nonzero
+    # digit: the prefix, digits 0..K, and the '.' after digit X when a digit
+    # follows it; in fixed notation digits up to X + the rule's point at least
+    keep = np.zeros((_LAYOUTS, 17, 40), np.uint8)
     keep[..., :6] = 0xFF
-    keep[..., 40:] = 0xFF
     for k in range(17):
         keep[:, k, 6:7 + 2 * k:2] = 0xFF
     for x in range(16):
@@ -196,68 +190,42 @@ def _build():
         for i in range(4, _LAYOUTS - 1):
             least = min(i - 4 + rule.point, 16)
             kept[-1][i, :least] = keep[i, least]
-    return (digits.view(np.uint64).ravel(), zeros.ravel(),
+    return (digits.view(np.uint64).ravel(), last.ravel(),
             np.concatenate([first] * len(_RULES)).view(np.uint64).ravel(),
-            np.concatenate(kept).view(np.uint64).reshape(-1, 6))
+            np.concatenate(kept).view(np.uint64).reshape(-1, 5).T.copy())
 
 
-_DIGITS, _ZEROS, _FIRST, _KEEP = _build()
+_DIGITS, _LAST, _FIRST, _KEEP = _build()
+_PLACES = np.array([[0], [4], [8], [12]], np.int8)  # digits before each group, past the first
 _FIXED_POWERS = _powers(-4, 16)
+_NONE = np.empty(0, np.intp)
 
 
-def _product(a, j, powers: _Powers):
-    """a * 10^(16 - X) as hi + lo for the rows j of ``powers``; -1 where
-    hi + lo < 1e16, +1 where hi + lo >= 1e17, else 0; and where its rounding
-    is certain.  hi - 1e16 is exact wherever the sign of the sum is in doubt,
-    and rounding keeps signs.  Exact powers skip the prescale, the tail and
-    the certificate, which could not change a bit."""
+def _product(a, j, powers: _Powers, hi=None, lo=None):
+    """a * 10^(16 - X) as hi + lo for the rows j of ``powers``, into the
+    arrays given.  Masking a's low 27 bits leaves 26, and each of the four
+    partial products is exact; so are the sums, in this order (Dekker).
+    Exact powers skip the prescale and the tail, which could not change a
+    bit."""
+    p, p_hi, p_lo = powers.power.take(j, axis=1)
     if not powers.exact:
-        a = a * powers.scale[j]
-    hi = a * powers.hi[j]
-    a_hi, a_lo = _split(a)
-    b_hi, b_lo = powers.hi_hi[j], powers.hi_lo[j]
-    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+        a = a * powers.scale.take(j)
+    hi = np.multiply(a, p, out=hi)
+    a_hi = np.bitwise_and(a.view(np.uint64), _TOP26).view(np.float64)
+    a_lo = a - a_hi
+    lo = np.multiply(a_hi, p_hi, out=lo)
+    lo -= hi
+    for x, y in ((a_hi, p_lo), (a_lo, p_hi), (a_lo, p_lo)):
+        lo += np.multiply(x, y, out=p)
     if not powers.exact:
-        lo += a * powers.tail[j]
-    low, high = (hi - 1e16) + lo, (hi - _HIGH) + lo
-    off = (high >= 0).astype(np.intp) - (low < 0)
-    if powers.exact:
-        return hi, lo, off, np.ones(off.shape, bool)
-    e = powers.margin[j]
-    sure = (abs(low) >= e) & (abs(high) >= e) & (abs(lo - np.rint(lo)) <= 0.5 - e)
-    return hi, lo, off, sure
-
-
-def _shortest(a, hi, r, n):
-    """The step from N = n to the shortest digits that read back as a, where
-    the product P = a 10^(16 - X) is hi + lo = N + r; and where that step is
-    not certain."""
-    mantissa, _ = np.frexp(a)  # m / 2^53, in [0.5, 1)
-    h = hi / mantissa * 2.0**-54  # half the gap to the next double, in units of N's last digit
-    # half as wide below a power of two; not at 2^-1022, but its digits come out the same
-    below = h - 0.5 * h * (mantissa == 0.5)
-    low, high = r - below, r + h
-    unsure = (abs(low - np.rint(low)) < _MARGIN) | (abs(high - np.rint(high)) < _MARGIN)
-    np.ceil(low, out=low)  # [low, high] = [L - N, U - N]
-    np.floor(high, out=high)
-    t = (n - n // 100 * 100).astype(float)  # N's last two digits
-    # the largest multiple of 100 up to U: where it is in [L, U], the only one
-    hundred = np.floor((t + high) * 0.01) * 100.0 - t
-    two = hundred >= low
-    # else the multiple of 10 nearest P, or its neighbour where it lies just outside
-    ten = np.rint((t + r) * 0.1) * 10.0 - t
-    tie = abs(abs(ten - r) - 5.0) < _MARGIN
-    ten += 10.0 * (ten < low) - 10.0 * (ten > high)
-    one = (low <= ten) & (ten <= high) & ~two
-    unsure |= tie & one
-    return np.where(two, hundred, ten * one), unsure
+        lo += np.multiply(a, powers.tail.take(j), out=p)
+    return hi, lo
 
 
 def _texts(table: np.ndarray, rule: _Rule) -> Iterator[str]:
     """The cells of a 2-D float array by ``rule``, each followed by its
     separator, in pieces of whole rows."""
-    rows, cols = table.shape
-    cells = table.ravel()
+    (rows, cols), cells = table.shape, table.ravel()
     chunks = -(-cells.size // _CHUNK)
     chunk = _Chunk(-(-rows // chunks) * cols, cols, rule)  # chunks of equal size, nearly
     for start in range(0, cells.size, chunk.size):
@@ -270,10 +238,10 @@ def csv_rows(table: np.ndarray) -> Iterator[str]:
     return _texts(table, _G17)
 
 
-def json_cells(table: np.ndarray) -> list[str]:
-    """The text of each cell of a 2-D float array as ``json.dumps(v)``,
-    row by row."""
-    return "".join(_texts(table, _JSON))[:-1].split(",")
+def json_rows(table: np.ndarray) -> Iterator[str]:
+    """The text of a 2-D float array's cells as ``json.dumps(v)``, row by
+    row, in pieces: each cell of column c followed by chr(1 + c)."""
+    return _texts(table, _JSON)
 
 
 class _Chunk:
@@ -282,86 +250,112 @@ class _Chunk:
     def __init__(self, size: int, cols: int, rule: _Rule):
         self.size, self.rule = size, rule
         self.v, self.a, self.hi, self.lo, self.rounded = (np.empty(size) for _ in range(5))
+        self.scratch = np.empty((4, size))
         self.j, self.n, self.first, self.index = (np.empty(size, np.int64) for _ in range(4))
-        self.groups = np.empty((4, size), np.int64)
-        self.out, self.keep = np.empty((size, 6), np.uint64), np.empty((size, 6), np.uint64)
+        self.wide, self.groups = np.empty((2, size), np.int64), np.empty((4, size), np.int64)
+        self.words, self.bad = np.empty((6, size), np.uint64), np.empty(size, bool)
         separator = np.zeros((size, 8), np.uint8)  # each cell's last word
-        separator[:, 7] = ord(",")
-        separator[cols - 1::cols, 7] = ord(rule.end)
+        separator[:, 7] = np.frombuffer(rule.ends(cols).encode() * (size // cols), np.uint8)
         self.separator = separator.view(np.uint64).ravel()
+        self.placeholder = np.frombuffer(rule.placeholder.ljust(48, b"\0"), np.uint64)[:, None]
 
     def text(self, cells: np.ndarray) -> str:
-        m = cells.size  # a last, short chunk is padded with ones
-        v, a, hi, lo, rounded, j, n, first, index = (self.v, self.a, self.hi, self.lo, self.rounded,
-                                                     self.j, self.n, self.first, self.index)
-        v[:m] = cells
-        v[m:] = 1.0
+        m = cells.size  # a last, short chunk is padded with twos: 2e16 is no edge
+        v, a, hi, lo, j, n, bad = self.v, self.a, self.hi, self.lo, self.j, self.n, self.bad
+        rule, g, wide, words = self.rule, self.groups, self.wide, self.words
+        v[:m], v[m:] = cells, 2.0
         np.abs(v, out=a)
-        bad = ~((a >= _TINY) & (a <= _HUGE))
-        a[bad] = 1.0
+        np.greater((a.view(np.int64) - _TINY_BITS).view(np.uint64), _NORMAL_SPAN, out=bad)
+        np.copyto(a, 2.0, where=bad)
         powers = _FIXED_POWERS if a.min() >= _LOW and a.max() < _HIGH else _all_powers()
-        x_min, size = powers.x_min, powers.hi.size
-        # X = floor(log10 a) by row j = X - x_min, then N = round(a * 10^(16 - X))
+        # X = floor(log10 a) by row j = X - x_min, where log10 a - x_min > -1
+        # and the cast truncates; then N = round(a * 10^(16 - X))
         np.log10(a, out=lo)
-        np.floor(lo, out=lo)
-        np.clip(lo, x_min, x_min + size - 1, out=lo)
-        np.subtract(lo, x_min, out=j, casting="unsafe")
-        hi[...], lo[...], off, sure = _product(a, j, powers)
-        moved = np.flatnonzero(off)
-        if moved.size:  # log10 rounded across a power of ten
-            j[moved] += off[moved]
-            np.clip(j, 0, size - 1, out=j)
-            hi[moved], lo[moved], off, sure[moved] = _product(a[moved], j[moved], powers)
-            sure[moved] &= off == 0
-        bad |= ~sure
+        np.add(lo, -powers.x_min, out=j, casting="unsafe")
+        np.minimum(j, powers.tail.size - 1, out=j)
+        _product(a, j, powers, hi, lo)
+        edge = (np.flatnonzero((hi <= 1e16) | (hi >= _HIGH - 16))
+                if hi.min() <= 1e16 or hi.max() >= _HIGH - 16 else _NONE)
+        if edge.size:
+            self._settle(edge, powers)
         # hi >= 1e16 is an even integer, so rounding lo half to even rounds
         # hi + lo half to even
+        rounded = np.rint(lo, out=self.rounded)
+        if not powers.exact:
+            bad |= abs(lo - rounded) > 0.5 - powers.margin.take(j)
         np.copyto(n, hi, casting="unsafe")
-        np.rint(lo, out=rounded)
-        np.copyto(index, rounded, casting="unsafe")
-        n += index
-        if self.rule.shortest:  # from N to the shortest digits, with P - N in lo
-            lo -= rounded
-            step, unsure = _shortest(a, hi, lo, n)
-            bad |= unsure
-            np.copyto(index, step, casting="unsafe")
-            n += index
-        top = np.flatnonzero(n == 10 ** 17)
-        if top.size:  # rounded up to the next power of ten, never past the table's last X
-            n[top] = 10 ** 16
+        n += rounded.astype(np.int64)
+        if rule.shortest:  # from N to the shortest digits, with P - N in lo
+            self._shortest(np.subtract(lo, rounded, out=lo))
+        if edge.size:  # rounded up to the next power of ten, never past the table's last X
+            top = edge[n[edge] == 10**17]
+            n[top] = 10**16
             j[top] += 1
-        # N's first digit, and the four 4-digit groups of the other 16
-        g1, g2, g3, g4 = self.groups
-        np.floor_divide(n, 10 ** 16, out=first)
-        n -= first * 10 ** 16
-        np.floor_divide(n, 10 ** 8, out=g2)
-        np.subtract(n, g2 * 10 ** 8, out=g4)
-        np.floor_divide(g2, 10 ** 4, out=g1)
-        g2 -= g1 * 10 ** 4
-        np.floor_divide(g4, 10 ** 4, out=g3)
-        g4 -= g3 * 10 ** 4
+        # N's first digit and the other 16, then their 8-digit halves, then
+        # the four 4-digit groups in the rows of g
+        for x, q, r, d in ((n, self.first, self.index, 10**16), (self.index, *wide, 10**8),
+                           (wide, g[0::2], g[1::2], 10**4)):
+            np.floor_divide(x, d, out=q)
+            np.subtract(x, np.multiply(q, d, out=r), out=r)
         # K, the last nonzero digit: trailing zeros go, unless the layout keeps them
-        index[...] = _ZEROS[g4]
-        zero = np.flatnonzero(g4 == 0)
-        for g in (g3, g2, g1):
-            index[zero] += _ZEROS[g[zero]]
-            zero = zero[g[zero] == 0]
-        i = np.take(powers.layout[self.rule.row], j)
-        np.subtract(16, index, out=index)
-        index += i * 17
-        out = self.out
-        np.take(_KEEP, index, axis=0, out=self.keep)
-        np.multiply(i, 20, out=index)
-        index += np.signbit(v) * 10
-        index += first
-        np.take(_FIRST, index, out=out[:, 0])
-        for w, g in enumerate(self.groups, 1):
-            np.take(_DIGITS, g, out=out[:, w])
-        np.take(powers.exponent[self.rule.row], j, out=out[:, 5])
-        out &= self.keep
+        i = powers.layout[rule.row].take(j)
+        keep = _KEEP.take((_LAST.take(g) + _PLACES).max(axis=0, initial=0) + i, axis=1)
+        words[0] = _FIRST.take(self.first + i)
+        words[0] |= (v.view(np.uint64) >> _SIGN) * _MINUS
+        words[1:5] = _DIGITS.take(g)
+        words[:5] &= keep
+        # below 1e16 an exact chunk is all fixed notation: separators take the 17th digit's slot
+        exponent = None if powers.exact and a.max() < 1e16 else powers.exponent[rule.row]
+        w = 5 if exponent is None else 6
+        if exponent is not None:
+            words[5] = exponent.take(j)
         fallback = bad.any()
         if fallback:
-            out[bad] = np.frombuffer(self.rule.placeholder.ljust(_WIDTH, b"\0"), np.uint64)
-        out[:, 5] |= self.separator
-        text = out[:m].tobytes().translate(None, b"\0").decode("ascii")
-        return text % self.rule.spell(v[:m][bad[:m]].tolist()) if fallback else text
+            words[:w, bad] = self.placeholder[:w]
+        words[w - 1] |= self.separator
+        text = words[:w, :m].T.tobytes().translate(None, b"\0").decode("ascii")
+        return text % rule.spell(v[:m][bad[:m]].tolist()) if fallback else text
+
+    def _settle(self, edge, powers: _Powers) -> None:
+        """Where log10 rounded across a power of ten, move X by one and form
+        the product again; a cell whose X stays in doubt falls back.  hi -
+        1e16 is exact wherever the sign of the sum is in doubt, and rounding
+        keeps signs."""
+        for again in (True, False):
+            hi, lo = self.hi[edge], self.lo[edge]
+            low, high, e = (hi - 1e16) + lo, (hi - _HIGH) + lo, powers.margin[self.j[edge]]
+            self.bad[edge] |= (abs(low) < e) | (abs(high) < e)
+            off = (high >= 0).astype(np.intp) - (low < 0)
+            edge, off = edge[off != 0], off[off != 0]
+            if not (again and edge.size):
+                self.bad[edge] = True
+                return
+            self.j[edge] = j = np.clip(self.j[edge] + off, 0, powers.tail.size - 1)
+            self.hi[edge], self.lo[edge] = _product(self.a[edge], j, powers)
+
+    def _shortest(self, r) -> None:
+        """Add to N the step to the shortest digits that read back as a, where
+        the product P = a 10^(16 - X) is hi + lo = N + r; where
+        that step is not certain, the cell falls back."""
+        n, bad, (h, low, high, ten) = self.n, self.bad, self.scratch
+        mantissa = np.frexp(self.a)[0]  # m / 2^53, in [0.5, 1)
+        # half the gap to the next double, in units of N's last digit
+        np.multiply(np.divide(self.hi, mantissa, out=h), 2.0**-54, out=h)
+        # half as wide below a power of two; not at 2^-1022, but its digits come out the same
+        np.subtract(r, h - 0.5 * h * (mantissa == 0.5), out=low)
+        np.add(r, h, out=high)
+        bad |= (abs(self.scratch[1:3] - np.rint(self.scratch[1:3])) < _MARGIN).any(axis=0)
+        np.ceil(low, out=low)  # [low, high] = [L - N, U - N]
+        np.floor(high, out=high)
+        t = (n - n // 100 * 100).astype(float)  # N's last two digits
+        # the largest multiple of 100 up to U: where it is in [L, U], the only one
+        hundred = np.floor((t + high) * 0.01) * 100.0 - t
+        two = hundred >= low
+        # else the multiple of 10 nearest P, or its neighbour where it lies just outside
+        np.subtract(np.rint((t + r) * 0.1) * 10.0, t, out=ten)
+        tie = abs(abs(ten - r) - 5.0) < _MARGIN
+        ten += 10.0 * (ten < low) - 10.0 * (ten > high)
+        one = (low <= ten) & (ten <= high) & ~two
+        bad |= tie & one
+        np.copyto(self.index, np.where(two, hundred, ten * one), casting="unsafe")
+        n += self.index

@@ -31,7 +31,7 @@ from typing import Callable, Optional, get_type_hints
 import numpy as np
 
 from . import selftest as selftest_module
-from ._csv17 import csv_rows, json_cells
+from ._csv17 import csv_rows, json_rows
 from .deformed_algebra import KappaParam, QParam
 from .derivative_ops import OPERATORS, DiffSettings
 from .eigen_solvers import solve_hausdorff_eigen, solve_q_eigen, verify_fractional_eigen
@@ -82,19 +82,19 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 
 
 # A table with this many cells or more takes its cell texts from the array
-# kernel of ``_csv17``.  For CSV it matched one ``%`` pass at about 256 cells;
-# from 1,024 it took less than half the time.
-_KERNEL_CELLS = 1024
+# kernel of ``_csv17``.  On Mittag-Leffler and solve tables, in both formats,
+# it matched one ``%`` pass at about 250 cells, and took 0.55 of its time at 600.
+_KERNEL_CELLS = 256
 
 
 def _emit(fmt: str, command: str, params: dict, header: tuple[str, ...], rows, out) -> None:
     """Write the table; ``rows`` is a 2-D float array with one column per
     header name.
 
-    Each format fills a template of the whole table in one ``%`` call, with
-    the bytes of ``json.dumps(payload, indent=2)`` or of ``f"{v:.17g}"``.  A
-    table of ``_KERNEL_CELLS`` cells or more takes its cells from the kernel
-    (``csv_rows``, ``json_cells``), with the same bytes."""
+    A table of ``_KERNEL_CELLS`` cells or more takes its cells from the
+    kernel (``csv_rows``, ``json_rows``), a smaller one from one ``%`` call
+    over a template of all its rows, with the bytes of ``f"{v:.17g}"`` or
+    of ``json.dumps(payload, indent=2)``."""
     if fmt == "csv" and rows.size >= _KERNEL_CELLS:
         out.write(",".join(header) + "\n")
         for text in csv_rows(rows):
@@ -103,16 +103,18 @@ def _emit(fmt: str, command: str, params: dict, header: tuple[str, ...], rows, o
     if fmt == "json":
         # any indent makes json run its pure-Python encoder, so only the head
         # goes through it; the floats come from the kernel or json's C
-        # encoder, with the same bytes (NaN and Infinity included), and
-        # contain no ", "
+        # encoder, with the same bytes (NaN and Infinity included), each
+        # followed by chr(1 + c) for its column c, which then becomes the
+        # text that follows that column
         head = json.dumps({"command": command, "params": params, "rows": []}, indent=2)
         if rows.size:
-            cells = (json_cells(rows) if rows.size >= _KERNEL_CELLS
-                     else json.dumps(rows.ravel().tolist())[1:-1].split(", "))
-            fill = ",\n".join([f"      {json.dumps(name)}: %s" for name in header])
-            row = "    {\n" + fill + "\n    }"
-            body = ",\n".join([row] * len(rows)) % tuple(cells)
-            head = head[:-3] + "\n" + body + "\n  ]\n}"  # head ends with "[]\n}"
+            body = ("".join(json_rows(rows)) if rows.size >= _KERNEL_CELLS else
+                    "".join(f"%s{chr(c)}" for c in range(1, len(header) + 1)) * len(rows)
+                    % tuple(json.dumps(rows.ravel().tolist())[1:-1].split(", ")))[:-1]
+            names = [f"      {json.dumps(name)}: " for name in header]
+            for c, text in enumerate([",\n"] * (len(names) - 1) + ["\n    },\n    {\n"], 1):
+                body = body.replace(chr(c), text + names[c % len(names)])
+            head = head[:-3] + "\n    {\n" + names[0] + body + "\n    }\n  ]\n}"  # head ends with "[]\n}"
         out.write(head + "\n")
     else:
         # "%.17g" % v and f"{v:.17g}" give the same bytes for every float

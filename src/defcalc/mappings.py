@@ -144,12 +144,16 @@ def first_order_agreement(hp: HausdorffParams, x: float) -> FirstOrderAgreement:
     inside the series regime |u| < 1.  For zeta > -1 the last factor is 1 at
     x >= 0 and grows without bound as u -> -1, where |c_2| x^2 is no bound.
     That bound is the ``bound`` field (inf where the last factor passes the
-    double range).
+    double range); a prefactor past the double range raises DomainError.
     """
     u = x / hp.l0
     if abs(u) >= 1.0:
         raise DomainError(f"series regime requires |x/l0| < 1, got x/l0 = {u}")
-    p_h = (1.0 + u) ** (1.0 - hp.zeta)
+    try:
+        p_h = (1.0 + u) ** (1.0 - hp.zeta)
+    except OverflowError:
+        raise DomainError(f"Hausdorff prefactor (1 + x/l0)^(1 - zeta) passes the double "
+                          f"range at x/l0 = {u}, zeta = {hp.zeta}") from None
     # (1 - q) x = (1 - zeta) u on the bridge; 1 - q formed from a rounded q
     # would carry its rounding error times x, up to 50 ulp of 1 at l0 = 100
     p_q = 1.0 + (1.0 - hp.zeta) * u

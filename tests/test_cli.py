@@ -1410,7 +1410,7 @@ class TestCsvKernel:
 
     def test_arrays_from_the_cell_threshold_take_the_kernel(self, monkeypatch):
         calls = []
-        for name in ("csv_rows", "json_cells"):
+        for name in ("csv_rows", "json_rows"):
             def counting(table, kernel=getattr(cli, name), name=name):
                 calls.append((name, table.size))
                 return kernel(table)
@@ -1420,7 +1420,7 @@ class TestCsvKernel:
             table = np.linspace(0.1, 2.0, cells).reshape(-1, 2)
             _emitted("csv", "deriv", {}, ("x", "value"), table)
             _emitted("json", "deriv", {}, ("x", "value"), table)
-        assert calls == [("csv_rows", cli._KERNEL_CELLS), ("json_cells", cli._KERNEL_CELLS)]
+        assert calls == [("csv_rows", cli._KERNEL_CELLS), ("json_rows", cli._KERNEL_CELLS)]
 
     @pytest.mark.parametrize("argv", [
         ("deriv", "--op", "q", "--q", "0.5", "--fn", "sin(x)*exp(x)", "--grid", "0:2:3001"),
@@ -1433,6 +1433,33 @@ class TestCsvKernel:
         values = [tuple(float(v) for v in line.split(",")) for line in lines]
         assert len(values) == 3001
         _assert_same_text(out, _old_csv(tuple(header.split(",")), values))
+
+
+# the cells the kernel leaves to "%" or json.dumps: zeros, a subnormal, the
+# non-finite values, and an exact tie whose inexact product cannot round it
+FALLBACK_CELLS = [0.0, -0.0, 5e-324, math.nan, math.inf, -math.inf, 9 * 2.0**-23]
+
+
+@given(cols=st.integers(1, 5), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_tables_of_any_width_match_the_per_value_bytes(cols, data):
+    """Tables of 1 to 5 columns whose cell counts straddle the kernel's
+    threshold and one or two chunks, with fallback cells at the first and
+    last cell of every chunk: each column ends its cells with its own
+    separator, and both formats give the bytes of the per-value formats."""
+    near = data.draw(st.sampled_from([cli._KERNEL_CELLS, csv17._CHUNK, 2 * csv17._CHUNK]))
+    rows = near // cols + data.draw(st.integers(-2, 2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    low, high = data.draw(st.sampled_from([(-4, 17), (-2, 3), (-323, 308.25)]))
+    table = rng.choice([-1.0, 1.0], (rows, cols)) * 10.0 ** rng.uniform(low, high, (rows, cols))
+    # the chunks as the kernel cuts them: whole rows, of nearly equal size
+    step = -(-rows // -(-table.size // csv17._CHUNK)) * cols
+    edges = sorted({*range(0, table.size, step), *range(step - 1, table.size, step), table.size - 1})
+    table.flat[edges] = data.draw(st.lists(st.sampled_from(FALLBACK_CELLS), min_size=len(edges),
+                                           max_size=len(edges)))
+    header = ("x", "value", "closed_form", "residual", "order")[:cols]
+    for fmt in ("csv", "json"):
+        _assert_same_text(_emitted(fmt, "deriv", {}, header, table), _old(fmt, header, table.tolist()))
 
 
 @pytest.mark.parametrize("problem,solve", [

@@ -209,6 +209,13 @@ class TestFirstOrderAgreement:
         # 2^1023.5 and 2^1025.5: the prefactor is finite, the last factor is not
         assert first_order_agreement(HausdorffParams(1024.5, 1.0), -0.5).bound == math.inf
 
+    @pytest.mark.parametrize("zeta,x", [(1e20, -0.5), (-1e20, 0.5), (1026.0, -0.5)])
+    def test_prefactor_past_the_double_range_raises(self, zeta, x):
+        # 0.5^(1 - 1e20) and 1.5^(1 + 1e20) pass the double range, and so
+        # does 0.5^-1025; the error names the prefactor and the point
+        with pytest.raises(DomainError, match=r"prefactor .* passes the double range at x/l0 = "):
+            first_order_agreement(HausdorffParams(zeta, 1.0), x)
+
     def test_dominance_inside_hundredth_radius(self):
         for zeta in (0.3, 0.5, 0.8):
             for l0 in (0.5, 1.0, 2.0):
