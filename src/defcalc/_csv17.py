@@ -46,11 +46,12 @@ groups' places of last nonzero digit; a mask per (rule, X, K) zeroes the
 digits and slots not written, and the zero bytes are dropped.  Exponent
 notation takes the layout of X = 0 and its "e±XX"; in an exact chunk
 below 1e16, all in fixed notation, the separator takes the slot after the
-17th digit, and the sixth word goes.  Every other cell (zero, subnormal, non-finite, or one whose
-digits are not certain) is written by one ``%`` call over the chunk, with
-the texts of ``%.17g`` or of one ``json.dumps`` over the chunk's fallback
-cells.  CSV cells end with ',' or, at a row's end, '\\n'; a JSON cell in
-column c ends with chr(1 + c), for the caller to replace.
+17th digit, and the sixth word goes.  Every other cell (zero, subnormal,
+non-finite, or one whose digits are not certain) is written by one ``%``
+call over the chunk, with the texts of ``%.17g`` or of one ``json.dumps``
+over the chunk's fallback cells.  CSV cells end with ',' or, at a row's
+end, '\\n'; a JSON cell in column c ends with chr(1 + c), which
+``json_body`` turns into the text between the cells.
 """
 
 from __future__ import annotations
@@ -238,10 +239,18 @@ def csv_rows(table: np.ndarray) -> Iterator[str]:
     return _texts(table, _G17)
 
 
-def json_rows(table: np.ndarray) -> Iterator[str]:
-    """The text of a 2-D float array's cells as ``json.dumps(v)``, row by
-    row, in pieces: each cell of column c followed by chr(1 + c)."""
-    return _texts(table, _JSON)
+def json_body(table: np.ndarray, header: tuple[str, ...], kernel: bool) -> str:
+    """The "rows" list of ``json.dumps(payload, indent=2)``: an object per row
+    of a 2-D float array, from ``header``'s names to its cells.  Each cell,
+    from the kernel or one ``%`` pass over json's C encoder, ends with its
+    column's byte; one replace per column turns it into the text after it."""
+    ends, names = _JSON.ends(len(header)), [f"      {json.dumps(name)}: " for name in header]
+    body = ("".join(_texts(table, _JSON)) if kernel else "".join("%s" + end for end in ends)
+            * len(table) % _JSON.spell(table.ravel().tolist()))[:-1]  # not the last byte
+    texts = [",\n"] * (len(ends) - 1) + ["\n    },\n    {\n"]
+    for end, text, name in zip(ends, texts, names[1:] + names):
+        body = body.replace(end, text + name)
+    return "[\n    {\n" + names[0] + body + "\n    }\n  ]"
 
 
 class _Chunk:

@@ -31,7 +31,7 @@ from typing import Callable, Optional, get_type_hints
 import numpy as np
 
 from . import selftest as selftest_module
-from ._csv17 import csv_rows, json_rows
+from ._csv17 import csv_rows, json_body
 from .deformed_algebra import KappaParam, QParam
 from .derivative_ops import OPERATORS, DiffSettings
 from .eigen_solvers import solve_hausdorff_eigen, solve_q_eigen, verify_fractional_eigen
@@ -92,7 +92,7 @@ def _emit(fmt: str, command: str, params: dict, header: tuple[str, ...], rows, o
     header name.
 
     A table of ``_KERNEL_CELLS`` cells or more takes its cells from the
-    kernel (``csv_rows``, ``json_rows``), a smaller one from one ``%`` call
+    kernel (``csv_rows``, ``json_body``), a smaller one from one ``%`` call
     over a template of all its rows, with the bytes of ``f"{v:.17g}"`` or
     of ``json.dumps(payload, indent=2)``."""
     if fmt == "csv" and rows.size >= _KERNEL_CELLS:
@@ -102,19 +102,10 @@ def _emit(fmt: str, command: str, params: dict, header: tuple[str, ...], rows, o
         return
     if fmt == "json":
         # any indent makes json run its pure-Python encoder, so only the head
-        # goes through it; the floats come from the kernel or json's C
-        # encoder, with the same bytes (NaN and Infinity included), each
-        # followed by chr(1 + c) for its column c, which then becomes the
-        # text that follows that column
+        # goes through it; the rows come from json_body, with the same bytes
         head = json.dumps({"command": command, "params": params, "rows": []}, indent=2)
-        if rows.size:
-            body = ("".join(json_rows(rows)) if rows.size >= _KERNEL_CELLS else
-                    "".join(f"%s{chr(c)}" for c in range(1, len(header) + 1)) * len(rows)
-                    % tuple(json.dumps(rows.ravel().tolist())[1:-1].split(", ")))[:-1]
-            names = [f"      {json.dumps(name)}: " for name in header]
-            for c, text in enumerate([",\n"] * (len(names) - 1) + ["\n    },\n    {\n"], 1):
-                body = body.replace(chr(c), text + names[c % len(names)])
-            head = head[:-3] + "\n    {\n" + names[0] + body + "\n    }\n  ]\n}"  # head ends with "[]\n}"
+        if rows.size:  # head ends with "[]\n}"
+            head = head[:-4] + json_body(rows, header, rows.size >= _KERNEL_CELLS) + "\n}"
         out.write(head + "\n")
     else:
         # "%.17g" % v and f"{v:.17g}" give the same bytes for every float

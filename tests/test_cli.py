@@ -1409,18 +1409,18 @@ class TestCsvKernel:
         assert csv17._all_powers.cache_info().currsize == 1
 
     def test_arrays_from_the_cell_threshold_take_the_kernel(self, monkeypatch):
-        calls = []
-        for name in ("csv_rows", "json_rows"):
-            def counting(table, kernel=getattr(cli, name), name=name):
-                calls.append((name, table.size))
-                return kernel(table)
+        calls, kernel = [], csv17._texts
 
-            monkeypatch.setattr(cli, name, counting)
+        def counting(table, rule):
+            calls.append((rule.shortest, table.size))
+            return kernel(table, rule)
+
+        monkeypatch.setattr(csv17, "_texts", counting)
         for cells in (cli._KERNEL_CELLS - 2, cli._KERNEL_CELLS):
             table = np.linspace(0.1, 2.0, cells).reshape(-1, 2)
             _emitted("csv", "deriv", {}, ("x", "value"), table)
             _emitted("json", "deriv", {}, ("x", "value"), table)
-        assert calls == [("csv_rows", cli._KERNEL_CELLS), ("json_rows", cli._KERNEL_CELLS)]
+        assert calls == [(False, cli._KERNEL_CELLS), (True, cli._KERNEL_CELLS)]
 
     @pytest.mark.parametrize("argv", [
         ("deriv", "--op", "q", "--q", "0.5", "--fn", "sin(x)*exp(x)", "--grid", "0:2:3001"),

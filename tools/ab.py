@@ -10,8 +10,9 @@ work directory: the parent from REV, the change from the tracked files of
 the working tree (``git stash create``, which touches nothing, or HEAD when
 the tree is clean).  For each spec WORKLOAD/SEED/PAIRS, ``perfbench/run.py
 --workload W --seed S --seconds T --trace 0`` runs on both trees in
-alternating pairs, the parent first in odd pairs; then ``--trace 1`` runs
-on the workload of ``--traced`` at seed 1 for ``--traced-pairs`` pairs.
+alternating pairs, the parent first in odd pairs, with T the ``run_seconds``
+of BENCHMARK.json; then ``--trace 1`` runs on ``TRACED`` at seed 1 for
+``TRACED_PAIRS`` pairs.
 The output keeps the layout of the earlier BENCH_*.json files (a workload
 at seed 1 under its own name, else under WORKLOAD/SEED) and adds the wins
 of each pair, the parent's interquartile range, the line count of
@@ -32,6 +33,7 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+TRACED, TRACED_PAIRS = "deriv_grid", 2  # the traced runs: workload and pairs, at seed 1
 
 
 def extract(rev: str, dest: Path) -> Path:
@@ -109,20 +111,18 @@ def main() -> int:
     parser.add_argument("--out", required=True, type=Path, help="the BENCH_*.json to write")
     parser.add_argument("--spec", action="append", required=True,
                         help="WORKLOAD/SEED/PAIRS; may be given more than once")
-    parser.add_argument("--seconds", type=float, default=12.0)
-    parser.add_argument("--traced", default="deriv_grid", help="workload of the traced pairs")
-    parser.add_argument("--traced-pairs", type=int, default=2)
     parser.add_argument("--work", type=Path, help="directory for the two trees (default: temporary)")
     args = parser.parse_args()
-    directions = {m["name"]: m["better"]
-                  for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]}
+    benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    directions = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     change_rev = subprocess.run(["git", "stash", "create"], cwd=REPO, check=True,
                                 capture_output=True, text=True).stdout.strip() or "HEAD"
     with tempfile.TemporaryDirectory(dir=args.work) as work:
         trees = {"parent": extract(args.parent, Path(work) / "parent"),
                  "change": extract(change_rev, Path(work) / "change")}
         report = {
-            "what": f"perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0, "
+            "what": f"perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0, "
                     "run unmodified on the parent commit and on this change, each from its own "
                     "copy in the same directory tree, in alternating pairs (parent first in odd "
                     "pairs); wins count the pairs in which the change did better",
@@ -132,7 +132,7 @@ def main() -> int:
         }
         for spec in args.spec:
             workload, seed, n = spec.split("/")
-            runs = pairs(trees, workload, int(seed), int(n), args.seconds, 0)
+            runs = pairs(trees, workload, int(seed), int(n), seconds, 0)
             wins = {name: [(c[name] > p[name]) if directions[name] == "higher" else (c[name] < p[name])
                            for p, c in zip(runs["parent"], runs["change"])]
                     for name in runs["parent"][0]}
@@ -144,13 +144,11 @@ def main() -> int:
                 "change_over_parent": {name: change["median"][name] / parent["median"][name]
                                        for name in parent["median"]},
             }
-        if args.traced_pairs:
-            traced = pairs(trees, args.traced, 1, args.traced_pairs, args.seconds, 1)
-            report["traced"] = {
-                "what": f"perfbench/run.py --workload {args.traced} --seed 1 --seconds "
-                        f"{args.seconds:g} --trace 1, alternating pairs (parent first in the "
-                        "first); times are seconds per round",
-                **traced}
+        report["traced"] = {
+            "what": f"perfbench/run.py --workload {TRACED} --seed 1 --seconds {seconds:g} "
+                    "--trace 1, alternating pairs (parent first in the first); times are "
+                    "seconds per round",
+            **pairs(trees, TRACED, 1, TRACED_PAIRS, seconds, 1)}
         report["bytecode"] = {
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE", ""),
             "cached": {side: cached(tree) for side, tree in trees.items()}}
