@@ -5,25 +5,23 @@ q-derivative; the q-exponential e_q(x) = [1 + (1 - q) x]^(1/(1-q)) is its
 eigenfunction and solves dy/dx = y^q.  The kappa-exponential
 (kx + sqrt(1 + k^2 x^2))^(1/k) plays the same role for the kappa-derivative.
 
-All deformation parameters switch to their classical branch (q -> 1,
-kappa -> 0) when the deformation is within ``CLASSICAL_EPS`` of the classical
-value, to avoid catastrophic cancellation in exponents like 1/(1 - q).
+Each exponential is exp(m(x)) of its measure, log1p((1 - q) x)/(1 - q) or
+asinh(kappa x)/kappa, and each logarithm the inverse measure of ln y: forms
+that do not cancel as q -> 1 or kappa -> 0.  Over an array, every element has
+the bits of its own float call (see :func:`errors._elementwise`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import asinh, exp, expm1, log, log1p, sinh
 
 import numpy as np
 
-from .errors import DomainError, _reject
-
-# Deformations closer to classical than this take the exact classical branch.
-CLASSICAL_EPS = 1e-12
+from .errors import DomainError, _elementwise, _reject
 
 __all__ = [
-    "CLASSICAL_EPS",
     "QParam",
     "KappaParam",
     "q_difference",
@@ -45,10 +43,6 @@ class QParam:
         if not math.isfinite(self.q):
             raise ValueError(f"q must be finite, got {self.q}")
 
-    @property
-    def is_classical(self) -> bool:
-        return abs(1.0 - self.q) < CLASSICAL_EPS
-
 
 @dataclass(frozen=True)
 class KappaParam:
@@ -59,10 +53,6 @@ class KappaParam:
     def __post_init__(self):
         if not math.isfinite(self.kappa):
             raise ValueError(f"kappa must be finite, got {self.kappa}")
-
-    @property
-    def is_classical(self) -> bool:
-        return abs(self.kappa) < CLASSICAL_EPS
 
 
 def _as_q(q: QParam | float) -> QParam:
@@ -81,92 +71,63 @@ def q_difference(x, y, q: QParam | float):
     ``index`` is the first position on that line.
     """
     qp = _as_q(q)
-    if qp.is_classical:
-        return x - y
-    singular = 1.0 / (qp.q - 1.0)
-    near = abs(y - singular) < 1e-12
-    if near.any() if isinstance(near, np.ndarray) else near:
-        raise DomainError(f"q_difference singular at y = 1/(q-1) = {singular}",
-                          index=int(near.argmax()) if isinstance(near, np.ndarray) else None)
+    if qp.q != 1.0:
+        singular = 1.0 / (qp.q - 1.0)
+        near = abs(y - singular) < 1e-12
+        if near.any() if isinstance(near, np.ndarray) else near:
+            raise DomainError(f"q_difference singular at y = 1/(q-1) = {singular}",
+                              index=int(near.argmax()) if isinstance(near, np.ndarray) else None)
     return (x - y) / (1.0 + (1.0 - qp.q) * y)
 
 
 def q_sum(x: float | np.ndarray, y: float | np.ndarray, q: QParam | float) -> float | np.ndarray:
     """Deformed sum x + y + (1 - q) x y, for floats or arrays; the inverse of
     :func:`q_difference`."""
-    qp = _as_q(q)
-    if qp.is_classical:
-        return x + y
-    return x + y + (1.0 - qp.q) * x * y
+    return x + y + (1.0 - _as_q(q).q) * x * y
 
 
-def q_exp(x: float | np.ndarray, q: QParam | float) -> float | np.ndarray:
-    """q-exponential [1 + (1 - q) x]^(1/(1-q)), for a float or an array.
-
-    Outside the natural support (1 + (1 - q) x <= 0) the standard
-    nonextensive cutoff convention applies and 0 is returned.  At q = 1 this
-    is the ordinary exponential.  Over an array, the base is formed by numpy
-    and each power or exponential is taken from Python floats, so every
-    element has the bits of the call on that element alone (numpy's vector
-    ``power`` and ``exp`` can differ from the C library's in the last bit).
-    """
-    qp = _as_q(q)
-    array = isinstance(x, np.ndarray)
-    base = x if qp.is_classical else 1.0 + (1.0 - qp.q) * x
-    bases = base.ravel().tolist() if array else [base]
-    if qp.is_classical:
-        values = [math.exp(b) for b in bases]
-    else:
-        power = 1.0 / (1.0 - qp.q)
-        values = [0.0 if b <= 0.0 else b**power for b in bases]
-    return np.array(values).reshape(x.shape) if array else values[0]
+@_elementwise
+def q_exp(x: float | np.ndarray, q: QParam | float):
+    """q-exponential [1 + (1 - q) x]^(1/(1-q)) = exp(log1p((1 - q) x)/(1 - q)),
+    for a float or an array; exp(x) at q = 1, and 0 outside the natural
+    support 1 + (1 - q) x > 0 (the nonextensive cutoff convention)."""
+    one_minus_q = 1.0 - _as_q(q).q
+    if one_minus_q == 0.0:
+        return [exp(v) for v in np.ravel(x).tolist()]
+    ts = np.ravel(one_minus_q * x).tolist()
+    return [0.0 if t <= -1.0 else exp(log1p(t) / one_minus_q) for t in ts]
 
 
-def q_log(x: float | np.ndarray, q: QParam | float) -> float | np.ndarray:
-    """q-logarithm (x^(1-q) - 1) / (1 - q), inverse of :func:`q_exp` for x > 0,
-    for a float or an array.
-
-    Raises :class:`DomainError` at x <= 0; over an array, its ``index`` is
-    the first such position.  As in :func:`q_exp`, each power or logarithm
-    is taken from Python floats, so every element has the bits of the call
-    on that element alone.
-    """
-    qp = _as_q(q)
-    array = isinstance(x, np.ndarray)
+@_elementwise
+def q_log(x: float | np.ndarray, q: QParam | float):
+    """q-logarithm (x^(1-q) - 1) / (1 - q) = expm1((1 - q) ln x)/(1 - q),
+    inverse of :func:`q_exp`, for a float or an array of x > 0 (else
+    :class:`DomainError`, with the ``index`` of the first x <= 0)."""
+    one_minus_q = 1.0 - _as_q(q).q
     _reject(x <= 0.0, x, "q_log requires x > 0")
-    xs = x.ravel().tolist() if array else [x]
-    if qp.is_classical:
-        values = [math.log(v) for v in xs]
-    else:
-        one_minus_q = 1.0 - qp.q
-        values = [(v**one_minus_q - 1.0) / one_minus_q for v in xs]
-    return np.array(values).reshape(x.shape) if array else values[0]
+    if one_minus_q == 0.0:
+        return [log(v) for v in np.ravel(x).tolist()]
+    return [expm1(one_minus_q * log(v)) / one_minus_q for v in np.ravel(x).tolist()]
 
 
-def kappa_exp(x: float | np.ndarray, kappa: KappaParam | float) -> float | np.ndarray:
-    """kappa-exponential (kx + sqrt(1 + k^2 x^2))^(1/k); exp(x) at kappa = 0,
-    for a float or an array.
-
-    The closed form is even in kappa.  Over an array, each element is
-    computed from Python floats, so it has the bits of the call on that
-    element alone.
-    """
-    kp = _as_kappa(kappa)
-    array = isinstance(x, np.ndarray)
-    xs = x.ravel().tolist() if array else [x]
-    if kp.is_classical:
-        values = [math.exp(v) for v in xs]
-    else:
-        k = kp.kappa
-        values = [(k * v + math.sqrt(1.0 + k * k * v * v)) ** (1.0 / k) for v in xs]
-    return np.array(values).reshape(x.shape) if array else values[0]
+@_elementwise
+def kappa_exp(x: float | np.ndarray, kappa: KappaParam | float):
+    """kappa-exponential (kx + sqrt(1 + k^2 x^2))^(1/k) = exp(asinh(kx)/k),
+    for a float or an array; exp(x) at kappa = 0.  Even in kappa."""
+    k = _as_kappa(kappa).kappa
+    # below |k| = 1.6e-162, k^2 x^2 is under every ulp and kx may be subnormal
+    if k * k == 0.0:
+        return [exp(v) for v in np.ravel(x).tolist()]
+    return [exp(asinh(k * v) / k) for v in np.ravel(x).tolist()]
 
 
-def kappa_log(x: float, kappa: KappaParam | float) -> float:
-    """kappa-logarithm (x^k - x^(-k)) / (2k), inverse of :func:`kappa_exp` for x > 0."""
-    kp = _as_kappa(kappa)
+@_elementwise
+def kappa_log(x: float | np.ndarray, kappa: KappaParam | float):
+    """kappa-logarithm (x^k - x^(-k)) / (2k) = sinh(k ln x)/k, inverse of
+    :func:`kappa_exp`, for a float or an array of x > 0 (else
+    :class:`DomainError`, with the ``index`` of the first x <= 0)."""
+    k = _as_kappa(kappa).kappa
     _reject(x <= 0.0, x, "kappa_log requires x > 0")
-    if kp.is_classical:
-        return math.log(x)
-    k = kp.kappa
-    return (x**k - x ** (-k)) / (2.0 * k)
+    if k * k == 0.0:  # as in kappa_exp
+        return [log(v) for v in np.ravel(x).tolist()]
+    return [sinh(k * log(v)) / k for v in np.ravel(x).tolist()]

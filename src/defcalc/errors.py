@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Optional
 
 import numpy as np
@@ -31,6 +33,33 @@ def _reject(bad, x, message: str) -> None:
         index = int(bad.argmax()) if isinstance(bad, np.ndarray) else None
         raise DomainError(f"{message}, got {x if index is None else x.ravel()[index]}",
                           index=index)
+
+
+def _elementwise(f):
+    """Decorator for ``f(x, ...)``, which returns one float per element of x
+    (a float or an array), each from Python floats.  The wrapped function
+    returns a float or an array of x's shape, and raises DomainError as
+    :func:`_reject` does at the first x whose value passes the double range:
+    an inf, or an OverflowError from math, found over an array by float calls."""
+    message = f"{f.__name__} passes the double range"
+
+    @functools.wraps(f)
+    def wrapped(x, *args, **kwargs):
+        array = isinstance(x, np.ndarray)
+        try:
+            values = f(x, *args, **kwargs)
+        except OverflowError:
+            for i, v in enumerate(x.ravel().tolist() if array else []):
+                try:
+                    wrapped(v, *args, **kwargs)
+                except DomainError as exc:
+                    raise DomainError(*exc.args, index=i) from None
+            values = [math.inf]  # x is a float: an array raised above
+        values = np.array(values).reshape(x.shape) if array else values[0]
+        _reject(np.isinf(values) if array else math.isinf(values), x, message)
+        return values
+
+    return wrapped
 
 
 class PoleError(DefcalcError):

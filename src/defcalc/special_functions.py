@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PoleError, _reject
+from .errors import ConvergenceError, DomainError, PoleError, _elementwise, _reject
 
 __all__ = [
     "HausdorffParams",
@@ -295,22 +295,21 @@ def stretched_exp(x: float, alpha: float) -> float:
     return math.exp(x**alpha)
 
 
-def balankin_exp(x: float | np.ndarray, hp: HausdorffParams) -> float | np.ndarray:
+@_elementwise
+def balankin_exp(x: float | np.ndarray, hp: HausdorffParams):
     """Fractal-metric exponential exp((l0/zeta) (x/l0 + 1)^zeta), for a float
     or an array.
 
     Eigenfunction of the Hausdorff derivative; requires x > -l0 and zeta != 0,
     else raises :class:`DomainError` (for an array of x, with the ``index`` of
-    the first x <= -l0).  Over an array, x/l0 + 1 is formed by numpy and each
-    power and exponential is taken from Python floats, so every element has
-    the bits of the call on that element alone.
+    the first x <= -l0), as does a value past the double range.  Over an
+    array, x/l0 + 1 is formed by numpy and each power and exponential is taken
+    from Python floats, so every element has the bits of its own float call.
     """
     if abs(hp.zeta) < 1e-12:
         raise DomainError("balankin_exp is undefined at zeta = 0")
     _reject(x <= -hp.l0, x, f"balankin_exp requires x > -l0 = {-hp.l0}")
-    array = isinstance(x, np.ndarray)
     base = x / hp.l0 + 1.0
-    bases = base.ravel().tolist() if array else [base]
+    bases = base.ravel().tolist() if isinstance(x, np.ndarray) else [base]
     scale, zeta = hp.l0 / hp.zeta, hp.zeta
-    values = [math.exp(scale * b**zeta) for b in bases]
-    return np.array(values).reshape(x.shape) if array else values[0]
+    return [math.exp(scale * b**zeta) for b in bases]

@@ -1,5 +1,8 @@
 import math
+import re
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -114,7 +117,7 @@ class TestQExp:
         x=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40),
         q=st.one_of(
             st.floats(0.05, 3.0),
-            st.floats(-1e-11, 1e-11).map(lambda d: 1.0 + d),  # either side of CLASSICAL_EPS
+            st.floats(-1e-11, 1e-11).map(lambda d: 1.0 + d),  # next to the classical limit
             st.floats(1.0, 2.0, exclude_min=True),  # the cutoff from x = 1/(q - 1)
         ),
     )
@@ -146,7 +149,7 @@ class TestQLog:
         x=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40),
         q=st.one_of(
             st.floats(-2.0, 3.0),
-            st.floats(-1e-11, 1e-11).map(lambda d: 1.0 + d),  # either side of CLASSICAL_EPS
+            st.floats(-1e-11, 1e-11).map(lambda d: 1.0 + d),  # next to the classical limit
             st.just(1.0),
         ),
     )
@@ -210,7 +213,7 @@ class TestKappaExp:
         x=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=40),
         kappa=st.one_of(
             st.floats(-1.5, 1.5),
-            st.floats(-1e-11, 1e-11),  # either side of CLASSICAL_EPS
+            st.floats(-1e-11, 1e-11),  # next to the classical limit
             st.just(0.0),
         ),
     )
@@ -244,9 +247,119 @@ class TestKappaLog:
     def test_round_trip(self, x, kappa):
         assert kappa_log(kappa_exp(x, kappa), kappa) == pytest.approx(x, abs=1e-11)
 
+    @given(
+        x=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=40),
+        kappa=st.one_of(
+            st.floats(-1.5, 1.5),
+            st.floats(-1e-11, 1e-11),  # next to the classical limit
+            st.just(0.0),
+        ),
+    )
+    def test_array_has_the_bits_of_each_point(self, x, kappa):
+        want = np.array([kappa_log(v, kappa) for v in x])
+        got = kappa_log(np.array(x), kappa)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert kappa_log(np.array(x).reshape(-1, 1), kappa).shape == (len(x), 1)
+
+    @pytest.mark.parametrize("kappa", [0.5, 0.0])
+    def test_array_domain_error_names_the_first_x_at_or_below_zero(self, kappa):
+        with pytest.raises(DomainError, match=r"kappa_log requires x > 0, got 0\.0$") as err:
+            kappa_log(np.array([1.0, 2.0, 0.0, -1.0]), kappa)
+        assert err.value.index == 2
+        with pytest.raises(DomainError, match=r"got -1\.0$") as err:
+            kappa_log(-1.0, kappa)
+        assert err.value.index is None
+
+
+# one call past the double range per function: math raises OverflowError,
+# except in kappa_exp(1e308, 10), where kappa x is inf and so is the value
+@pytest.mark.parametrize("f,x,parameter", [
+    (q_exp, 800.0, 1.0),
+    (q_exp, 1e6, 0.99),
+    (q_log, 1e300, -2.0),
+    (kappa_exp, 800.0, 1e-9),
+    (kappa_exp, 1e308, 10.0),
+    (kappa_log, 1e300, 5.0),
+])
+def test_overflow_is_a_domain_error(f, x, parameter):
+    message = rf"{f.__name__} passes the double range, got {re.escape(repr(x))}$"
+    with pytest.raises(DomainError, match=message) as err:
+        f(x, parameter)
+    assert err.value.index is None
+    with pytest.raises(DomainError, match=message) as err:
+        f(np.array([1.0, 2.0, x, x]), parameter)
+    assert err.value.index == 2
+
 
 def test_parameters_must_be_finite():
     with pytest.raises(ValueError):
         QParam(math.nan)
     with pytest.raises(ValueError):
         KappaParam(math.inf)
+
+
+# --- accuracy against mpmath --------------------------------------------------
+
+EPS = 2.0**-52
+
+# |1 - q| or |kappa| from 1e-16 to 2, log-uniform, on either side of the classical
+# value; 1 - q and kappa are then taken as the doubles given
+DEFORMATION = st.builds(lambda sign, e: sign * 10.0**e,
+                        st.sampled_from((-1.0, 1.0)), st.floats(-16.0, math.log10(2.0)))
+SIGNED_X = st.builds(lambda sign, e: sign * 10.0**e,
+                     st.sampled_from((-1.0, 1.0)), st.floats(-20.0, 6.0))
+POSITIVE_X = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+def _agrees(call, want, cond):
+    """call() is within 4 eps cond of the mpf value ``want`` (and of the
+    smallest subnormal, where it underflows), or raises DomainError where
+    ``want`` is past the double range by more than that."""
+    try:
+        got = call()
+    except DomainError:
+        assert abs(want) * (1.0 + 4.0 * EPS * cond) > sys.float_info.max
+        return
+    assert abs(got - want) <= 4.0 * EPS * cond * abs(want) + 2.0**-1074
+
+
+class TestAgainstMpmath:
+    """Each exponential is exp(m) of its measure m and each logarithm the
+    inverse measure of ln x, at 50 digits.  The condition number counts the
+    rounding of (1 - q) x, kappa x or ln x and of m itself: 1 + |m| + |x/(1 +
+    (1 - q) x)| for q_exp, 1 + |m| for kappa_exp, and 1 + |s| for the
+    logarithms, s = (1 - q) ln x or kappa ln x."""
+
+    @given(x=SIGNED_X, d=DEFORMATION)
+    def test_q_exp(self, x, d):
+        q = 1.0 - d
+        with mpmath.workdps(50):
+            om = 1 - mpmath.mpf(q)
+            t = om * x
+            if 1 + t <= 0:
+                assert q_exp(x, q) == 0.0  # the cutoff
+                return
+            m = mpmath.log1p(t) / om if om else mpmath.mpf(x)
+            cond = 1.0 + abs(float(m)) + abs(float(x / (1 + t)))
+            _agrees(lambda: q_exp(x, q), mpmath.exp(m), cond)
+
+    @given(x=POSITIVE_X, d=DEFORMATION)
+    def test_q_log(self, x, d):
+        q = 1.0 - d
+        with mpmath.workdps(50):
+            om = 1 - mpmath.mpf(q)
+            s = om * mpmath.log(x)
+            want = mpmath.expm1(s) / om if om else mpmath.log(x)
+            _agrees(lambda: q_log(x, q), want, 1.0 + abs(float(s)))
+
+    @given(x=SIGNED_X, kappa=DEFORMATION)
+    def test_kappa_exp(self, x, kappa):
+        with mpmath.workdps(50):
+            m = mpmath.asinh(kappa * mpmath.mpf(x)) / kappa
+            _agrees(lambda: kappa_exp(x, kappa), mpmath.exp(m), 1.0 + abs(float(m)))
+
+    @given(x=POSITIVE_X, kappa=DEFORMATION)
+    def test_kappa_log(self, x, kappa):
+        with mpmath.workdps(50):
+            s = kappa * mpmath.log(x)
+            _agrees(lambda: kappa_log(x, kappa), mpmath.sinh(s) / kappa, 1.0 + abs(float(s)))

@@ -489,6 +489,16 @@ class TestBalankinExp:
             balankin_exp(-2.0, hp)
         assert err.value.index is None
 
+    def test_overflow_is_a_domain_error(self):
+        # exp(1000 (x + 1)^0.001) passes the double range at every x > -1, and
+        # exp(100 (x + 1)^0.01) from x = 1.3e85
+        with pytest.raises(DomainError, match=r"balankin_exp passes the double range, got 1\.0$") as err:
+            balankin_exp(1.0, HausdorffParams(0.001))
+        assert err.value.index is None
+        with pytest.raises(DomainError, match=r"got 1e\+90$") as err:
+            balankin_exp(np.array([0.0, 1e80, 1e90, 1e100]), HausdorffParams(0.01))
+        assert err.value.index == 2
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             HausdorffParams(0.5, 0.0)
