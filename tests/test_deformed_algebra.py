@@ -223,9 +223,11 @@ class TestKappaExp:
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
         assert kappa_exp(np.array(x).reshape(-1, 1), kappa).shape == (len(x), 1)
 
-    def test_classical_branch_over_an_array(self):
+    # at a subnormal kappa, kappa x is subnormal too and asinh(kappa x)/kappa is not x
+    @pytest.mark.parametrize("kappa", [0.0, 5e-324, -1e-200])
+    def test_classical_branch_over_an_array(self, kappa):
         xs = [0.0, 1.0, -2.5]
-        assert kappa_exp(np.array(xs), 0.0).tolist() == [math.exp(v) for v in xs]
+        assert kappa_exp(np.array(xs), kappa).tolist() == [math.exp(v) for v in xs]
 
 
 class TestKappaLog:
@@ -238,6 +240,11 @@ class TestKappaLog:
 
     def test_inverse_of_kappa_exp_example(self):
         assert kappa_log(1.0 + math.sqrt(2.0), 1.0) == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("kappa", [0.0, 5e-324, -1e-200])
+    def test_classical_branch_over_an_array(self, kappa):
+        xs = [1.0, math.e, 0.25]
+        assert kappa_log(np.array(xs), kappa).tolist() == [math.log(v) for v in xs]
 
     def test_domain(self):
         with pytest.raises(DomainError):
