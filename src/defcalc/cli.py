@@ -4,7 +4,8 @@ Subcommands: deriv (operator over a grid), solve (eigen verification),
 map (q <-> zeta bridge), expand (prefactor expansions), ml (Mittag-Leffler),
 selftest (built-in invariant suite).
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure, and
+from the console script 141 (128 + SIGPIPE) when the reader of stdout closed it.
 Grid tables print as CSV (header ``x,value[,closed_form,residual]``) or JSON
 (object with ``command``, ``params``, ``rows``); values carry 17 significant
 digits so repeated runs are byte-identical.  The DEFCALC_OUTPUT_FORMAT
@@ -475,13 +476,23 @@ def main(argv=None) -> int:
     except DefcalcError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:  # stdout's reader is gone: not a failure of the command
+        raise
     except Exception as exc:  # no traceback ever reaches the user
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here rather than at exit
+    except BrokenPipeError:
+        # what is still buffered goes to os.devnull, so exit writes nothing;
+        # the exit status is a shell's for a process killed by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -94,7 +94,8 @@ def q_exp(x: float | np.ndarray, q: QParam | float):
     one_minus_q = 1.0 - _as_q(q).q
     if one_minus_q == 0.0:
         return [exp(v) for v in np.ravel(x).tolist()]
-    ts = np.ravel(one_minus_q * x).tolist()
+    with np.errstate(over="ignore"):  # an inf t is the float call's inf: DomainError
+        ts = np.ravel(one_minus_q * x).tolist()
     return [0.0 if t <= -1.0 else exp(log1p(t) / one_minus_q) for t in ts]
 
 

@@ -289,7 +289,10 @@ def conformable_derivative(f, t, alpha: float, settings: DiffSettings | None = N
 def gl_weights(alpha: float, n: int) -> np.ndarray:
     """Weights (-1)^k C(alpha, k) for k = 0..n, by the stable ratio recurrence."""
     k = np.arange(1, n + 1, dtype=float)
-    return np.cumprod(np.concatenate(([1.0], (k - 1.0 - alpha) / k)))
+    w = np.empty(n + 1)
+    w[0] = 1.0
+    np.divide(k - 1.0 - alpha, k, out=w[1:])
+    return np.cumprod(w, out=w)
 
 
 # x on the h-lattice up to this relative round-off counts as a lattice point:
@@ -298,17 +301,6 @@ _LATTICE_RTOL = 1e-9
 
 # Residues x/h - t within this times max(1, x/h) agree to round-off.
 _RESIDUE_RTOL = 8 * np.finfo(float).eps
-
-
-def _lattice_point(x: float, h: float) -> tuple[int, float]:
-    """x = (t + r) h: t = round(x/h) and r = 0 exactly where x is a multiple of
-    h up to round-off, else t = floor(x/h) and 0 < r < 1."""
-    q = x / h
-    n = round(q)
-    if abs(q - n) <= _LATTICE_RTOL * max(1.0, q):
-        return n, 0.0
-    t = math.floor(q)
-    return t, q - t
 
 
 # OpenBLAS's ddot wakes its worker threads for more elements than this, which
@@ -324,70 +316,104 @@ def _chain_sum(weights, values) -> float:
                for s in range(0, weights.size, _DOT_SLICE))
 
 
-def _lattices(chains):
-    """Lattices [a, lo, hi, members]: the chains (t, r, N) of ``members`` have
-    residues that agree to round-off with that of chain a, the one nearest
-    the origin, and index ranges t - N..t that cover lo..hi with no gap."""
-    groups, anchor = [], math.nan
-    for i in sorted(range(len(chains)), key=lambda i: chains[i][1]):
-        t, r, _ = chains[i]
-        if not r - anchor <= _RESIDUE_RTOL * max(1.0, t + r):
-            anchor = r
-            groups.append([])
-        groups[-1].append(i)
-    lattices = []
-    for group in groups:
-        a = min(group, key=lambda i: chains[i][0])
-        for i in sorted(group, key=lambda i: chains[i][0] - chains[i][2]):
-            t, _, n = chains[i]
-            if not lattices or lattices[-1][0] != a or t - n > lattices[-1][2] + 1:
-                lattices.append([a, t - n, t, []])
-            lattices[-1][2] = max(lattices[-1][2], t)
-            lattices[-1][3].append(i)
-    return lattices
+def _lattice_points(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(t, r) with q = x/h = t + r: t = round(q) and r = 0 exactly where x is a
+    multiple of h up to round-off, else t = floor(q) and 0 < r < 1."""
+    near = np.rint(q)
+    on = abs(q - near) <= _LATTICE_RTOL * np.maximum(1.0, q)
+    t = np.where(on, near, np.floor(q))
+    return t.astype(np.int64), np.where(on, 0.0, q - t)
+
+
+def _lattices(t: np.ndarray, r: np.ndarray, lo: np.ndarray):
+    """The lattices of the chains (t, r) whose nodes run from index lo = t - N
+    to t, where lo grows with t: arrays anchor, lo, hi and first with one
+    entry per lattice, and members and at with one per chain.  ``members``
+    holds the chains in lattice order, lattice j's from first[j] on, and
+    ``at`` the index of each in its lattice, t - lo of the lattice.
+
+    A group holds the chains whose residues, taken in order (a stable sort),
+    lie within _RESIDUE_RTOL max(1, t + r) of the group's first.  Its anchor
+    is its chain nearest the origin.  Taken by t, its chains join a lattice
+    until one starts past the last one's t plus one."""
+    if t.size == 1:  # a float x: one chain, its own lattice, without the sorts below
+        zero = np.zeros(1, dtype=np.intp)
+        return zero, lo, t, zero, zero, t - lo
+    by_r = r.argsort(kind="stable")
+    rs, ts = r[by_r], t[by_r]
+    tol = _RESIDUE_RTOL * np.maximum(1.0, ts + rs)
+    # a residue past the one before it by more than tol starts a group; then
+    # the first residue of each group past that group's first starts one too
+    starts = np.empty(rs.size, dtype=bool)
+    starts[0] = True
+    np.greater(rs[1:] - rs[:-1], tol[1:], out=starts[1:])
+    while True:
+        group = np.maximum.accumulate(np.where(starts, rs, -np.inf))  # the first residue
+        late = (rs - group > tol).nonzero()[0]
+        if not late.size:
+            break
+        starts[late[np.unique(group[late], return_index=True)[1]]] = True
+    order = np.lexsort((ts, group))
+    members, group, ts = by_r[order], group[order], ts[order]
+    lo = lo[members]
+    new = np.empty(ts.size, dtype=bool)
+    new[0] = True
+    np.greater(lo[1:], ts[:-1] + 1, out=new[1:])
+    new[1:] |= group[1:] != group[:-1]
+    first = new.nonzero()[0]
+    anchors = members[group.searchsorted(group[first])]
+    lattice = np.add.accumulate(new, dtype=np.intp) - 1
+    return (anchors, lo[first], np.maximum.reduceat(ts, first), first, members,
+            ts - lo[first][lattice])
 
 
 def gl_jumarie_derivative(f, x, alpha: float, h: float, n_terms: Optional[int] = None):
     """Grunwald-Letnikov sum h^-alpha sum_k (-1)^k C(alpha,k) f(x - kh).
 
-    The chain is anchored at the origin: with x = (t + r) h as in
-    ``_lattice_point``, its N = t nodes below x end at r h, so a chain on the
+    The chain is anchored at the origin: with x = (t + r) h, where t = round(x/h)
+    and r = 0 exactly for x on the h-lattice (up to round-off), else
+    t = floor(x/h), its N = t nodes below x end at r h, so a chain on the
     lattice ends on 0.0.  ``n_terms`` (>= 1) optionally caps N.  Requires
-    0 < alpha <= 1, h > 0 and finite x >= 0.  Chains whose residues agree to
-    round-off and whose index ranges t - N..t overlap share a lattice: one
-    call of f on the nodes of their chain nearest the origin, extended (j h on
-    the lattice), and a dot product per chain with its reversed slice, equal
-    to the chain alone up to rounding (README).  If a lattice call raises,
-    each chain calls f on its own nodes in grid order, (t - k) h on the
-    lattice and x - kh off it, so an error is the first failing chain's, with
-    ``index`` set to its grid position.
+    0 < alpha <= 1, h > 0, and finite x >= 0 with x < 2^53 h.  Chains whose
+    residues agree to round-off and whose index ranges t - N..t overlap share
+    a lattice: one call of f on the nodes of their chain nearest the origin,
+    extended (j h on the lattice), and a dot product per chain with its
+    reversed slice, equal to the chain alone up to rounding (README).  If a
+    lattice call raises, each chain calls f on its own nodes in grid order,
+    (t - k) h on the lattice and x - kh off it, so an error is the first
+    failing chain's, with ``index`` set to its grid position.
     """
     GrunwaldJumarie(alpha, h, n_terms)  # checks the parameters
     _reject(~(np.isfinite(x) & (x >= 0.0)), x, "gl_jumarie_derivative requires finite x >= 0")
+    _reject(np.greater_equal(x, 2.0**53 * h), x, "gl_jumarie_derivative requires x < 2^53 h")
     f = as_real_function(f)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    chains = [(t, r, t if n_terms is None else min(t, int(n_terms)))
-              for t, r in (_lattice_point(v, h) for v in xs.tolist())]
-    weights = gl_weights(alpha, max(n for _, _, n in chains))
-    scale = h ** (-alpha)
+    t, r = _lattice_points(xs / h)
+    n = t if n_terms is None else np.minimum(t, int(n_terms))
+    weights = gl_weights(alpha, int(n.max()))
+    anchors, los, his, firsts, members, at = _lattices(t, r, t - n)
+    # each chain in lattice order: its grid index, and the start and end of
+    # its nodes among its lattice's
+    chains = list(zip(members.tolist(), (at - n[members]).tolist(), (at + 1).tolist()))
+    bounds = firsts.tolist() + [xs.size]
     sums = np.empty(xs.size)
     try:
-        for a, lo, hi, members in _lattices(chains):
+        for j, (a, lo, hi) in enumerate(zip(anchors.tolist(), los.tolist(), his.tolist())):
             # node j is j h on the lattice, else x_a - (t_a - j) h: chain a's own nodes
-            x_a, t_a = (0.0, 0) if chains[a][1] == 0.0 else (xs[a], chains[a][0])
-            values = f(x_a + (np.arange(lo, hi + 1, dtype=float) - t_a) * h)
-            for i in members:
-                t, _, n = chains[i]
-                sums[i] = scale * _chain_sum(weights[: n + 1], values[t - lo - n: t - lo + 1][::-1])
+            nodes = np.arange(lo, hi + 1, dtype=float)
+            values = f(nodes * h if r[a] == 0.0 else xs[a] + (nodes - int(t[a])) * h)
+            for i, start, end in chains[bounds[j]:bounds[j + 1]]:
+                sums[i] = _chain_sum(weights[:end - start], values[start:end][::-1])
     except Exception:  # whatever f raises, raise what the first failing chain raises
-        for i, (t, r, n) in enumerate(chains):
-            k = np.arange(n + 1, dtype=float)
+        for i, (t_i, r_i, n_i) in enumerate(zip(t.tolist(), r.tolist(), n.tolist())):
+            k = np.arange(n_i + 1, dtype=float)
             try:
-                values = f((t - k) * h if r == 0.0 else xs[i] - k * h)
+                values = f((t_i - k) * h if r_i == 0.0 else xs[i] - k * h)
             except DefcalcError as exc:
                 exc.index = i
                 raise
-            sums[i] = scale * _chain_sum(weights[: n + 1], values)
+            sums[i] = _chain_sum(weights[: n_i + 1], values)
+    sums *= h ** (-alpha)
     return sums if np.ndim(x) else float(sums[0])
 
 

@@ -83,9 +83,11 @@ _ML_MAX_TERMS = 10_000
 # Below _ML_ACCUMULATE_BELOW active elements a block is summed by two
 # accumulate calls, each about 2.5 ns per cell at any width; from there on by
 # two ufunc calls per term, together about 1.2 ns per cell at 1,000 elements
-# (2-vCPU Xeon, numpy 2.4.6).
+# (2-vCPU Xeon, numpy 2.4.6).  A call whose elements times lead terms (below)
+# fit in _ML_ONE_BLOCK_CELLS runs all of those terms as its first block.
 _ML_BLOCK = 64
 _ML_BLOCK_CELLS = 16384
+_ML_ONE_BLOCK_CELLS = 65536
 _ML_ACCUMULATE_BELOW = 256
 
 
@@ -106,39 +108,46 @@ def _ml_series(z: np.ndarray, alpha: float) -> tuple[np.ndarray, int]:
     at the second consecutive ``|term| < _ML_REL_TOL * |total|``: the bits of
     a scalar loop over z[e].  Each r_k is computed once.  The terms come in
     blocks laid out (term, element), one row per term, and the stopping test
-    runs on a whole block at once.  The first block reaches the term at which
-    the largest |z| falls below _ML_REL_TOL twice (enough for every z >= 0);
-    later blocks double.  After each block the active set keeps only the
-    elements not yet finished.  On the region the series serves no term
-    exceeds about e^10; a non-finite term would never qualify, so its element
-    would run to the budget.
+    runs on a whole block at once.  The lead count L is the number of terms
+    after which the largest |z| has fallen below _ML_REL_TOL twice, enough for
+    every z >= 0.  If L rows of z.size elements fit in _ML_ONE_BLOCK_CELLS,
+    the first block has L rows, so an array with no z < 0 takes one block and
+    one test; else it has at most _ML_BLOCK rows and _ML_BLOCK_CELLS cells.
+    Later blocks double, up to those limits, and run only on the elements not
+    yet finished.  On the region the series serves no term exceeds about
+    e^10; a non-finite term would never qualify, so its element would run to
+    the budget.
 
     Returns the totals and the index of the first element still unconverged
     when the budget runs out (-1 if none); such elements hold their last
     partial sums.
     """
     tol = _ML_REL_TOL
+    ratios: list[float] = []
+    lead, lead_small = 1.0, 0  # |term| of the largest |z| and its run below tol
+    z_max = float(np.max(np.abs(z))) if z.size else 0.0
+    while len(ratios) < _ML_MAX_TERMS and lead_small < 2:
+        ratios.append(_ml_term_ratio(alpha, len(ratios)))
+        lead *= z_max * ratios[-1]
+        lead_small = lead_small + 1 if lead < tol else 0
+    first = len(ratios) if z.size * len(ratios) <= _ML_ONE_BLOCK_CELLS else 0
     out = np.empty(z.size)
     # the active set: position in z, z, last term, partial sum, last term qualified
     pos, zs, term, total = np.arange(z.size), z, np.ones(z.size), np.ones(z.size)
     streak = np.zeros(z.size, dtype=bool)
-    ratios: list[float] = []
-    lead, lead_small = 1.0, 0  # |term| of the largest |z| and its run below tol
-    z_max = float(np.max(np.abs(z))) if z.size else 0.0
     # block buffers, reused: terms (then |terms|), totals and tol |totals|; fresh
     # arrays each block cost page faults (+8% on the benchmark's fractional_chain)
-    cells = max(min(_ML_BLOCK_CELLS, _ML_BLOCK * z.size), 4 * z.size)
+    cells = max(min(_ML_BLOCK_CELLS, _ML_BLOCK * z.size), 4 * z.size, first * z.size)
     buffers = np.empty((3, cells))
     k = 0
     with np.errstate(all="ignore"):
         while k < _ML_MAX_TERMS and pos.size:
             m = pos.size
-            cap = min(max(4, min(_ML_BLOCK, _ML_BLOCK_CELLS // m)), _ML_MAX_TERMS - k)
-            while len(ratios) < k + cap and lead_small < 2:
-                ratios.append(_ml_term_ratio(alpha, len(ratios)))
-                lead *= z_max * ratios[-1]
-                lead_small = lead_small + 1 if lead < tol else 0
-            b = min(cap, max(len(ratios) - k, 8, k))
+            if k == 0 and first:
+                b = first
+            else:
+                cap = min(max(4, min(_ML_BLOCK, _ML_BLOCK_CELLS // m)), _ML_MAX_TERMS - k)
+                b = min(cap, max(len(ratios) - k, 8, k))
             ratios.extend(_ml_term_ratio(alpha, j) for j in range(len(ratios), k + b))
             terms, totals, bound = (buf[: b * m].reshape(b, m) for buf in buffers)
             np.multiply.outer(ratios[k : k + b], zs, out=terms)  # z r_k, then term_k
@@ -163,12 +172,15 @@ def _ml_series(z: np.ndarray, alpha: float) -> tuple[np.ndarray, int]:
             np.less(np.abs(terms, out=terms), bound, out=small[1:])
             stop = small[1:] & small[:-1]
             hit = np.logical_or.reduce(stop, axis=0)
+            k += b
+            if hit.all():  # every element stops in this block
+                out[pos] = totals[stop.argmax(axis=0), np.arange(m)]
+                return out, -1
             if hit.any():
                 done = np.flatnonzero(hit)
                 out[pos[done]] = totals[stop[:, done].argmax(axis=0), done]
             keep = np.flatnonzero(~hit)
             pos, zs, term, total, streak = (a[keep] for a in (pos, zs, term, total, small[-1]))
-            k += b
     out[pos] = total  # pos left: the budget ran out on these
     return out, int(pos[0]) if pos.size else -1
 
@@ -309,7 +321,8 @@ def balankin_exp(x: float | np.ndarray, hp: HausdorffParams):
     if abs(hp.zeta) < 1e-12:
         raise DomainError("balankin_exp is undefined at zeta = 0")
     _reject(x <= -hp.l0, x, f"balankin_exp requires x > -l0 = {-hp.l0}")
-    base = x / hp.l0 + 1.0
+    with np.errstate(over="ignore"):  # an inf base is the float call's inf: DomainError
+        base = x / hp.l0 + 1.0
     bases = base.ravel().tolist() if isinstance(x, np.ndarray) else [base]
     scale, zeta = hp.l0 / hp.zeta, hp.zeta
     return [math.exp(scale * b**zeta) for b in bases]

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import threading
@@ -960,6 +961,33 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rows"][0]["q"] == 0.75
+
+
+class TestClosedStdout:
+    def test_main_lets_a_broken_pipe_through(self, monkeypatch):
+        # not "error: BrokenPipeError ..." and exit 3: console_main handles it
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        with pytest.raises(BrokenPipeError):
+            main(["ml", "--alpha", "0.5", "--z", "1"])
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_console_script_exits_141_and_writes_no_stderr(self, unbuffered):
+        # 30,001 rows (about 1.2 MB) outlast the pipe's buffer, so the reader
+        # closes the pipe while the table is still being written
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "defcalc.cli", "ml", "--alpha", "0.5", "--grid=-10:10:30001"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"x,value\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 141
+        assert err == b""
 
 
 @pytest.fixture

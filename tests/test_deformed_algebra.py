@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -296,6 +297,19 @@ def test_overflow_is_a_domain_error(f, x, parameter):
     with pytest.raises(DomainError, match=message) as err:
         f(np.array([1.0, 2.0, x, x]), parameter)
     assert err.value.index == 2
+
+
+def test_array_overflow_of_the_affine_part_warns_nothing():
+    # (1 - q) x = 3e308 is inf: the float call's DomainError, with no numpy
+    # RuntimeWarning on the way, even with warnings as errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"q_exp passes the double range, got 1e\+308$") as err:
+            q_exp(np.array([1.0, 1e308]), -2.0)
+        assert err.value.index == 1
+        with pytest.raises(DomainError, match=r"q_exp passes the double range") as err:
+            q_exp(1e308, -2.0)
+        assert err.value.index is None
 
 
 def test_parameters_must_be_finite():

@@ -34,10 +34,10 @@ from defcalc import (
     yang_lfd,
 )
 from defcalc import DefcalcError, derivative_ops, q_difference
-from defcalc.derivative_ops import _lattice_point, gl_weights
+from defcalc.derivative_ops import gl_weights
 from defcalc.function_catalog import to_source
 from exprgen import SAMPLE_POINTS, generate
-from gl_reference import gl_chain_by_chain
+from gl_reference import LATTICE_RTOL, gl_chain_by_chain, gl_lattice_by_point, lattice_point
 
 EPS = float(np.finfo(float).eps)
 
@@ -49,7 +49,7 @@ GRID = [float(x) for x in np.linspace(0.1, 2.1, 21)]
 
 
 def _chain_length(x, h):
-    return _lattice_point(x, h)[0]
+    return lattice_point(x, h)[0]
 
 
 def q_exp_function(q):
@@ -270,6 +270,28 @@ def _gl_grids(draw):
     return np.array(sorted(xs)), h
 
 
+@st.composite
+def _residue_grids(draw):
+    """(xs, h): points (t + r) h, t in 0..400, in any order, with residues r
+    from up to four classes; classes apart by a few 1e-14 lie within the
+    residue tolerance of each other, or chain past it."""
+    h = draw(st.sampled_from([0.1, 1e-3]) | st.floats(1e-3, 0.2))
+    base = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 0.9))
+    step = draw(st.sampled_from([0.0, 2e-14, 6e-14, 2e-13, 0.03]))
+    classes = [base + step * k for k in range(draw(st.integers(1, 4)))]
+    ts = draw(st.lists(st.integers(0, 400), min_size=1, max_size=30))
+    picks = draw(st.lists(st.sampled_from(classes), min_size=len(ts), max_size=len(ts)))
+    return (np.array(ts) + np.array(picks)) * h, h
+
+
+def _recorded(calls):
+    def f(t):
+        calls.append(np.array(t, dtype=float))
+        return np.cos(3.0 * t) + np.sqrt(t)
+
+    return RealFunction.from_callable(f)
+
+
 class TestGrunwaldJumarie:
     def test_alpha_one_is_backward_difference(self):
         assert gl_jumarie_derivative("x^2", 1.0, 1.0, 1e-4) == pytest.approx(2.0, abs=1e-3)
@@ -404,7 +426,7 @@ class TestGrunwaldJumarie:
             return
         chains = []
         for x in xs.tolist():
-            t, r = _lattice_point(x, h)
+            t, r = lattice_point(x, h)
             n = t if n_terms is None else min(t, n_terms)
             chains.append((t, r, n, np.maximum(x - h * np.arange(n + 1), 0.0)))
         # at most one call per chain, and no node that no chain uses
@@ -412,7 +434,10 @@ class TestGrunwaldJumarie:
         nodes = np.concatenate(([-np.inf], np.sort(np.concatenate([c[3] for c in chains])), [np.inf]))
         seen = np.concatenate(calls)
         above = np.searchsorted(nodes, seen)
-        assert np.all(np.minimum(seen - nodes[above - 1], nodes[above] - seen) <= 1e-9 * h)
+        # a chain counts as on the lattice when |x/h - t| <= LATTICE_RTOL max(1, x/h):
+        # its lattice nodes then lie that far, in units of h, from its x - kh
+        snap = 1.001 * LATTICE_RTOL * max(h, float(xs.max()))
+        assert np.all(np.minimum(seen - nodes[above - 1], nodes[above] - seen) <= snap)
         # a whole chain on the lattice ends on the origin itself
         if any(r == 0.0 and n == t for t, r, n, _ in chains):
             assert 0.0 in seen
@@ -473,6 +498,35 @@ class TestGrunwaldJumarie:
             gl_jumarie_derivative("ln(x)", x, 0.5, 0.3)
         with pytest.raises(EvaluationError) as err:
             gl_jumarie_derivative("ln(x)", np.array([0.45, x]), 0.5, 0.3)
+        assert err.value.index == 1
+
+    @given(grid=_residue_grids(), alpha=st.floats(0.0, 1.0, exclude_min=True),
+           n_terms=st.none() | st.integers(1, 60))
+    # 3,000 points: four residue classes, two of them 1e-14 apart, and a cap
+    # that splits each class into lattices
+    @example(grid=((np.arange(3000) % 701 + np.array([0.0, 0.5, 0.25, 0.25 + 1e-14])[np.arange(3000) % 4])
+                   * 1e-3, 1e-3), alpha=0.5, n_terms=40)
+    @example(grid=(np.array([0.35]), 0.1), alpha=0.5, n_terms=None)
+    def test_lattices_match_the_point_by_point_setup(self, grid, alpha, n_terms):
+        # the array set-up makes the lattices, calls of f and dot products of
+        # the set-up done one grid point at a time: the same bits
+        xs, h = grid
+        calls, want_calls = [], []
+        got = gl_jumarie_derivative(_recorded(calls), xs, alpha, h, n_terms)
+        want = gl_lattice_by_point(_recorded(want_calls), xs, alpha, h, n_terms)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert len(calls) == len(want_calls)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(calls, want_calls))
+        single = gl_jumarie_derivative(_recorded([]), float(xs[0]), alpha, h, n_terms)
+        assert single == gl_lattice_by_point(_recorded([]), xs[:1], alpha, h, n_terms)[0]
+
+    def test_chain_length_past_2_53_is_a_domain_error(self):
+        # x/h must round to an exact chain length
+        with pytest.raises(DomainError, match=r"requires x < 2\^53 h, got 1e\+300$") as err:
+            gl_jumarie_derivative("x", 1e300, 0.5, 1e-300)
+        assert err.value.index is None
+        with pytest.raises(DomainError) as err:
+            gl_jumarie_derivative("x", np.array([0.1, 2.0**53, 2.0**54]), 0.5, 1.0)
         assert err.value.index == 1
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from defcalc import (
     mittag_leffler,
     stretched_exp,
 )
+from defcalc import special_functions
 from defcalc.special_functions import _ml_series, mittag_leffler_array
 
 
@@ -291,6 +293,26 @@ class TestMittagLefflerArray:
         expected = [_scalar_series(zi, 0.6)[0] for zi in z[::97].tolist()]
         np.testing.assert_array_equal(_bits(mittag_leffler(z, 0.6)[::97]), _bits(expected))
 
+    # a float call, an ml sweep up to the domain edge, and the z = x^alpha
+    # lattices of a 51-point fractional solve and of selftest
+    @pytest.mark.parametrize("m,alpha,top", [(1, 0.6, 0.5), (36, 1.25, 10.0),
+                                             (951, 0.6, 0.95**0.6), (2001, 0.5, 2.0**0.5)])
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_series_has_the_bits_of_float_calls_either_side_of_one_block(self, m, alpha, top, signed):
+        # where m times the lead's term count fits in _ML_ONE_BLOCK_CELLS (all
+        # but m = 2,001 here) the first block holds every term a z >= 0
+        # needs, and a z < 0 may run on in later blocks
+        z = np.linspace(-1.0 if signed else 0.0, top, m)
+        z_max, lead, small, terms = float(np.max(np.abs(z))), 1.0, 0, 0
+        while small < 2:
+            lead *= z_max * math.exp(math.lgamma(alpha * terms + 1.0) - math.lgamma(alpha * terms + alpha + 1.0))
+            small, terms = small + 1 if lead < 1e-12 else 0, terms + 1
+        assert (m * terms <= special_functions._ML_ONE_BLOCK_CELLS) == (m < 2001)
+        values, unconverged = _ml_series(z, alpha)
+        assert unconverged == -1
+        assert _bits(values).tolist() == _bits([mittag_leffler(v, alpha) for v in z.tolist()]).tolist()
+        assert _bits(values).tolist() == _bits([_scalar_series(v, alpha)[0] for v in z.tolist()]).tolist()
+
     def test_float_in_float_out(self):
         assert type(mittag_leffler(0.5, 0.7)) is float
         assert type(mittag_leffler(np.float64(0.5), 0.7)) is float
@@ -498,6 +520,19 @@ class TestBalankinExp:
         with pytest.raises(DomainError, match=r"got 1e\+90$") as err:
             balankin_exp(np.array([0.0, 1e80, 1e90, 1e100]), HausdorffParams(0.01))
         assert err.value.index == 2
+
+    def test_array_overflow_of_the_affine_part_warns_nothing(self):
+        # x/l0 = 1e608 is inf: the float call's DomainError, with no numpy
+        # RuntimeWarning on the way, even with warnings as errors
+        hp = HausdorffParams(0.5, 1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"balankin_exp passes the double range, got 1e\+308$") as err:
+                balankin_exp(np.array([1.0, 1e308]), hp)
+            assert err.value.index == 1
+            with pytest.raises(DomainError, match=r"balankin_exp passes the double range") as err:
+                balankin_exp(1e308, hp)
+            assert err.value.index is None
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
