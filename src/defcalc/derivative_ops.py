@@ -289,10 +289,7 @@ def conformable_derivative(f, t, alpha: float, settings: DiffSettings | None = N
 def gl_weights(alpha: float, n: int) -> np.ndarray:
     """Weights (-1)^k C(alpha, k) for k = 0..n, by the stable ratio recurrence."""
     k = np.arange(1, n + 1, dtype=float)
-    w = np.empty(n + 1)
-    w[0] = 1.0
-    np.divide(k - 1.0 - alpha, k, out=w[1:])
-    return np.cumprod(w, out=w)
+    return np.cumprod(np.concatenate(([1.0], (k - 1.0 - alpha) / k)))
 
 
 # x on the h-lattice up to this relative round-off counts as a lattice point:

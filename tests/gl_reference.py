@@ -7,13 +7,10 @@ import math
 
 import numpy as np
 
-from defcalc.derivative_ops import _RESIDUE_RTOL, _chain_sum, gl_weights
+from defcalc.derivative_ops import _LATTICE_RTOL, _RESIDUE_RTOL, _chain_sum, gl_weights
 from defcalc.function_catalog import as_real_function
 
 EPS = float(np.finfo(float).eps)
-
-# x on the h-lattice up to this relative round-off counts as a lattice point
-LATTICE_RTOL = 1e-9
 
 
 def lattice_point(x: float, h: float) -> tuple[int, float]:
@@ -21,7 +18,7 @@ def lattice_point(x: float, h: float) -> tuple[int, float]:
     h up to round-off, else t = floor(x/h) and 0 < r < 1."""
     q = x / h
     n = round(q)
-    if abs(q - n) <= LATTICE_RTOL * max(1.0, q):
+    if abs(q - n) <= _LATTICE_RTOL * max(1.0, q):
         return n, 0.0
     t = math.floor(q)
     return t, q - t

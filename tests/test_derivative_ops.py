@@ -37,7 +37,7 @@ from defcalc import DefcalcError, derivative_ops, q_difference
 from defcalc.derivative_ops import gl_weights
 from defcalc.function_catalog import to_source
 from exprgen import SAMPLE_POINTS, generate
-from gl_reference import LATTICE_RTOL, gl_chain_by_chain, gl_lattice_by_point, lattice_point
+from gl_reference import gl_chain_by_chain, gl_lattice_by_point, lattice_point
 
 EPS = float(np.finfo(float).eps)
 
@@ -407,6 +407,9 @@ class TestGrunwaldJumarie:
     # nearest the origin, whose residue has the least round-off
     @example(grid=((0.5 + 1000 * np.arange(11)) * 1e-3, 1e-3), alpha=0.5, n_terms=None,
              scalar_only=False)
+    # x/h = 2 + 1e-9 counts as on the lattice: f sees 0, h and 2h, not x - kh
+    @example(grid=(np.array([(2 + 1e-9) * 0.1]), 0.1), alpha=0.5, n_terms=None,
+             scalar_only=False)
     def test_grid_equals_the_direct_sum(self, grid, alpha, n_terms, scalar_only):
         xs, h = grid
         calls = []
@@ -434,9 +437,9 @@ class TestGrunwaldJumarie:
         nodes = np.concatenate(([-np.inf], np.sort(np.concatenate([c[3] for c in chains])), [np.inf]))
         seen = np.concatenate(calls)
         above = np.searchsorted(nodes, seen)
-        # a chain counts as on the lattice when |x/h - t| <= LATTICE_RTOL max(1, x/h):
-        # its lattice nodes then lie that far, in units of h, from its x - kh
-        snap = 1.001 * LATTICE_RTOL * max(h, float(xs.max()))
+        # a chain on the lattice calls f at (t - k) h, |x - t h| from its x - kh
+        snap = 1e-9 * h + max((abs(x - t * h) for x, (t, r, _, _) in zip(xs.tolist(), chains)
+                               if r == 0.0), default=0.0)
         assert np.all(np.minimum(seen - nodes[above - 1], nodes[above] - seen) <= snap)
         # a whole chain on the lattice ends on the origin itself
         if any(r == 0.0 and n == t for t, r, n, _ in chains):
