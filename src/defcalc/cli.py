@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import os
 import sys
@@ -32,7 +31,7 @@ from typing import Callable, Optional, get_type_hints
 import numpy as np
 
 from . import selftest as selftest_module
-from ._csv17 import csv_rows, json_body
+from ._csv17 import write_table
 from .deformed_algebra import KappaParam, QParam
 from .derivative_ops import OPERATORS, DiffSettings
 from .eigen_solvers import solve_hausdorff_eigen, solve_q_eigen, verify_fractional_eigen
@@ -80,38 +79,6 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     if not start < stop:
         raise ConfigError(f"--grid needs start < stop, got {text!r}")
     return start, stop, points
-
-
-# A table with this many cells or more takes its cell texts from the array
-# kernel of ``_csv17``.  On Mittag-Leffler and solve tables, in both formats,
-# it matched one ``%`` pass at about 250 cells, and took 0.55 of its time at 600.
-_KERNEL_CELLS = 256
-
-
-def _emit(fmt: str, command: str, params: dict, header: tuple[str, ...], rows, out) -> None:
-    """Write the table; ``rows`` is a 2-D float array with one column per
-    header name.
-
-    A table of ``_KERNEL_CELLS`` cells or more takes its cells from the
-    kernel (``csv_rows``, ``json_body``), a smaller one from one ``%`` call
-    over a template of all its rows, with the bytes of ``f"{v:.17g}"`` or
-    of ``json.dumps(payload, indent=2)``."""
-    if fmt == "csv" and rows.size >= _KERNEL_CELLS:
-        out.write(",".join(header) + "\n")
-        for text in csv_rows(rows):
-            out.write(text)
-        return
-    if fmt == "json":
-        # any indent makes json run its pure-Python encoder, so only the head
-        # goes through it; the rows come from json_body, with the same bytes
-        head = json.dumps({"command": command, "params": params, "rows": []}, indent=2)
-        if rows.size:  # head ends with "[]\n}"
-            head = head[:-4] + json_body(rows, header, rows.size >= _KERNEL_CELLS) + "\n}"
-        out.write(head + "\n")
-    else:
-        # "%.17g" % v and f"{v:.17g}" give the same bytes for every float
-        line = ",".join(["%.17g"] * len(header)) + "\n"
-        out.write(",".join(header) + "\n" + (line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def _build_function(source: Optional[str]) -> RealFunction:
@@ -338,7 +305,7 @@ def run(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot write --output {args.output}: {exc.strerror}") from exc
     with out as stream:
-        _emit(fmt, args.command, _params(opt), header, rows, stream)
+        write_table(stream, fmt, args.command, _params(opt), header, rows)
     return 0
 
 

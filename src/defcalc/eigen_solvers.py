@@ -20,7 +20,7 @@ from .deformed_algebra import QParam, _as_q, q_exp
 from .derivative_ops import GrunwaldJumarie, gl_jumarie_derivative
 from .errors import DomainError, StepFailure, _reject
 from .function_catalog import RealFunction
-from .special_functions import HausdorffParams, balankin_exp, mittag_leffler
+from .special_functions import _ML_DOMAIN, HausdorffParams, balankin_exp, mittag_leffler
 
 __all__ = [
     "EigenReport",
@@ -256,8 +256,9 @@ def verify_fractional_eigen(
         raise ValueError(f"verify_fractional_eigen requires 0 < alpha < 1, got {alpha}")
     GrunwaldJumarie(alpha, h)  # checks h, before the domain
     _reject(domain[0] <= 0.0, domain, "domain must lie inside (0, inf)")
-    if domain[1] ** alpha > 10.0:
-        raise DomainError("domain end exceeds the Mittag-Leffler series domain x^alpha <= 10")
+    if domain[1] ** alpha > _ML_DOMAIN:
+        raise DomainError("domain end exceeds the Mittag-Leffler series domain "
+                          f"x^alpha <= {_ML_DOMAIN:g}")
     grid = _grid(domain, grid_points)
 
     def eigenfunction(t):

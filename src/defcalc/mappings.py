@@ -29,7 +29,7 @@ from .derivative_ops import (
 )
 from .errors import DegenerateInput, DomainError, _reject
 from .function_catalog import RealFunction, as_real_function
-from .special_functions import HausdorffParams, gen_binomial
+from .special_functions import HausdorffParams, _binomials
 
 __all__ = [
     "SeriesExpansion",
@@ -94,11 +94,12 @@ def _second_order_bound(zeta: float, l0: float) -> float:
 
 
 def _scaled(c: float, base: float, power: int) -> float:
-    """c * base**power; a signed inf (c if 0) where Python's ** overflows."""
+    """c * base**power, with 0.0 for an exact zero of either sign; a signed
+    inf (0.0 if c is 0) where Python's ** overflows."""
     try:
-        return c * base**power
+        return c * base**power + 0.0
     except OverflowError:
-        return c * math.inf if c else c
+        return c * math.inf if c else 0.0
 
 
 def expand_hausdorff_prefactor(hp: HausdorffParams, order: int) -> SeriesExpansion:
@@ -108,7 +109,8 @@ def expand_hausdorff_prefactor(hp: HausdorffParams, order: int) -> SeriesExpansi
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    coeffs = tuple(_scaled(gen_binomial(1.0 - hp.zeta, k), hp.l0, -k) for k in range(order + 1))
+    coeffs = tuple(_scaled(c, hp.l0, -k)
+                   for k, c in zip(range(order + 1), _binomials(1.0 - hp.zeta)))
     return SeriesExpansion(coeffs)
 
 
@@ -173,8 +175,8 @@ def kappa_expansion(kappa, order: int) -> SeriesExpansion:
         raise ValueError(f"order must be >= 2, got {order}")
     k = _as_kappa(kappa).kappa
     coeffs = [0.0] * (order + 1)
-    for m in range(order // 2 + 1):
-        coeffs[2 * m] = _scaled(gen_binomial(0.5, m), k, 2 * m)
+    for m, c in zip(range(order // 2 + 1), _binomials(0.5)):
+        coeffs[2 * m] = _scaled(c, k, 2 * m)
     return SeriesExpansion(tuple(coeffs))
 
 

@@ -10,8 +10,10 @@ balankin_exp    exp((l0/zeta) (x/l0 + 1)^zeta).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -61,6 +63,15 @@ def gamma(x: float) -> float:
         return math.inf
 
 
+def _binomials(alpha: float) -> Iterator[float]:
+    """C(alpha, 0), C(alpha, 1), ...: the falling-factorial recurrence
+    C(alpha, k + 1) = C(alpha, k) (alpha - k) / (k + 1), one product a term."""
+    c = 1.0
+    for k in itertools.count():
+        yield c
+        c *= (alpha - k) / (k + 1.0)
+
+
 def gen_binomial(alpha: float, k: int) -> float:
     """Generalized binomial coefficient C(alpha, k) for non-negative integer k.
 
@@ -70,13 +81,11 @@ def gen_binomial(alpha: float, k: int) -> float:
     """
     if k < 0 or k != int(k):
         raise ValueError(f"k must be a non-negative integer, got {k}")
-    result = 1.0
-    for i in range(int(k)):
-        result *= (alpha - i) / (i + 1.0)
-    return result
+    return next(itertools.islice(_binomials(alpha), int(k), None))
 
 
 _ML_REL_TOL = 1e-12
+_ML_DOMAIN = 10.0  # the declared domain |z| <= _ML_DOMAIN
 _ML_MAX_TERMS = 10_000
 # Largest block of terms in the array series, and terms x elements per block
 # (at least four terms a block, whatever the number of active elements).
@@ -267,7 +276,7 @@ def mittag_leffler(z, alpha: float):
         need = "finite alpha" if alpha > 0.0 else "alpha > 0"
         raise DomainError(f"mittag_leffler requires {need}, got {alpha}",
                           index=None if scalar or not flat.size else 0)
-    outside = ~(np.abs(flat) <= 10.0)
+    outside = ~(np.abs(flat) <= _ML_DOMAIN)
     end = int(outside.argmax()) if outside.any() else flat.size
     zs, failed = flat[:end], -1
     if alpha == 1.0:
@@ -293,7 +302,7 @@ def mittag_leffler(z, alpha: float):
                                f"(z={z_at(failed)}, alpha={alpha})",
                                index=None if scalar else failed)
     if end < flat.size:
-        raise DomainError(f"mittag_leffler series domain is |z| <= 10, got {z_at(end)}",
+        raise DomainError(f"mittag_leffler series domain is |z| <= {_ML_DOMAIN:g}, got {z_at(end)}",
                           index=None if scalar else end)
     return float(values[0]) if scalar else values.reshape(np.shape(z))
 

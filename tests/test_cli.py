@@ -691,7 +691,20 @@ class TestExpandCommand:
         # zeta = 1: C(0, k) = 0 for k >= 1, although l0^-k passes the double range
         code, out, _ = run_cli(capsys, "expand", "--zeta", "1", "--l0", "1e-300", "--order", "3")
         assert code == 0
-        assert out == "x,value\n0,1\n1,0\n2,-0\n3,0\n"
+        assert out == "x,value\n0,1\n1,0\n2,0\n3,0\n"
+
+    @pytest.mark.parametrize("argv", [
+        # C(0, k) for k >= 2 is 0.0 times a negative ratio
+        ("--zeta", "1", "--order", "4"),
+        # kappa^4 underflows to 0.0 under C(1/2, 2) = -0.125
+        ("--kappa", "1e-200", "--order", "4"),
+    ])
+    def test_exact_zero_coefficients_print_as_zero(self, capsys, argv):
+        assert run_cli(capsys, "expand", *argv) == (0, "x,value\n0,1\n1,0\n2,0\n3,0\n4,0\n", "")
+        code, out, _ = run_cli(capsys, "expand", *argv, "--format", "json")
+        assert code == 0
+        assert [row["value"] for row in json.loads(out)["rows"]] == [1.0, 0.0, 0.0, 0.0, 0.0]
+        assert "-0" not in out
 
 
 class TestMlCommand:
@@ -1266,7 +1279,7 @@ class TestCsvBytes:
         n = len(EDGE_VALUES)
         rows = [tuple(EDGE_VALUES[(i + j) % n] for j in range(len(header))) for i in range(n)]
         out = io.StringIO()
-        cli._emit("csv", command, {}, header, np.array(rows), out)
+        csv17.write_table(out, "csv", command, {}, header, np.array(rows))
         assert out.getvalue() == _old_csv(header, rows)
 
     @pytest.mark.parametrize(
@@ -1286,13 +1299,13 @@ class TestCsvBytes:
     )
     def test_every_emitted_cell_is_a_float(self, capsys, monkeypatch, argv):
         seen = []
-        emit = cli._emit
+        write_table = cli.write_table
 
-        def capture(fmt, command, params, header, rows, out):
+        def capture(out, fmt, command, params, header, rows):
             seen.append((len(header), rows))
-            emit(fmt, command, params, header, rows, out)
+            write_table(out, fmt, command, params, header, rows)
 
-        monkeypatch.setattr(cli, "_emit", capture)
+        monkeypatch.setattr(cli, "write_table", capture)
         assert main(list(argv)) == 0
         capsys.readouterr()
         [(width, rows)] = seen
@@ -1307,10 +1320,10 @@ def _old_json(command, params, header, rows):
 
 
 def _emitted(fmt, command, params, header, rows):
-    """The table ``rows`` (rows of floats, or an array) as ``_emit`` writes it."""
+    """The table ``rows`` (rows of floats, or an array) as ``write_table`` writes it."""
     table = np.array(rows, dtype=float).reshape(-1, len(header))
     out = io.StringIO()
-    cli._emit(fmt, command, params, header, table, out)
+    csv17.write_table(out, fmt, command, params, header, table)
     return out.getvalue()
 
 
@@ -1348,9 +1361,9 @@ def _old(fmt, header, rows):
 
 def _tiled(values, cols):
     """``values`` repeated into an array of rows of ``cols`` cells, at least
-    ``cli._KERNEL_CELLS`` of them, so that both formats take the array kernel."""
+    ``csv17._KERNEL_CELLS`` of them, so that both formats take the array kernel."""
     values = np.asarray(values, dtype=float)
-    rows = -(-max(cli._KERNEL_CELLS, values.size) // cols)
+    rows = -(-max(csv17._KERNEL_CELLS, values.size) // cols)
     return np.resize(values, (rows, cols))
 
 
@@ -1408,6 +1421,20 @@ KERNEL_INPUTS = {
 }
 
 
+@pytest.fixture
+def kernel_chunks(monkeypatch):
+    """(rule.shortest, chunk size) of each table the kernel writes: the JSON
+    rule writes the shortest digits, the CSV rule all 17."""
+    calls, chunk = [], csv17._Chunk
+
+    def counting(size, cols, rule):
+        calls.append((rule.shortest, size))
+        return chunk(size, cols, rule)
+
+    monkeypatch.setattr(csv17, "_Chunk", counting)
+    return calls
+
+
 class TestCsvKernel:
     def test_ties_are_ties(self):
         for v in _ties():
@@ -1425,30 +1452,23 @@ class TestCsvKernel:
     def test_only_exponent_notation_builds_the_full_power_table(self):
         """A table whose normal cells all lie in [1e-4, 1e17) reads the exact
         powers built at import; one cell outside builds the table of every X."""
-        def rows(table):
-            return "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in table.tolist())
-
+        header = ("x", "value")
         csv17._all_powers.cache_clear()
         fixed = _tiled([0.0, -1e-4, 2.5, 1e17 - 16, math.nan, 5e-324], 2)
-        _assert_same_text("".join(csv17.csv_rows(fixed)), rows(fixed))
+        _assert_same_text(_emitted("csv", "deriv", {}, header, fixed),
+                          _old_csv(header, fixed.tolist()))
         assert csv17._all_powers.cache_info().currsize == 0
         mixed = _tiled([2.5, 1e-5], 2)
-        _assert_same_text("".join(csv17.csv_rows(mixed)), rows(mixed))
+        _assert_same_text(_emitted("csv", "deriv", {}, header, mixed),
+                          _old_csv(header, mixed.tolist()))
         assert csv17._all_powers.cache_info().currsize == 1
 
-    def test_arrays_from_the_cell_threshold_take_the_kernel(self, monkeypatch):
-        calls, kernel = [], csv17._texts
-
-        def counting(table, rule):
-            calls.append((rule.shortest, table.size))
-            return kernel(table, rule)
-
-        monkeypatch.setattr(csv17, "_texts", counting)
-        for cells in (cli._KERNEL_CELLS - 2, cli._KERNEL_CELLS):
+    def test_arrays_from_the_cell_threshold_take_the_kernel(self, kernel_chunks):
+        for cells in (csv17._KERNEL_CELLS - 2, csv17._KERNEL_CELLS):
             table = np.linspace(0.1, 2.0, cells).reshape(-1, 2)
             _emitted("csv", "deriv", {}, ("x", "value"), table)
             _emitted("json", "deriv", {}, ("x", "value"), table)
-        assert calls == [(False, cli._KERNEL_CELLS), (True, cli._KERNEL_CELLS)]
+        assert kernel_chunks == [(False, csv17._KERNEL_CELLS), (True, csv17._KERNEL_CELLS)]
 
     @pytest.mark.parametrize("argv", [
         ("deriv", "--op", "q", "--q", "0.5", "--fn", "sin(x)*exp(x)", "--grid", "0:2:3001"),
@@ -1475,7 +1495,7 @@ def test_kernel_tables_of_any_width_match_the_per_value_bytes(cols, data):
     threshold and one or two chunks, with fallback cells at the first and
     last cell of every chunk: each column ends its cells with its own
     separator, and both formats give the bytes of the per-value formats."""
-    near = data.draw(st.sampled_from([cli._KERNEL_CELLS, csv17._CHUNK, 2 * csv17._CHUNK]))
+    near = data.draw(st.sampled_from([csv17._KERNEL_CELLS, csv17._CHUNK, 2 * csv17._CHUNK]))
     rows = near // cols + data.draw(st.integers(-2, 2))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     low, high = data.draw(st.sampled_from([(-4, 17), (-2, 3), (-323, 308.25)]))
@@ -1496,24 +1516,16 @@ def test_kernel_tables_of_any_width_match_the_per_value_bytes(cols, data):
      lambda: defcalc.solve_hausdorff_eigen(defcalc.HausdorffParams(0.4, 1.5), (0.0, 2.0), 1001,
                                            1e-10)),
 ])
-def test_solve_table_matches_the_report_grid(capsys, monkeypatch, problem, solve):
-    """A 4,004-cell solve table goes through the CSV kernel, with the bytes of
-    one "%.17g" or json.dumps pass over the first three columns of
-    ``report.table`` and residuals computed in Python."""
-    calls = []
-    kernel = cli.csv_rows
-
-    def counting(table):
-        calls.append(table.size)
-        return kernel(table)
-
-    monkeypatch.setattr(cli, "csv_rows", counting)
+def test_solve_table_matches_the_report_grid(capsys, kernel_chunks, problem, solve):
+    """A 4,004-cell solve table goes through the CSV kernel, in two chunks,
+    with the bytes of one "%.17g" or json.dumps pass over the first three
+    columns of ``report.table`` and residuals computed in Python."""
     header = ("x", "value", "closed_form", "residual")
     rows = [(x, a, b, abs(a - b) / abs(b)) for x, a, b in solve().table[:, :3].tolist()]
     argv = ["solve", "--problem", *problem, "--grid", "0:2:1001", "--tol", "1e-10"]
     assert main(argv) == 0
     _assert_same_text(capsys.readouterr().out, _old_csv(header, rows))
-    assert calls == [4004]
+    assert kernel_chunks == [(False, 2004)]
     assert main([*argv, "--format", "json"]) == 0
     out = capsys.readouterr().out
     _assert_same_text(out, _old_json("solve", json.loads(out)["params"], header, rows))

@@ -256,8 +256,10 @@ class TestVerifyFractionalEigen:
     def test_domain_validation(self):
         with pytest.raises(DomainError):
             verify_fractional_eigen(0.5, (0.0, 1.0), 11, h=1e-3)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as info:
             verify_fractional_eigen(0.5, (0.2, 200.0), 11, h=1e-3)
+        assert str(info.value) == ("domain end exceeds the Mittag-Leffler series domain "
+                                   "x^alpha <= 10")
         with pytest.raises(ValueError):
             verify_fractional_eigen(1.5, (0.2, 1.0), 11, h=1e-3)
 

@@ -60,6 +60,16 @@ class TestExpandHausdorffPrefactor:
         expansion = expand_hausdorff_prefactor(HausdorffParams(1.0, 1e-300), 3)
         assert expansion.coefficients == (1.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("hp", [
+        HausdorffParams(1.0, 1.0),  # C(0, k) for k >= 2 is 0.0 times a negative ratio
+        HausdorffParams(1.0, 1e-300),
+        HausdorffParams(0.5, 1e300),  # l0^-k underflows to 0.0
+    ])
+    def test_exact_zeros_are_positive(self, hp):
+        coefficients = expand_hausdorff_prefactor(hp, 6).coefficients
+        assert 0.0 in coefficients
+        assert all(math.copysign(1.0, c) == 1.0 for c in coefficients if c == 0.0)
+
     def test_order_validation(self):
         with pytest.raises(ValueError):
             expand_hausdorff_prefactor(HausdorffParams(0.5, 1.0), 0)
@@ -267,9 +277,36 @@ class TestKappaExpansion:
             kappa_expansion(1e200, 4)
         assert kappa_expansion(1e100, 2).coefficients == (1.0, 0.0, 0.5e200)
 
+    def test_exact_zeros_are_positive(self):
+        # kappa^4 underflows to 0.0 under C(1/2, 2) = -0.125
+        assert [c.hex() for c in kappa_expansion(1e-200, 6).coefficients] == (
+            [(1.0).hex()] + [(0.0).hex()] * 6)
+
     def test_order_validation(self):
         with pytest.raises(ValueError):
             kappa_expansion(0.5, 1)
+
+
+def _product_binomial(alpha, k):
+    """C(alpha, k) as the falling-factorial product, written out."""
+    c = 1.0
+    for i in range(k):
+        c *= (alpha - i) / (i + 1.0)
+    return c
+
+
+@pytest.mark.parametrize("order", [2, 3, 41, 20_000])
+def test_expansions_have_the_bits_of_the_product(order):
+    """Every coefficient of both expansions, at sampled k up to ``order``,
+    has the bits of the falling-factorial product times the power."""
+    hp, kappa = HausdorffParams(0.37, 1.0001), 0.9999  # powers of 1e-4 stay in range
+    hausdorff = expand_hausdorff_prefactor(hp, order).coefficients
+    kappas = kappa_expansion(kappa, order).coefficients
+    assert len(hausdorff) == len(kappas) == order + 1
+    for k in sorted({0, 1, order - 1, order, *range(0, order, max(1, order // 40))}):
+        assert hausdorff[k].hex() == (_product_binomial(1.0 - hp.zeta, k) * hp.l0**-k).hex()
+        want = _product_binomial(0.5, k // 2) * kappa**k if k % 2 == 0 else 0.0
+        assert kappas[k].hex() == want.hex()
 
 
 class TestConformableHausdorffCheck:

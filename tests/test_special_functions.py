@@ -85,6 +85,14 @@ class TestGenBinomial:
         with pytest.raises(ValueError):
             gen_binomial(0.5, -1)
 
+    @pytest.mark.parametrize("alpha", [0.5, -1.3, 2.0, 0.0])
+    def test_has_the_bits_of_the_product(self, alpha):
+        for k in (0, 1, 2, 3, 17, 1000, 16_000):
+            want = 1.0
+            for i in range(k):
+                want *= (alpha - i) / (i + 1.0)
+            assert gen_binomial(alpha, k).hex() == want.hex()
+
 
 class TestMittagLeffler:
     def test_at_zero(self):
