@@ -7,14 +7,13 @@ selftest (built-in invariant suite).
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, and
 from the console script 141 (128 + SIGPIPE) when the reader of stdout closed it.
 Grid tables print as CSV (header ``x,value[,closed_form,residual]``) or JSON
-(object with ``command``, ``params``, ``rows``); values carry 17 significant
-digits so repeated runs are byte-identical.  The DEFCALC_OUTPUT_FORMAT
-environment variable overrides the default format.  The table, on stdout or
-in the ``--output`` file, is written only when the command succeeds.  A
-parameter flag that the command does not read exits 2: one that is not a
-field of the class the command builds, a field its form does not read
-(``--l0`` with ``deriv --op hausdorff --form quotient``), or ``--tol`` where
-the solve takes no tolerance (``solve --problem fractional``).
+(object with ``command``, ``params``, ``rows``; ``map``'s default); values
+carry 17 significant digits so repeated runs are byte-identical.  The table,
+on stdout or in the ``--output`` file, is written only when the command
+succeeds.  A parameter flag that the command does not read exits 2: one that
+is not a field of the class the command builds, a field its form does not
+read (``--l0`` with ``deriv --op hausdorff --form quotient``), or ``--tol``
+where the solve takes no tolerance (``solve --problem fractional``).
 """
 
 from __future__ import annotations
@@ -34,13 +33,11 @@ from . import selftest as selftest_module
 from ._csv17 import write_table
 from .deformed_algebra import KappaParam, QParam
 from .derivative_ops import OPERATORS, DiffSettings
-from .eigen_solvers import solve_hausdorff_eigen, solve_q_eigen, verify_fractional_eigen
+from .eigen_solvers import _ODE_TOL, solve_hausdorff_eigen, solve_q_eigen, verify_fractional_eigen
 from .errors import DefcalcError, DomainError, ParseError
 from .function_catalog import GRAMMAR, RealFunction
 from .mappings import expand_hausdorff_prefactor, kappa_expansion, q_from_zeta, zeta_from_q
 from .special_functions import HausdorffParams, mittag_leffler
-
-ENV_FORMAT = "DEFCALC_OUTPUT_FORMAT"
 
 _EXPRESSION_HELP = (
     "expression syntax for --fn (single free variable x):\n"
@@ -139,12 +136,6 @@ _PROBLEMS: dict[str, tuple[type, tuple[str, ...], Callable]] = {
 }
 
 
-def _given(opt: dict, flag: str, default):
-    """The flag's value, or ``default`` when the flag was not given."""
-    value = opt.get(flag)
-    return default if value is None else value
-
-
 def _from_options(cls, opt: dict, who: str, extra=(), unread=(), unread_by: str = ""):
     """``cls`` built from the flags its dataclass fields name, less the fields
     named in ``unread``; a field with no default needs its flag, else ``who``
@@ -220,9 +211,10 @@ def _run_solve(opt: dict, grid):
     problem = opt["problem"]
     cls, extra, solve = _PROBLEMS[problem]
     start, stop, points = grid
+    tol = _ODE_TOL if opt["tol"] is None else opt["tol"]
     try:
         report = solve(_from_options(cls, opt, f"--problem {problem}", extra=extra),
-                       (start, stop), points, _given(opt, "tol", 1e-10))
+                       (start, stop), points, tol)
     except DomainError as exc:
         # the solvers reject out-of-domain grids up front; that is a config error
         raise ConfigError(f"--grid outside the problem domain: {exc}") from exc
@@ -243,7 +235,8 @@ def _run_map(opt: dict, grid):
     if has_zeta:
         result = q_from_zeta(_from_options(HausdorffParams, opt, "map"))
     else:
-        result = zeta_from_q(opt["q"], _given(opt, "l0", 1.0))
+        l0 = HausdorffParams.l0 if opt["l0"] is None else opt["l0"]
+        result = zeta_from_q(opt["q"], l0)
     row = [result.q, result.zeta, result.l0, result.first_order_residual_bound]
     return ("q", "zeta", "l0", "first_order_residual_bound"), np.array([row])
 
@@ -286,11 +279,6 @@ def run(args: argparse.Namespace) -> int:
         "expand": _run_expand,
         "ml": _run_ml,
     }[args.command]
-    fmt = args.format or os.environ.get(ENV_FORMAT)
-    if fmt is None:
-        fmt = "json" if args.command == "map" else "csv"
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"{ENV_FORMAT} must be csv or json, got {fmt!r}")
     opt = vars(args)
     grid = _parse_grid(opt["grid"]) if opt.get("grid") else None
     if args.command in ("deriv", "solve") and grid is None:  # --grid ""
@@ -305,7 +293,7 @@ def run(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot write --output {args.output}: {exc.strerror}") from exc
     with out as stream:
-        write_table(stream, fmt, args.command, _params(opt), header, rows)
+        write_table(stream, args.format, args.command, _params(opt), header, rows)
     return 0
 
 
@@ -318,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+    def add_common(p, fmt="csv"):
+        p.add_argument("--format", choices=("csv", "json"), default=fmt)
         p.add_argument("--output", default=None, help="write the table to this file")
 
     p = sub.add_parser("deriv", help="evaluate a derivative operator over a grid")
@@ -330,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, type=kind, default=None)
     p.add_argument("--grid", required=True, help="start:stop:points")
     add_common(p)
-    p.add_argument("--base-step", type=_finite_float, default=1e-2)
-    p.add_argument("--levels", type=int, default=4)
+    p.add_argument("--base-step", type=_finite_float, default=DiffSettings.base_step)
+    p.add_argument("--levels", type=int, default=DiffSettings.richardson_levels)
 
     p = sub.add_parser("solve", help="verify an eigen-equation and emit residuals")
     p.add_argument("--problem", required=True, choices=tuple(_PROBLEMS))
@@ -344,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("map", help="bridge the entropic index q and scaling exponent zeta")
     for flag in ("--q", "--zeta", "--l0"):
         p.add_argument(flag, type=_finite_float, default=None)
-    add_common(p)
+    add_common(p, "json")
 
     p = sub.add_parser("expand", help="series coefficients of an operator prefactor")
     for flag in ("--zeta", "--l0", "--kappa"):

@@ -31,6 +31,8 @@ __all__ = [
     "verify_fractional_eigen",
 ]
 
+_ODE_TOL = 1e-10  # the default local error tolerance of an RKF45 solve
+
 
 @dataclass(frozen=True)
 class EigenReport:
@@ -147,7 +149,7 @@ def integrate_ode(
     rhs: Callable[[float, float], float],
     domain: tuple[float, float],
     y0: float,
-    tol: float = 1e-10,
+    tol: float = _ODE_TOL,
     grid: Sequence[float] | None = None,
 ) -> OdeSolution:
     """Integrate y' = rhs(x, y) with local error estimate per step <= tol.
@@ -213,7 +215,7 @@ def _grid(domain: tuple[float, float], grid_points: int) -> np.ndarray:
 
 
 def solve_q_eigen(
-    q: QParam | float, domain: tuple[float, float], grid_points: int, tol: float = 1e-10
+    q: QParam | float, domain: tuple[float, float], grid_points: int, tol: float = _ODE_TOL
 ) -> EigenReport:
     """Integrate dy/dx = y^q and compare against the q-exponential."""
     qp = _as_q(q)
@@ -229,7 +231,7 @@ def solve_q_eigen(
 
 
 def solve_hausdorff_eigen(
-    hp: HausdorffParams, domain: tuple[float, float], grid_points: int, tol: float = 1e-10
+    hp: HausdorffParams, domain: tuple[float, float], grid_points: int, tol: float = _ODE_TOL
 ) -> EigenReport:
     """Integrate y' = (x/l0 + 1)^(zeta-1) y and compare against the
     fractal-metric exponential (initial value fixed by the closed form)."""

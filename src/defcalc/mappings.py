@@ -102,13 +102,22 @@ def _scaled(c: float, base: float, power: int) -> float:
         return c * math.inf if c else 0.0
 
 
+_MAX_ORDER = 1_000_000  # about 70 bytes of peak memory per order in a CLI table
+
+
+def _check_order(order: int, least: int) -> None:
+    if order < least:
+        raise ValueError(f"order must be >= {least}, got {order}")
+    if order > _MAX_ORDER:
+        raise ValueError(f"order must be <= {_MAX_ORDER}, got {order}")
+
+
 def expand_hausdorff_prefactor(hp: HausdorffParams, order: int) -> SeriesExpansion:
     """Binomial expansion of (1 + x/l0)^(1-zeta): c_k = C(1-zeta, k) l0^-k.
 
     Partial sums converge to the closed-form prefactor for |x/l0| < 1.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    _check_order(order, 1)
     coeffs = tuple(_scaled(c, hp.l0, -k)
                    for k, c in zip(range(order + 1), _binomials(1.0 - hp.zeta)))
     return SeriesExpansion(coeffs)
@@ -171,8 +180,7 @@ def first_order_agreement(hp: HausdorffParams, x: float) -> FirstOrderAgreement:
 def kappa_expansion(kappa, order: int) -> SeriesExpansion:
     """Even-powers expansion of the Kaniadakis prefactor sqrt(1 + k^2 x^2):
     c_{2m} = C(1/2, m) k^(2m), every odd coefficient exactly zero."""
-    if order < 2:
-        raise ValueError(f"order must be >= 2, got {order}")
+    _check_order(order, 2)
     k = _as_kappa(kappa).kappa
     coeffs = [0.0] * (order + 1)
     for m, c in zip(range(order // 2 + 1), _binomials(0.5)):

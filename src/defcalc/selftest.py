@@ -225,7 +225,7 @@ CHECKS = (
 )
 
 
-def run_selftest(write=print) -> int:
+def run_selftest() -> int:
     """Run every check; report one line each plus a summary.  Returns the
     number of failures (0 means all green)."""
     failures = 0
@@ -236,6 +236,6 @@ def run_selftest(write=print) -> int:
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         if not ok:
             failures += 1
-        write(f"{'ok  ' if ok else 'FAIL'} {name} ({detail})")
-    write(f"{len(CHECKS) - failures} passed, {failures} failed")
+        print(f"{'ok  ' if ok else 'FAIL'} {name} ({detail})")
+    print(f"{len(CHECKS) - failures} passed, {failures} failed")
     return failures

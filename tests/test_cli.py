@@ -23,7 +23,7 @@ import defcalc._csv17 as csv17
 import defcalc.cli as cli
 import defcalc.eigen_solvers
 import defcalc.selftest
-from defcalc.cli import ENV_FORMAT, build_parser, main
+from defcalc.cli import build_parser, main
 from defcalc.derivative_ops import OPERATORS
 from defcalc.function_catalog import BUILTINS, GRAMMAR
 from gl_reference import EPS, gl_chain_by_chain
@@ -563,32 +563,29 @@ class TestConfigErrors:
 
     DERIV = ("deriv", "--op", "classical", "--fn")
 
-    @pytest.mark.parametrize("env, argv, err", [
-        (None, (*DERIV, "x", "--grid", "0:1:x"), "--grid must be start:stop:points, got '0:1:x'"),
-        (None, (*DERIV, "x", "--grid", "0:1:1"), "--grid needs at least 2 points, got 1"),
-        (None, (*DERIV, "x", "--grid", "1:0:3"), "--grid needs start < stop, got '1:0:3'"),
-        (None, (*DERIV, "", "--grid", "0:1:3"), "--fn is required for this command"),
-        (None, (*DERIV, "x", "--grid", ""), "--grid is required"),
-        (None, ("solve", "--problem", "q", "--q", "0.5", "--grid", ""), "--grid is required"),
-        (None, ("expand", "--zeta", "0.5", "--kappa", "1"),
+    @pytest.mark.parametrize("argv, err", [
+        ((*DERIV, "x", "--grid", "0:1:x"), "--grid must be start:stop:points, got '0:1:x'"),
+        ((*DERIV, "x", "--grid", "0:1:1"), "--grid needs at least 2 points, got 1"),
+        ((*DERIV, "x", "--grid", "1:0:3"), "--grid needs start < stop, got '1:0:3'"),
+        ((*DERIV, "", "--grid", "0:1:3"), "--fn is required for this command"),
+        ((*DERIV, "x", "--grid", ""), "--grid is required"),
+        (("solve", "--problem", "q", "--q", "0.5", "--grid", ""), "--grid is required"),
+        (("expand", "--zeta", "0.5", "--kappa", "1"),
          "expand needs exactly one of --zeta or --kappa"),
-        (None, ("expand",), "expand needs exactly one of --zeta or --kappa"),
-        (None, ("ml", "--alpha", "0.5", "--z", "1", "--grid", "0:1:3"),
+        (("expand",), "expand needs exactly one of --zeta or --kappa"),
+        (("ml", "--alpha", "0.5", "--z", "1", "--grid", "0:1:3"),
          "ml needs exactly one of --z or --grid"),
-        (None, ("ml", "--alpha", "0.5"), "ml needs exactly one of --z or --grid"),
-        ("xml", ("map", "--q", "0.5"), f"{ENV_FORMAT} must be csv or json, got 'xml'"),
-        (None, (*DERIV, "sin x", "--grid", "0:1:3"),
+        (("ml", "--alpha", "0.5"), "ml needs exactly one of --z or --grid"),
+        (("expand", "--zeta", "0.5", "--order", "1000001"), "order must be <= 1000000, got 1000001"),
+        (("expand", "--kappa", "0.5", "--order", "1000001"), "order must be <= 1000000, got 1000001"),
+        ((*DERIV, "sin x", "--grid", "0:1:3"),
          "--fn expression error at position 4: expected '(' after sin, found x\n"
          "  sin x\n      ^"),
-        (None, (*DERIV, "pow(x 2)", "--grid", "0:1:3"),
+        ((*DERIV, "pow(x 2)", "--grid", "0:1:3"),
          "--fn expression error at position 6: expected ')' or ',', found 2\n"
          "  pow(x 2)\n        ^"),
     ])
-    def test_exit_two(self, capsys, monkeypatch, env, argv, err):
-        if env is None:
-            monkeypatch.delenv(ENV_FORMAT, raising=False)
-        else:
-            monkeypatch.setenv(ENV_FORMAT, env)
+    def test_exit_two(self, capsys, argv, err):
         assert run_cli(capsys, *argv) == (2, "", f"error: {err}\n")
 
 
@@ -810,13 +807,17 @@ class TestOutputPolicy:
         value_text = out.strip().splitlines()[1].split(",")[1]
         assert len(value_text.replace(".", "").replace("-", "").lstrip("0")) >= 16
 
-    def test_environment_variable_default(self, capsys, monkeypatch):
-        monkeypatch.setenv(ENV_FORMAT, "json")
+    @pytest.mark.parametrize("value", ["json", "xml"])
+    def test_the_environment_does_not_choose_the_format(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("DEFCALC_OUTPUT_FORMAT", value)
         code, out, _ = run_cli(
             capsys, "deriv", "--op", "classical", "--fn", "x", "--grid", "0:1:2"
         )
         assert code == 0
-        assert json.loads(out)["command"] == "deriv"
+        assert out.splitlines()[0] == "x,value"
+        code, out, _ = run_cli(capsys, "map", "--q", "0.5")
+        assert code == 0
+        assert json.loads(out)["command"] == "map"
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
@@ -1047,18 +1048,6 @@ class TestParserReuse:
         assert payload["params"] == {"zeta": 0.5}
         assert payload["rows"][0]["zeta"] == 0.5
         assert cli._parser().parse_args(["map", "--zeta", "0.5"]).q is None
-
-    def test_environment_format_is_read_per_call(self, capsys, monkeypatch, fresh_parser):
-        argv = ("deriv", "--op", "classical", "--fn", "x", "--grid", "0:1:2")
-        monkeypatch.setenv(ENV_FORMAT, "csv")
-        _, first, _ = run_cli(capsys, *argv)
-        monkeypatch.setenv(ENV_FORMAT, "json")
-        _, second, _ = run_cli(capsys, *argv)
-        monkeypatch.delenv(ENV_FORMAT)
-        _, third, _ = run_cli(capsys, *argv)
-        assert first.startswith("x,value\n")
-        assert json.loads(second)["command"] == "deriv"
-        assert third == first
 
     def test_threads_write_the_same_files_as_serial_runs(self, tmp_path, fresh_parser):
         ops = [

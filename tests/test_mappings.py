@@ -287,6 +287,16 @@ class TestKappaExpansion:
             kappa_expansion(0.5, 1)
 
 
+@pytest.mark.parametrize("expand", [
+    lambda order: expand_hausdorff_prefactor(HausdorffParams(0.5, 1.0), order),
+    lambda order: kappa_expansion(0.5, order),
+], ids=["hausdorff", "kappa"])
+def test_order_cap(expand):
+    assert len(expand(1_000_000).coefficients) == 1_000_001
+    with pytest.raises(ValueError, match="^order must be <= 1000000, got 1000001$"):
+        expand(1_000_001)
+
+
 def _product_binomial(alpha, k):
     """C(alpha, k) as the falling-factorial product, written out."""
     c = 1.0

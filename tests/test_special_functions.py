@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from defcalc import (
@@ -92,6 +92,28 @@ class TestGenBinomial:
             for i in range(k):
                 want *= (alpha - i) / (i + 1.0)
             assert gen_binomial(alpha, k).hex() == want.hex()
+
+    @given(a=st.floats(-3.0, 3.0), k=st.integers(0, 20_000))
+    @example(a=0.3, k=1_000_000)
+    @example(a=-3.0, k=1_000_000)
+    @example(a=3.0 - 2.0**-51, k=1_000_000)
+    @example(a=2.0, k=5)
+    @example(a=5e-324, k=3)
+    def test_against_mpmath(self, a, k):
+        """Within (4k + 8) eps of C(a, k), and exact 0 where C(a, k) = 0.
+        A product below the normal range rounds to the nearest subnormal at
+        each of at most k steps, so a value there may differ by k subnormals.
+        The oracle runs at 40 digits plus the bits that hold a beside the
+        integers up to k, so that a - k + 1 is exact."""
+        mpmath = pytest.importorskip("mpmath")
+        got = gen_binomial(a, k)
+        with mpmath.workprec(133 + max(0, -math.frexp(a)[1]) + k.bit_length()):
+            want = mpmath.binomial(mpmath.mpf(a), k)
+        if want == 0:
+            assert got == 0.0
+        else:
+            eps = 2.0**-52
+            assert abs(got - want) <= (4 * k + 8) * eps * abs(want) + k * 2.0**-1074
 
 
 class TestMittagLeffler:
