@@ -160,29 +160,26 @@ def _from_options(cls, opt: dict, who: str, extra=(), unread=(), unread_by: str 
 
 def _run_grid(compute: Callable, xs: np.ndarray, where: str):
     """``compute(xs)``; a :class:`DefcalcError` names the first x that fails
-    (``where`` names it) or holds a non-finite value.
+    (``where`` names it).  The library raises where a value is not finite, so
+    every value returned is finite.
 
     An error need not name the first failing x: the probe arrays of a limit
     form run one after another.  So the part of the grid before a failure runs
-    again until it passes; a non-finite value there comes before the error.
+    again until it passes.
     """
-    failure, end, values = None, xs.size, xs[:0]
+    failure, end = None, xs.size
     while end > 0:
         try:
             with np.errstate(all="ignore"):
                 values = compute(xs[:end])
+            if failure is None:
+                return values
             break
         except DefcalcError as exc:
             # an index outside the part just run counts positions in another array
             inside = exc.index is not None and 0 <= exc.index < end
             failure, end = exc, exc.index if inside else 0
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise DefcalcError(f"{where} = {xs[i]}: non-finite value {values[i]}")
-    if failure is not None:
-        raise DefcalcError(f"{where} = {xs[end]}: {failure}") from failure
-    return values
+    raise DefcalcError(f"{where} = {xs[end]}: {failure}") from failure
 
 
 def _run_deriv(opt: dict, grid):

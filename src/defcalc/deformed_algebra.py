@@ -67,8 +67,8 @@ def q_difference(x, y, q: QParam | float):
     """Deformed difference (x - y) / (1 + (1 - q) y), for floats or arrays.
 
     Reduces to x - y at q = 1.  Raises :class:`DomainError` on the singular
-    line y = 1/(q - 1) (within 1e-12 absolute); for an array of y, its
-    ``index`` is the first position on that line.
+    line y = 1/(q - 1) (within 1e-12 absolute), and where the value is not
+    finite (naming it); over arrays, its ``index`` is the first such position.
     """
     qp = _as_q(q)
     if qp.q != 1.0:
@@ -77,13 +77,19 @@ def q_difference(x, y, q: QParam | float):
         if near.any() if isinstance(near, np.ndarray) else near:
             raise DomainError(f"q_difference singular at y = 1/(q-1) = {singular}",
                               index=int(near.argmax()) if isinstance(near, np.ndarray) else None)
-    return (x - y) / (1.0 + (1.0 - qp.q) * y)
+    value = (x - y) / (1.0 + (1.0 - qp.q) * y)
+    _reject(~np.isfinite(value) if isinstance(value, np.ndarray) else not math.isfinite(value),
+            value, "q_difference passes the double range")
+    return value
 
 
 def q_sum(x: float | np.ndarray, y: float | np.ndarray, q: QParam | float) -> float | np.ndarray:
     """Deformed sum x + y + (1 - q) x y, for floats or arrays; the inverse of
-    :func:`q_difference`."""
-    return x + y + (1.0 - _as_q(q).q) * x * y
+    :func:`q_difference`, and like it finite or a :class:`DomainError`."""
+    value = x + y + (1.0 - _as_q(q).q) * x * y
+    _reject(~np.isfinite(value) if isinstance(value, np.ndarray) else not math.isfinite(value),
+            value, "q_sum passes the double range")
+    return value
 
 
 @_elementwise

@@ -30,6 +30,7 @@ and the GL chain x >= 0.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -173,7 +174,8 @@ def _limit(quotient: Callable, x, settings: DiffSettings | None, p: int, reach=N
     Over an array of x, quotient takes its steps as a stack with one row per
     step, all of them in one call unless the stack would pass
     ``_STACK_VALUES``.  If a call raises, the steps run again one per call, so
-    the error is the one the first failing step raises, as at a float x.
+    the error is the one the first failing step raises, as at a float x; a
+    limit that is not finite raises :class:`DomainError` at the first such x.
     """
     s = settings or _DEFAULT_SETTINGS
     base = s.base_step
@@ -186,8 +188,9 @@ def _limit(quotient: Callable, x, settings: DiffSettings | None, p: int, reach=N
         values = np.empty((len(levels),) + x.shape)
         while True:
             try:
-                for j in range(0, len(levels), rows):
-                    values[j:j + rows] = quotient(base * shrink[j:j + rows])
+                with np.errstate(all="ignore"):  # an inf or nan quotient is rejected below
+                    for j in range(0, len(levels), rows):
+                        values[j:j + rows] = quotient(base * shrink[j:j + rows])
                 break
             except Exception:  # whatever a stack raises, raise what the first failing step raises
                 if rows == 1:
@@ -196,10 +199,13 @@ def _limit(quotient: Callable, x, settings: DiffSettings | None, p: int, reach=N
     else:
         try:
             values = [quotient(base * 0.5**j) for j in levels]
-        except ZeroDivisionError as exc:  # over an array the quotient is inf or nan instead
-            raise DomainError("the difference quotient divides by zero: a probe step is lost "
-                              "to round-off at this x") from exc
-    return _richardson(values, p)
+        except ArithmeticError:  # over an array the quotient is inf or nan instead
+            values = [math.nan]
+    value = _richardson(values, p)
+    _reject(~np.isfinite(value) if isinstance(value, np.ndarray) else not math.isfinite(value), x,
+            "the difference quotient is not finite: a probe step is lost to round-off or a "
+            "value passes the double range")
+    return value
 
 
 def classical_derivative(f, x, settings: DiffSettings | None = None):
@@ -213,12 +219,14 @@ def classical_derivative(f, x, settings: DiffSettings | None = None):
 
 
 def _closed_form(f, x, settings: DiffSettings | None, prefactor):
-    """prefactor * f'(x), the form every local operator shares; f' is
-    symbolic where f has a derivative, else a central difference."""
+    """prefactor * f'(x), the form every local operator shares, finite or a
+    :class:`DomainError`; f' is symbolic, else a central difference."""
     f = as_real_function(f)
-    if f.derivative is not None:
-        return prefactor * f.derivative_at(x)
-    return prefactor * classical_derivative(f, x, settings or _DEFAULT_SETTINGS)
+    value = prefactor * (f.derivative_at(x) if f.derivative is not None
+                         else classical_derivative(f, x, settings))
+    _reject(~np.isfinite(value) if isinstance(value, np.ndarray) else not math.isfinite(value),
+            x, "prefactor * f'(x) passes the double range")
+    return value
 
 
 # --- Closed-form operators -------------------------------------------------
@@ -242,7 +250,11 @@ def q_derivative_quotient(f, x, q: QParam | float, settings: DiffSettings | None
 def hausdorff_derivative(f, x, hp: HausdorffParams, settings: DiffSettings | None = None):
     """Hausdorff (fractal-metric) derivative (x/l0 + 1)^(1-zeta) f'(x) for x > -l0."""
     _reject(x <= -hp.l0, x, f"hausdorff_derivative requires x > -l0 = {-hp.l0}")
-    return _closed_form(f, x, settings, (x / hp.l0 + 1.0) ** (1.0 - hp.zeta))
+    try:
+        prefactor = (x / hp.l0 + 1.0) ** (1.0 - hp.zeta)
+    except ArithmeticError:  # a float power past the double range, which _closed_form rejects
+        prefactor = math.inf
+    return _closed_form(f, x, settings, prefactor)
 
 
 def hausdorff_quotient(f, x, zeta: float, settings: DiffSettings | None = None):
@@ -257,7 +269,12 @@ def hausdorff_quotient(f, x, zeta: float, settings: DiffSettings | None = None):
     f = as_real_function(f)
     _reject(x <= 0.0, x, "hausdorff_quotient requires x > 0")
     fx = f(x)
-    xz = x**zeta
+    try:
+        xz = x**zeta
+    except OverflowError:  # as over an array, inf
+        xz = math.inf
+    _reject(~np.isfinite(xz) if isinstance(xz, np.ndarray) else not math.isfinite(xz), x,
+            "hausdorff_quotient's x^zeta passes the double range")
     return _limit(lambda h: (f(x + h) - fx) / ((x + h) ** zeta - xz), x, settings, 1, x)
 
 
@@ -289,7 +306,9 @@ def conformable_derivative(f, t, alpha: float, settings: DiffSettings | None = N
 def gl_weights(alpha: float, n: int) -> np.ndarray:
     """Weights (-1)^k C(alpha, k) for k = 0..n, by the stable ratio recurrence."""
     k = np.arange(1, n + 1, dtype=float)
-    return np.cumprod(np.concatenate(([1.0], (k - 1.0 - alpha) / k)))
+    weights = np.cumprod(np.concatenate(([1.0], (k - 1.0 - alpha) / k)))
+    _reject(not np.isfinite(weights).all(), alpha, "gl_weights passes the double range")
+    return weights
 
 
 # x on the h-lattice up to this relative round-off counts as a lattice point:
@@ -410,7 +429,12 @@ def gl_jumarie_derivative(f, x, alpha: float, h: float, n_terms: Optional[int] =
                 exc.index = i
                 raise
             sums[i] = _chain_sum(weights[: n_i + 1], values)
-    sums *= h ** (-alpha)
+    try:
+        sums *= h ** (-alpha)
+    except OverflowError:  # a subnormal h: h^-alpha passes the double range
+        sums[:] = math.inf
+    _reject(~np.isfinite(sums) if np.ndim(x) else not math.isfinite(sums[0]), x,
+            "gl_jumarie_derivative passes the double range")
     return sums if np.ndim(x) else float(sums[0])
 
 
@@ -419,11 +443,17 @@ def rl_power_rule(gamma_exp: float, alpha: float, x: float) -> float:
 
     The analytic value the Grunwald-Letnikov sum converges to on f = x^gamma
     (lower terminal 0).  Requires gamma > -1 and x > 0; a pole of the
-    denominator gamma propagates as :class:`PoleError`.
+    denominator gamma propagates as :class:`PoleError`, a value past the
+    double range as :class:`DomainError`.
     """
     _reject(gamma_exp <= -1.0, gamma_exp, "rl_power_rule requires gamma > -1")
     _reject(x <= 0.0, x, "rl_power_rule requires x > 0")
-    return gamma(gamma_exp + 1.0) * x ** (gamma_exp - alpha) / gamma(gamma_exp - alpha + 1.0)
+    try:
+        value = gamma(gamma_exp + 1.0) * x ** (gamma_exp - alpha) / gamma(gamma_exp - alpha + 1.0)
+    except ArithmeticError:  # a power past the double range, or a Gamma that underflows to 0
+        value = math.inf
+    _reject(not math.isfinite(value), x, "rl_power_rule passes the double range")
+    return value
 
 
 def yang_lfd(f, x, alpha: float, hp: HausdorffParams, settings: DiffSettings | None = None):
@@ -444,8 +474,11 @@ def jumarie_taylor_eval(
     """Truncated fractional Taylor sum sum_k h^(alpha k) f^(alpha k)(x) / Gamma(alpha k + 1).
 
     ``f_derivs[k]`` supplies the alpha-fractional derivative of order alpha*k
-    at the expansion point, k = 0..terms-1.
+    at the expansion point, k = 0..terms-1, for finite alpha > 0.  A term past
+    Gamma's range adds 0; a sum past the double range raises DomainError.
     """
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     if terms < 1:
         raise ValueError(f"terms must be >= 1, got {terms}")
     if len(f_derivs) < terms:
@@ -454,8 +487,13 @@ def jumarie_taylor_eval(
     if not all(math.isfinite(v) for v in values):
         raise ValueError("supplied derivative values must be finite")
     total = 0.0
-    for k in range(terms):
-        total += math.pow(h, alpha * k) * values[k] / gamma(alpha * k + 1.0)
+    try:
+        for k in range(terms):
+            with contextlib.suppress(DomainError):  # Gamma(alpha k + 1) past the double range
+                total += math.pow(h, alpha * k) * values[k] / gamma(alpha * k + 1.0)
+    except OverflowError:  # h^(alpha k) past the double range
+        total = math.inf
+    _reject(not math.isfinite(total), h, "jumarie_taylor_eval passes the double range")
     return total
 
 

@@ -48,6 +48,7 @@ class EigenReport:
 
 def _make_report(xs: Sequence[float], numeric: Sequence[float], closed: Sequence[float]) -> EigenReport:
     xs, numeric, closed = (np.asarray(v, dtype=float) for v in (xs, numeric, closed))
+    _reject(closed == 0.0, xs, "the closed form underflows to 0: no relative residual")
     res = np.abs(numeric - closed) / np.abs(closed)
     return EigenReport(
         max_rel_residual=float(np.max(res)),
@@ -118,7 +119,10 @@ def _steps(rhs, x: float, y: float, x_end: float, h: float, tol: float):
         h_step = min(h, x_end - x)
         if h_step < _MIN_STEP_FRACTION * max(abs(x), 1.0):
             raise StepFailure(f"step size underflow at x = {x}")
-        dy, err = _rkf45_step(rhs, x, y, h_step)
+        try:
+            dy, err = _rkf45_step(rhs, x, y, h_step)
+        except OverflowError:  # a stage past the double range: the step is rejected
+            dy, err = 0.0, math.inf
         factor = min(5.0, max(0.2, 5.0 if err == 0.0 else 0.9 * (tol / err) ** 0.2))
         if err <= tol:
             y += dy
@@ -166,8 +170,8 @@ def integrate_ode(
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError(f"tol must be in [1e-12, 1e-4], got {tol}")
     x_start, x_end = domain
-    if not x_start < x_end:
-        raise ValueError(f"domain must satisfy x_start < x_end, got {domain}")
+    if not 0.0 < x_end - x_start < math.inf:
+        raise ValueError(f"domain must be finite with x_start < x_end, got {domain}")
     if grid is not None:
         grid = np.asarray(grid, dtype=float)
         if not np.all(grid[1:] >= grid[:-1]):  # a NaN is out of order too
@@ -179,6 +183,7 @@ def integrate_ode(
         rhs, x_start, float(y0), x_end, (x_end - x_start) / 100.0, tol
     )
     xs, ys = np.asarray(xs), np.asarray(ys)
+    _reject(~np.isfinite(ys), xs, "integrate_ode's solution is not finite")
     if grid is None:
         return OdeSolution(xs=xs, ys=ys, at_grid=None, n_accepted=n_accepted, n_rejected=n_rejected)
 
@@ -204,8 +209,8 @@ def integrate_ode(
 
 
 def _grid(domain: tuple[float, float], grid_points: int) -> np.ndarray:
-    if not domain[0] < domain[1]:
-        raise ValueError(f"domain must satisfy x_start < x_end, got {tuple(domain)}")
+    if not 0.0 < domain[1] - domain[0] < math.inf:
+        raise ValueError(f"domain must be finite with x_start < x_end, got {tuple(domain)}")
     if grid_points < 11:
         raise ValueError(f"grid_points must be >= 11, got {grid_points}")
     return np.linspace(domain[0], domain[1], grid_points)
@@ -226,8 +231,9 @@ def solve_q_eigen(
         raise DomainError(f"domain start {domain[0]} is outside the q-exponential support")
     if 1.0 + (1.0 - qv) * domain[1] <= 0.0:
         raise DomainError(f"domain end {domain[1]} is outside the q-exponential support")
+    closed = q_exp(grid, qp)  # past the double range: DomainError before the solve
     sol = integrate_ode(lambda x, y: y**qv, tuple(domain), y0, tol, grid)
-    return _make_report(grid, sol.at_grid, q_exp(grid, qp))
+    return _make_report(grid, sol.at_grid, closed)
 
 
 def solve_hausdorff_eigen(
@@ -239,9 +245,9 @@ def solve_hausdorff_eigen(
         raise DomainError(f"domain must lie inside (-l0, inf) = ({-hp.l0}, inf)")
     y0 = balankin_exp(domain[0], hp)
     grid = _grid(domain, grid_points)
-    zeta, l0 = hp.zeta, hp.l0
+    zeta, l0, closed = hp.zeta, hp.l0, balankin_exp(grid, hp)  # as in solve_q_eigen
     sol = integrate_ode(lambda x, y: (x / l0 + 1.0) ** (zeta - 1.0) * y, tuple(domain), y0, tol, grid)
-    return _make_report(grid, sol.at_grid, balankin_exp(grid, hp))
+    return _make_report(grid, sol.at_grid, closed)
 
 
 def verify_fractional_eigen(
@@ -258,10 +264,10 @@ def verify_fractional_eigen(
         raise ValueError(f"verify_fractional_eigen requires 0 < alpha < 1, got {alpha}")
     GrunwaldJumarie(alpha, h)  # checks h, before the domain
     _reject(domain[0] <= 0.0, domain, "domain must lie inside (0, inf)")
+    grid = _grid(domain, grid_points)
     if domain[1] ** alpha > _ML_DOMAIN:
         raise DomainError("domain end exceeds the Mittag-Leffler series domain "
                           f"x^alpha <= {_ML_DOMAIN:g}")
-    grid = _grid(domain, grid_points)
 
     def eigenfunction(t):
         # array-aware, so that the GL chain evaluates each of its lattices in one call

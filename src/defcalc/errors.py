@@ -39,8 +39,9 @@ def _elementwise(f):
     """Decorator for ``f(x, ...)``, which returns one float per element of x
     (a float or an array), each from Python floats.  The wrapped function
     returns a float or an array of x's shape, and raises DomainError as
-    :func:`_reject` does at the first x whose value passes the double range:
-    an inf, or an OverflowError from math, found over an array by float calls."""
+    :func:`_reject` does at the first x whose value is not finite: an inf, a
+    nan, or an OverflowError or ZeroDivisionError (0.0 to a negative power)
+    from Python floats, found over an array by float calls."""
     message = f"{f.__name__} passes the double range"
 
     @functools.wraps(f)
@@ -48,7 +49,7 @@ def _elementwise(f):
         array = isinstance(x, np.ndarray)
         try:
             values = f(x, *args, **kwargs)
-        except OverflowError:
+        except ArithmeticError:
             for i, v in enumerate(x.ravel().tolist() if array else []):
                 try:
                     wrapped(v, *args, **kwargs)
@@ -56,7 +57,7 @@ def _elementwise(f):
                     raise DomainError(*exc.args, index=i) from None
             values = [math.inf]  # x is a float: an array raised above
         values = np.array(values).reshape(x.shape) if array else values[0]
-        _reject(np.isinf(values) if array else math.isinf(values), x, message)
+        _reject(~np.isfinite(values) if array else not math.isfinite(values), x, message)
         return values
 
     return wrapped

@@ -99,7 +99,7 @@ class _Operation:
 def _gamma_or_nan(u: float) -> float:
     try:
         return special_functions.gamma(u)
-    except DefcalcError:  # a pole, or -inf
+    except DefcalcError:  # a pole, -inf, or past the double range
         return math.nan
 
 
@@ -312,7 +312,9 @@ def evaluate(ast: Expr, x: float) -> float:
     if isinstance(ast, Number):
         return ast.value
     if isinstance(ast, Var):
-        return x
+        if math.isfinite(x):
+            return x
+        raise EvaluationError(f"x = {x} is not finite", ast, x)
     if isinstance(ast, Neg):
         return -evaluate(ast.operand, x)
     if isinstance(ast, BinOp):
@@ -504,7 +506,7 @@ def _compile(ast: Expr) -> Callable:
             except FloatingPointError:
                 pass
         if values is None:
-            ok = np.ones(xs.shape, dtype=bool)
+            ok = np.isfinite(xs)  # a non-finite x fails at its Var node
             with np.errstate(all="ignore"):
                 values = _evaluate_array(ast, xs, ok)
         if values is xs or np.shape(values) != xs.shape:  # x itself, or a constant
@@ -592,25 +594,6 @@ class RealFunction:
             derivative=_compile(dast) if dast is not None else None,
             label=source,
         )
-
-    @classmethod
-    def from_samples(cls, xs, ys, label: str = "samples") -> "RealFunction":
-        """Piecewise-linear interpolant of a sampled grid; no derivative."""
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
-            raise ValueError("from_samples needs matching 1-d arrays with >= 2 points")
-        if not np.all(np.diff(xs) > 0):
-            raise ValueError("sample abscissae must be strictly increasing")
-
-        def value(x: float) -> float:
-            if x < xs[0] or x > xs[-1]:
-                raise EvaluationError(
-                    f"x = {x} outside sampled range [{xs[0]}, {xs[-1]}]", None, x
-                )
-            return float(np.interp(x, xs, ys))
-
-        return cls(value=value, derivative=None, label=label)
 
 
 def as_real_function(f) -> RealFunction:

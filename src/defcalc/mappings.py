@@ -81,6 +81,8 @@ class MappingResult:
         for name in ("q", "zeta", "l0", "first_order_residual_bound"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.l0 > 0.0:
+            raise ValueError(f"l0 must be positive, got {self.l0}")
         if abs((1.0 - self.q) - (1.0 - self.zeta) / self.l0) > 1e-14 * max(
             1.0, abs(1.0 - self.q)
         ):
@@ -158,7 +160,7 @@ def first_order_agreement(hp: HausdorffParams, x: float) -> FirstOrderAgreement:
     double range); a prefactor past the double range raises DomainError.
     """
     u = x / hp.l0
-    if abs(u) >= 1.0:
+    if not abs(u) < 1.0:
         raise DomainError(f"series regime requires |x/l0| < 1, got x/l0 = {u}")
     try:
         p_h = (1.0 + u) ** (1.0 - hp.zeta)

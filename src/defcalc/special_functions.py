@@ -1,6 +1,6 @@
 """Special functions backing the operator toolkit.
 
-gamma        math.gamma with a pole check, inf past the double range.
+gamma        math.gamma with a pole check, DomainError past the double range.
 gen_binomial generalized binomial coefficient via the pole-free product form.
 mittag_leffler  E_alpha(z) = sum z^k / Gamma(alpha k + 1), by the truncated
                 series or a fixed contour, over a float or an array.
@@ -47,20 +47,22 @@ class HausdorffParams:
 
 
 def gamma(x: float) -> float:
-    """Gamma function: :func:`math.gamma`, and inf past the double range.
+    """Gamma function: :func:`math.gamma`, finite or an error.
 
     Non-positive integer arguments (within 1e-12) raise :class:`PoleError`,
-    and -inf raises :class:`DomainError`.  Where Gamma(x) exceeds the largest
-    double (x > 171.62, or 0 < x < 5.6e-309) the result is inf.
+    and -inf raises :class:`DomainError`, as does an x where Gamma(x) exceeds
+    the largest double (x > 171.62, or 0 < x < 5.6e-309), inf or nan.
     """
     if x == -math.inf:
         raise DomainError("gamma is undefined at x = -inf")
     if x <= 0.0 and abs(x - round(x)) < _POLE_EPS:
         raise PoleError(f"gamma pole at non-positive integer x = {x}")
     try:
-        return math.gamma(x)
+        value = math.gamma(x)
     except OverflowError:
-        return math.inf
+        value = math.inf
+    _reject(not math.isfinite(value), x, "gamma passes the double range")
+    return value
 
 
 def _binomials(alpha: float) -> Iterator[float]:
@@ -77,11 +79,13 @@ def gen_binomial(alpha: float, k: int) -> float:
 
     Computed as the falling-factorial product alpha (alpha-1) ... (alpha-k+1) / k!,
     which is defined for every real alpha (no gamma poles).  Equals
-    Gamma(alpha+1) / (Gamma(k+1) Gamma(alpha-k+1)) wherever the latter exists.
-    """
+    Gamma(alpha+1) / (Gamma(k+1) Gamma(alpha-k+1)) wherever the latter exists;
+    a product past the double range raises :class:`DomainError`."""
     if k < 0 or k != int(k):
         raise ValueError(f"k must be a non-negative integer, got {k}")
-    return next(itertools.islice(_binomials(alpha), int(k), None))
+    value = next(itertools.islice(_binomials(alpha), int(k), None))
+    _reject(not math.isfinite(value), alpha, "gen_binomial passes the double range")
+    return value
 
 
 _ML_REL_TOL = 1e-12
@@ -310,10 +314,11 @@ def mittag_leffler(z, alpha: float):
 mittag_leffler_array = mittag_leffler
 
 
-def stretched_exp(x: float, alpha: float) -> float:
-    """Stretched exponential exp(x^alpha) for x >= 0."""
+@_elementwise
+def stretched_exp(x: float | np.ndarray, alpha: float):
+    """Stretched exponential exp(x^alpha) for x >= 0, over a float or an array."""
     _reject(x < 0.0, x, "stretched_exp requires x >= 0")
-    return math.exp(x**alpha)
+    return [math.exp(v**alpha) for v in np.ravel(x).tolist()]
 
 
 @_elementwise

@@ -207,14 +207,15 @@ class TestDerivCommand:
         assert code == 2
         assert out == ""
 
-    def test_non_finite_value_is_numerical_failure(self, capsys):
-        # sqrt(1 + x^2) overflows at x = 5e299
+    def test_non_finite_value_is_a_domain_error(self, capsys):
+        # sqrt(1 + x^2) overflows at x = 5e299: the operator's DomainError
         code, out, err = run_cli(
             capsys, "deriv", "--op", "kappa", "--kappa", "1", "--fn", "x", "--grid", "0:1e300:3"
         )
-        assert code == 3
+        assert code == 2
         assert out == ""
-        assert "x = 5e+299" in err
+        assert err == ("error: --grid outside the operator domain: kappa operator at "
+                       "x = 5e+299: prefactor * f'(x) passes the double range, got 5e+299\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -343,7 +344,9 @@ class TestOperatorTable:
             # Inside the domain, but the probe steps, capped at x/4, round to 0
             # at x = 5e-324.
             assert (code, out, err) == (
-                3, "", "numerical failure: hausdorff operator at x = 5e-324: non-finite value nan\n"
+                2, "", "error: --grid outside the operator domain: hausdorff operator at "
+                "x = 5e-324: the difference quotient is not finite: a probe step is lost to "
+                "round-off or a value passes the double range, got 5e-324\n"
             )
             return
         assert code == 0, err

@@ -152,14 +152,13 @@ class TestHausdorffQuotient:
             hausdorff_quotient("x", 0.0, 0.5)
 
     def test_probe_steps_lost_to_round_off(self):
-        # at x = 5e-324 the probe base x/4 rounds to 0: a typed error at a float
-        # x, a NaN over an array (which the CLI reports as a non-finite value)
-        with pytest.raises(DomainError, match="probe step is lost to round-off"):
+        # at x = 5e-324 the probe base x/4 rounds to 0: the same typed error at
+        # a float x and over an array, where its index names the x
+        with pytest.raises(DomainError, match="probe step is lost to round-off") as at_x:
             hausdorff_quotient("x^2", 5e-324, 0.5)
-        with np.errstate(all="ignore"):
-            values = hausdorff_quotient("x^2", np.array([5e-324, 1.0]), 0.5)
-        assert math.isnan(values[0])
-        assert values[1] == pytest.approx(4.0, rel=1e-8)
+        with pytest.raises(DomainError) as over_grid:
+            hausdorff_quotient("x^2", np.array([5e-324, 1.0]), 0.5)
+        assert (str(over_grid.value), over_grid.value.index) == (str(at_x.value), 0)
         # x - h == x for every probe step at x = 1e20
         with pytest.raises(DomainError, match="probe step is lost to round-off"):
             q_derivative_quotient("x", 1e20, 0.5)
@@ -729,15 +728,33 @@ class TestOperatorsOverArrays:
         assert err.value.index == 2
 
 
-def _per_step_limit(quotient, p, settings, cap=None):
-    """The Richardson limit with one quotient call per probe step h = base 2^-j,
-    and the tableau run one level and one entry at a time."""
+def _sampled_square(t):
+    """x^2 sampled at 11 points of [0, 1] and interpolated linearly: an f that
+    takes floats only and raises EvaluationError outside [0, 1]."""
+    if not 0.0 <= t <= 1.0:
+        raise EvaluationError(f"x = {t} outside [0, 1]", None, t)
+    return float(np.interp(t, np.linspace(0.0, 1.0, 11), np.linspace(0.0, 1.0, 11) ** 2))
+
+
+NOT_FINITE = ("the difference quotient is not finite: a probe step is lost to round-off "
+              "or a value passes the double range")
+
+
+def _per_step_limit(quotient, x, p, settings, cap=None):
+    """The Richardson limit over the array x with one quotient call per probe
+    step h = base 2^-j, and the tableau run one level and one entry at a time;
+    a limit that is not finite raises DomainError at the first such x."""
     base = settings.base_step if cap is None else np.minimum(settings.base_step, cap)
-    values = [quotient(base * 0.5**j) for j in range(settings.richardson_levels + 1)]
-    for j in range(1, len(values)):
-        factor = 2.0 ** (p * j)
-        for k in range(len(values) - 1, j - 1, -1):
-            values[k] = (factor * values[k] - values[k - 1]) / (factor - 1.0)
+    with np.errstate(all="ignore"):
+        values = [quotient(base * 0.5**j) for j in range(settings.richardson_levels + 1)]
+        for j in range(1, len(values)):
+            factor = 2.0 ** (p * j)
+            for k in range(len(values) - 1, j - 1, -1):
+                values[k] = (factor * values[k] - values[k - 1]) / (factor - 1.0)
+    bad = ~np.isfinite(values[-1])
+    if bad.any():
+        i = int(bad.argmax())
+        raise DomainError(f"{NOT_FINITE}, got {x.ravel()[i]}", index=i)
     return values[-1]
 
 
@@ -745,17 +762,17 @@ def _per_step_form(form, f, x, param, settings):
     """The four limit forms, each probe step its own call of f."""
     f = RealFunction.from_expression(f) if isinstance(f, str) else f
     if form == "classical":
-        return _per_step_limit(lambda h: (f(x + h) - f(x - h)) / (2.0 * h), 2, settings)
+        return _per_step_limit(lambda h: (f(x + h) - f(x - h)) / (2.0 * h), x, 2, settings)
     fx = f(x)
     if form == "q":
-        return _per_step_limit(lambda h: (fx - f(x - h)) / q_difference(x, x - h, param), 1,
+        return _per_step_limit(lambda h: (fx - f(x - h)) / q_difference(x, x - h, param), x, 1,
                                settings)
     if form == "hausdorff":
         xz = x**param
-        return _per_step_limit(lambda h: (f(x + h) - fx) / ((x + h) ** param - xz), 1,
+        return _per_step_limit(lambda h: (f(x + h) - fx) / ((x + h) ** param - xz), x, 1,
                                settings, x / 4.0)
     scale = x ** (1.0 - param)
-    return _per_step_limit(lambda eps: (f(x + eps * scale) - fx) / eps, 1, settings)
+    return _per_step_limit(lambda eps: (f(x + eps * scale) - fx) / eps, x, 1, settings)
 
 
 LIMIT_FORMS = {
@@ -839,15 +856,24 @@ class TestStackedLimit:
         pytest.param("q", "x^2", [0.5, 1.125, 1.3], 2.0, DiffSettings(base_step=0.5),
                      DomainError, id="q_singular_line_late_step"),
         # a sampled f is scalar-only; the probes of t near 1 leave [0, 1]
-        pytest.param("conformable", RealFunction.from_samples(np.linspace(0.0, 1.0, 11),
-                                                              np.linspace(0.0, 1.0, 11) ** 2),
+        pytest.param("conformable", RealFunction(value=_sampled_square),
                      [0.5, 0.98, 0.999], 0.5, DiffSettings(), EvaluationError,
                      id="samples_out_of_range"),
+        # x - h == x at every probe step: 0 / 0
+        pytest.param("q", "sin(x)", [0.5, 1e17], 0.5, DiffSettings(), DomainError,
+                     id="q_probe_lost_at_1e17"),
+        # the probe base x/4 rounds to 0
+        pytest.param("hausdorff", "x^2", [1.0, 5e-324], 0.5, DiffSettings(), DomainError,
+                     id="hausdorff_probe_lost_at_5e-324"),
     ])
     def test_failing_probe_raises_what_the_first_failing_step_raises(
             self, form, f, xs, param, settings, error, stack_values):
         err = _assert_same_outcome(form, f, np.array(xs), param, settings)
         assert err is not None and err[0] is error and err[2] is not None
+        # the float call at the x it names raises the same error
+        with pytest.raises(error) as at_x:
+            LIMIT_FORMS[form](f, xs[err[2]], param, settings)
+        assert str(at_x.value) == err[1]
 
     def test_late_step_failure_names_its_grid_position(self):
         with pytest.raises(DomainError) as err:

@@ -267,19 +267,6 @@ class TestRealFunction:
         assert f(0.0) == 0.0
         assert f.derivative(0.0) == 1.0
 
-    def test_from_samples(self):
-        xs = [0.0, 1.0, 2.0]
-        f = RealFunction.from_samples(xs, [0.0, 2.0, 4.0])
-        assert f(0.5) == pytest.approx(1.0)
-        with pytest.raises(EvaluationError):
-            f(2.5)
-        with pytest.raises(ValueError):
-            RealFunction.from_samples([0.0, 0.0], [1.0, 2.0])
-
-    def test_from_samples_needs_matching_shapes(self):
-        with pytest.raises(ValueError, match="matching 1-d arrays"):
-            RealFunction.from_samples([0.0, 1.0, 2.0], [0.0, 2.0])
-
     def test_as_real_function_coercions(self):
         assert as_real_function("x^2")(3.0) == 9.0
         assert as_real_function(lambda t: 2.0 * t)(3.0) == 6.0
@@ -485,7 +472,12 @@ class TestCompiledAgreement:
         xs = np.linspace(0.0, 1.0, 7)
         assert np.array_equal(f(xs), [math.sin(float(x)) for x in xs])
         assert np.array_equal(f.derivative_at(xs), [math.cos(float(x)) for x in xs])
-        g = RealFunction.from_samples([0.0, 1.0], [0.0, 2.0])
+
+        def double(t):  # scalar-only: the comparison fails on an array
+            if not 0.0 <= t <= 1.0:
+                raise EvaluationError(f"x = {t} outside [0, 1]", None, t)
+            return 2.0 * t
+
         with pytest.raises(EvaluationError) as err:
-            g(np.array([0.5, 1.0, 1.5, 2.0]))
+            RealFunction(value=double)(np.array([0.5, 1.0, 1.5, 2.0]))
         assert err.value.index == 2

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -60,9 +61,10 @@ class TestGamma:
         with pytest.raises(DomainError, match="-inf"):
             gamma(-math.inf)
 
-    @pytest.mark.parametrize("x", [171.7, 200.0, 1e300, 1e-310, math.inf])
-    def test_inf_only_past_the_double_range(self, x):
-        assert gamma(x) == math.inf
+    @pytest.mark.parametrize("x", [171.7, 200.0, 1e300, 1e-310, math.inf, math.nan])
+    def test_domain_error_past_the_double_range(self, x):
+        with pytest.raises(DomainError, match="gamma passes the double range"):
+            gamma(x)
 
 
 class TestGenBinomial:
@@ -93,27 +95,40 @@ class TestGenBinomial:
                 want *= (alpha - i) / (i + 1.0)
             assert gen_binomial(alpha, k).hex() == want.hex()
 
-    @given(a=st.floats(-3.0, 3.0), k=st.integers(0, 20_000))
+    @given(a=st.floats(-3.0, 3.0) | st.builds(lambda sign, e: sign * 10.0**e,
+                                               st.sampled_from((-1.0, 1.0)),
+                                               st.floats(-320.0, 300.0)),
+           k=st.integers(0, 20_000))
     @example(a=0.3, k=1_000_000)
     @example(a=-3.0, k=1_000_000)
     @example(a=3.0 - 2.0**-51, k=1_000_000)
     @example(a=2.0, k=5)
     @example(a=5e-324, k=3)
+    @example(a=1e150, k=2)
+    @example(a=-1e300, k=2)
     def test_against_mpmath(self, a, k):
-        """Within (4k + 8) eps of C(a, k), and exact 0 where C(a, k) = 0.
-        A product below the normal range rounds to the nearest subnormal at
-        each of at most k steps, so a value there may differ by k subnormals.
-        The oracle runs at 40 digits plus the bits that hold a beside the
-        integers up to k, so that a - k + 1 is exact."""
+        """Within (4k + 8) eps of C(a, k), and exact 0 where C(a, k) = 0, for
+        a in [-3, 3] or |a| log-uniform up to 1e300.  DomainError where the
+        running product's largest term passes the double range (by up to
+        that bound): C(a, k), or for a > 0 the C(a, j) at the peak j = (a + 1)/2
+        where k lies past it.  A product below the normal range rounds to the
+        nearest subnormal at each of at most k steps, so a value there may
+        differ by k subnormals.  The oracle runs at 40 digits plus the bits
+        that hold a beside the integers up to k, so that a - k + 1 is exact."""
         mpmath = pytest.importorskip("mpmath")
-        got = gen_binomial(a, k)
-        with mpmath.workprec(133 + max(0, -math.frexp(a)[1]) + k.bit_length()):
+        bound = (4 * k + 8) * 2.0**-52
+        with mpmath.workprec(133 + abs(math.frexp(a)[1]) + k.bit_length()):
             want = mpmath.binomial(mpmath.mpf(a), k)
+            peak = mpmath.binomial(mpmath.mpf(a), min(k, max(0, math.floor((a + 1.0) / 2.0))))
+        try:
+            got = gen_binomial(a, k)
+        except DomainError:
+            assert max(abs(want), abs(peak)) * (1.0 + bound) > sys.float_info.max
+            return
         if want == 0:
             assert got == 0.0
         else:
-            eps = 2.0**-52
-            assert abs(got - want) <= (4 * k + 8) * eps * abs(want) + k * 2.0**-1074
+            assert abs(got - want) <= bound * abs(want) + k * 2.0**-1074
 
 
 class TestMittagLeffler:
