@@ -14,7 +14,7 @@ from defcalc import (
     verify_fractional_eigen,
 )
 
-print("dy/dx = y^q from y(0) = 1 against the q-exponential")
+print("[1 + (1-q) x] y' = y from y(0) = 1 against the q-exponential")
 for q in (0.5, 1.0, 1.2):  # support of q=1.2 ends at x = 5, safely past the grid
     report = solve_q_eigen(q, (0.0, 2.0), 101, tol=1e-10)
     print(f"  q={q}: max rel residual {report.max_rel_residual:.2e}, rms {report.rms_rel_residual:.2e}")

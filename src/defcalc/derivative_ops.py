@@ -20,12 +20,13 @@ limit form evaluates its probe steps as stacks with one row per step, all
 steps in one call of f up to ``_STACK_VALUES`` values; a stack that raises
 runs again one step per call, to raise the first failing step's error.
 
-``OPERATORS`` describes each operator once: its parameters and its closed
-and quotient forms.  Each operator checks its own domain before it evaluates
-f, and raises :class:`DomainError` at the first x outside (its ``index`` over
-an array): Hausdorff and Yang act on the fractal-metric coordinate 1 + x/l0
-and need x > -l0, the conformable operator and the Hausdorff quotient x > 0,
-and the GL chain x >= 0.
+``OPERATORS`` describes each operator once: its parameters, its closed and
+quotient forms and, for a local operator d/dm, its prefactor p = 1/m' and
+eigenfunction exp(m).  Each operator checks its own domain before it
+evaluates f, and raises :class:`DomainError` at the first x outside (its
+``index`` over an array): Hausdorff and Yang act on the fractal-metric
+coordinate 1 + x/l0 and need x > -l0, the conformable operator and the
+Hausdorff quotient x > 0, and the GL chain x >= 0.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import deformed_algebra, special_functions
 from .deformed_algebra import KappaParam, QParam, _as_kappa, _as_q, q_difference
 from .errors import DefcalcError, DomainError, _reject
 from .function_catalog import as_real_function
@@ -234,7 +236,7 @@ def _closed_form(f, x, settings: DiffSettings | None, prefactor):
 
 def q_derivative(f, x, q: QParam | float, settings: DiffSettings | None = None):
     """q-deformed derivative [1 + (1-q) x] f'(x); classical derivative at q = 1."""
-    return _closed_form(f, x, settings, 1.0 + (1.0 - _as_q(q).q) * x)
+    return _closed_form(f, x, settings, OPERATORS["q"].prefactor(_as_q(q), x))
 
 
 def q_derivative_quotient(f, x, q: QParam | float, settings: DiffSettings | None = None):
@@ -251,7 +253,7 @@ def hausdorff_derivative(f, x, hp: HausdorffParams, settings: DiffSettings | Non
     """Hausdorff (fractal-metric) derivative (x/l0 + 1)^(1-zeta) f'(x) for x > -l0."""
     _reject(x <= -hp.l0, x, f"hausdorff_derivative requires x > -l0 = {-hp.l0}")
     try:
-        prefactor = (x / hp.l0 + 1.0) ** (1.0 - hp.zeta)
+        prefactor = OPERATORS["hausdorff"].prefactor(hp, x)
     except ArithmeticError:  # a float power past the double range, which _closed_form rejects
         prefactor = math.inf
     return _closed_form(f, x, settings, prefactor)
@@ -275,13 +277,14 @@ def hausdorff_quotient(f, x, zeta: float, settings: DiffSettings | None = None):
         xz = math.inf
     _reject(~np.isfinite(xz) if isinstance(xz, np.ndarray) else not math.isfinite(xz), x,
             "hausdorff_quotient's x^zeta passes the double range")
-    return _limit(lambda h: (f(x + h) - fx) / ((x + h) ** zeta - xz), x, settings, 1, x)
+    # d / d is 1, or nan (not finite, as a float's ** raises) where numpy's (x + h)^zeta is inf
+    return _limit(lambda h: (f(x + h) - fx) / (d := (x + h) ** zeta - xz) * (d / d),
+                  x, settings, 1, x)
 
 
 def kaniadakis_derivative(f, x, kappa: KappaParam | float, settings: DiffSettings | None = None):
     """Kaniadakis derivative sqrt(1 + kappa^2 x^2) f'(x); classical at kappa = 0."""
-    k = _as_kappa(kappa).kappa
-    return _closed_form(f, x, settings, np.sqrt(1.0 + k * k * x * x))
+    return _closed_form(f, x, settings, OPERATORS["kappa"].prefactor(_as_kappa(kappa), x))
 
 
 def conformable_derivative(f, t, alpha: float, settings: DiffSettings | None = None):
@@ -465,7 +468,8 @@ def yang_lfd(f, x, alpha: float, hp: HausdorffParams, settings: DiffSettings | N
     """
     YangLFD(alpha, hp.l0)  # checks alpha
     _reject(x <= -hp.l0, x, f"yang_lfd requires x > -l0 = {-hp.l0}")
-    return _closed_form(f, x, settings, gamma(alpha + 1.0) * (x / hp.l0 + 1.0) ** (1.0 - alpha))
+    p = OPERATORS["hausdorff"].prefactor(HausdorffParams(alpha, hp.l0), x)
+    return _closed_form(f, x, settings, gamma(alpha + 1.0) * p)
 
 
 def jumarie_taylor_eval(
@@ -515,27 +519,38 @@ class Form:
 class Operator:
     """An entry of :data:`OPERATORS`.  The fields of ``kind`` are the
     operator's parameters; a field's ``flag`` metadata names its CLI flag
-    where that differs from the field name."""
+    where that differs from the field name.  A local operator D f = p(x) f'(x)
+    is d/dm of its measure m: ``prefactor(kind, x)`` is p = 1/m', with no
+    domain check, and ``eigenfunction(kind, x)`` is exp(m) up to a constant
+    factor, the solution of D y = y; both take a float or an array."""
 
     kind: type
     closed: Form
     quotient: Optional[Form] = None
+    prefactor: Optional[Callable] = None
+    eigenfunction: Optional[Callable] = None
 
 
-# Keyed by the CLI's --op name.  Each form calls the public operator by its
-# module-global name, so a wrapper installed on the module sees the call.
+# Keyed by the CLI's --op name.  Each form and eigenfunction calls a public
+# function by its module attribute, so a wrapper installed there sees it.
 OPERATORS: dict[str, Operator] = {
     "classical": Operator(Classical, Form(lambda k, f, x, s: classical_derivative(f, x, s))),
     "q": Operator(
         QParam,
         Form(lambda k, f, x, s: q_derivative(f, x, k, s)),
         Form(lambda k, f, x, s: q_derivative_quotient(f, x, k, s)),
+        prefactor=lambda k, x: 1.0 + (1.0 - k.q) * x,
+        eigenfunction=lambda k, x: deformed_algebra.q_exp(x, k),
     ),
-    "kappa": Operator(KappaParam, Form(lambda k, f, x, s: kaniadakis_derivative(f, x, k, s))),
+    "kappa": Operator(KappaParam, Form(lambda k, f, x, s: kaniadakis_derivative(f, x, k, s)),
+                      prefactor=lambda k, x: np.sqrt(1.0 + k.kappa * k.kappa * x * x),
+                      eigenfunction=lambda k, x: deformed_algebra.kappa_exp(x, k)),
     "hausdorff": Operator(
         HausdorffParams,
         Form(lambda k, f, x, s: hausdorff_derivative(f, x, k, s)),
         Form(lambda k, f, x, s: hausdorff_quotient(f, x, k.zeta, s), unread=("l0",)),
+        prefactor=lambda k, x: (x / k.l0 + 1.0) ** (1.0 - k.zeta),
+        eigenfunction=lambda k, x: special_functions.balankin_exp(x, k),
     ),
     "conformable": Operator(Conformable, Form(
         lambda k, f, x, s: conformable_derivative(f, x, k.alpha, s))),

@@ -1,11 +1,13 @@
 """Numerical verification that each deformed eigen-equation has its claimed solution.
 
-Each solver integrates the ordinary-ODE reformulation of an eigen-equation
-with an embedded adaptive Runge-Kutta pair, evaluates the closed-form
-eigenfunction on the same grid, and reports residual statistics.  The
-fractional case has no ODE form; there the Grunwald-Letnikov chain applied to
-the sampled Mittag-Leffler eigenfunction (with the value at 0 subtracted,
-realizing the Caputo convention) plays the role of the operator.
+A local operator of :data:`derivative_ops.OPERATORS`, D f = p(x) f'(x), is
+d/dm of its measure m, with eigenfunction exp(m).  One solve serves the q and
+Hausdorff problems: it integrates p(x) y' = y with an embedded adaptive
+Runge-Kutta pair, evaluates exp(m) on the same grid, and reports residual
+statistics.  The fractional case has no ODE form; there the
+Grunwald-Letnikov chain applied to the sampled Mittag-Leffler eigenfunction
+(with the value at 0 subtracted, realizing the Caputo convention) plays the
+role of the operator.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .deformed_algebra import QParam, _as_q, q_exp
-from .derivative_ops import GrunwaldJumarie, gl_jumarie_derivative
+from .deformed_algebra import QParam, _as_q
+from .derivative_ops import OPERATORS, GrunwaldJumarie, gl_jumarie_derivative
 from .errors import DomainError, StepFailure, _reject
 from .function_catalog import RealFunction
-from .special_functions import _ML_DOMAIN, HausdorffParams, balankin_exp, mittag_leffler
+from .special_functions import _ML_DOMAIN, HausdorffParams, mittag_leffler
 
 __all__ = [
     "EigenReport",
@@ -46,9 +48,7 @@ class EigenReport:
     table: np.ndarray = field(repr=False, compare=False)
 
 
-def _make_report(xs: Sequence[float], numeric: Sequence[float], closed: Sequence[float]) -> EigenReport:
-    xs, numeric, closed = (np.asarray(v, dtype=float) for v in (xs, numeric, closed))
-    _reject(closed == 0.0, xs, "the closed form underflows to 0: no relative residual")
+def _make_report(xs: np.ndarray, numeric: np.ndarray, closed: np.ndarray) -> EigenReport:
     res = np.abs(numeric - closed) / np.abs(closed)
     return EigenReport(
         max_rel_residual=float(np.max(res)),
@@ -60,6 +60,7 @@ def _make_report(xs: Sequence[float], numeric: Sequence[float], closed: Sequence
 # --- Adaptive embedded Runge-Kutta (Fehlberg 4(5), 5th order propagated) ----
 
 _MIN_STEP_FRACTION = 1e-14
+_MAX_STEPS = 10_000  # accepted plus rejected, per controller run
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,9 @@ def _steps(rhs, x: float, y: float, x_end: float, h: float, tol: float):
     xs, ys = [x], [y]
     n_accepted = n_rejected = 0
     while x < x_end:
+        if n_accepted + n_rejected == _MAX_STEPS:
+            raise StepFailure(f"step budget of {_MAX_STEPS} steps spent at x = {x} "
+                              f"short of x_end = {x_end}")
         h_step = min(h, x_end - x)
         if h_step < _MIN_STEP_FRACTION * max(abs(x), 1.0):
             raise StepFailure(f"step size underflow at x = {x}")
@@ -165,7 +169,8 @@ def integrate_ode(
     than the accepted step from the same node, so its error estimate is
     normally within tol; a node where it is not is re-landed by the
     controller, clipped at g.  Raises :class:`StepFailure` if the controller
-    underflows the step size.
+    underflows the step size, or takes more than ``_MAX_STEPS`` steps
+    (accepted plus rejected) in one run.
     """
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError(f"tol must be in [1e-12, 1e-4], got {tol}")
@@ -219,35 +224,29 @@ def _grid(domain: tuple[float, float], grid_points: int) -> np.ndarray:
 # --- Eigen-equation verifications ------------------------------------------
 
 
-def solve_q_eigen(
-    q: QParam | float, domain: tuple[float, float], grid_points: int, tol: float = _ODE_TOL
-) -> EigenReport:
-    """Integrate dy/dx = y^q and compare against the q-exponential."""
-    qp = _as_q(q)
-    qv = qp.q
-    y0 = q_exp(domain[0], qp)
+def _solve(name: str, kind, domain, grid_points: int, tol: float) -> EigenReport:
+    """Integrate D y = p(x) y' = y for OPERATORS[name] from y = exp(m) at the
+    domain start, and compare with exp(m), which must be finite and > 0 on
+    the grid (else DomainError, before the solve)."""
+    op = OPERATORS[name]
     grid = _grid(domain, grid_points)
-    if y0 <= 0.0:
-        raise DomainError(f"domain start {domain[0]} is outside the q-exponential support")
-    if 1.0 + (1.0 - qv) * domain[1] <= 0.0:
-        raise DomainError(f"domain end {domain[1]} is outside the q-exponential support")
-    closed = q_exp(grid, qp)  # past the double range: DomainError before the solve
-    sol = integrate_ode(lambda x, y: y**qv, tuple(domain), y0, tol, grid)
+    closed = op.eigenfunction(kind, grid)
+    _reject(~(closed > 0.0), grid, f"the {name} eigenfunction underflows or x leaves its support")
+    p = op.prefactor
+    sol = integrate_ode(lambda x, y: y / p(kind, x), tuple(domain), closed[0], tol, grid)
     return _make_report(grid, sol.at_grid, closed)
 
 
-def solve_hausdorff_eigen(
-    hp: HausdorffParams, domain: tuple[float, float], grid_points: int, tol: float = _ODE_TOL
-) -> EigenReport:
-    """Integrate y' = (x/l0 + 1)^(zeta-1) y and compare against the
-    fractal-metric exponential (initial value fixed by the closed form)."""
-    if domain[0] <= -hp.l0:
-        raise DomainError(f"domain must lie inside (-l0, inf) = ({-hp.l0}, inf)")
-    y0 = balankin_exp(domain[0], hp)
-    grid = _grid(domain, grid_points)
-    zeta, l0, closed = hp.zeta, hp.l0, balankin_exp(grid, hp)  # as in solve_q_eigen
-    sol = integrate_ode(lambda x, y: (x / l0 + 1.0) ** (zeta - 1.0) * y, tuple(domain), y0, tol, grid)
-    return _make_report(grid, sol.at_grid, closed)
+def solve_q_eigen(q: QParam | float, domain: tuple[float, float], grid_points: int,
+                  tol: float = _ODE_TOL) -> EigenReport:
+    """Integrate D_q y = [1 + (1-q) x] y' = y and compare against q_exp."""
+    return _solve("q", _as_q(q), domain, grid_points, tol)
+
+
+def solve_hausdorff_eigen(hp: HausdorffParams, domain: tuple[float, float], grid_points: int,
+                          tol: float = _ODE_TOL) -> EigenReport:
+    """Integrate (x/l0 + 1)^(1-zeta) y' = y and compare against balankin_exp."""
+    return _solve("hausdorff", hp, domain, grid_points, tol)
 
 
 def verify_fractional_eigen(

@@ -85,7 +85,7 @@ class EvaluationError(DefcalcError):
 
 
 class StepFailure(DefcalcError):
-    """The adaptive step controller underflowed the step size."""
+    """The adaptive step controller underflowed the step size or spent its step budget."""
 
 
 class DegenerateInput(DefcalcError):

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 from .deformed_algebra import QParam, _as_kappa, _as_q
 from .derivative_ops import (
+    OPERATORS,
     DiffSettings,
     _closed_form,
     conformable_derivative,
@@ -163,7 +164,7 @@ def first_order_agreement(hp: HausdorffParams, x: float) -> FirstOrderAgreement:
     if not abs(u) < 1.0:
         raise DomainError(f"series regime requires |x/l0| < 1, got x/l0 = {u}")
     try:
-        p_h = (1.0 + u) ** (1.0 - hp.zeta)
+        p_h = OPERATORS["hausdorff"].prefactor(hp, x)
     except OverflowError:
         raise DomainError(f"Hausdorff prefactor (1 + x/l0)^(1 - zeta) passes the double "
                           f"range at x/l0 = {u}, zeta = {hp.zeta}") from None

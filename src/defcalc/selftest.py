@@ -54,13 +54,8 @@ def _check_q_sum_difference():
     return worst <= 1e-12, f"max relative round-trip error = {worst:.3e}"
 
 
-def _check_q_eigen_ode():
-    report = eigen_solvers.solve_q_eigen(0.5, (0.0, 2.0), 51, tol=1e-10)
-    return report.max_rel_residual <= 1e-7, f"max residual = {report.max_rel_residual:.3e}"
-
-
-def _check_hausdorff_eigen_ode():
-    report = eigen_solvers.solve_hausdorff_eigen(HausdorffParams(0.4, 1.0), (0.0, 2.0), 51, tol=1e-10)
+def _check_eigen_ode(solve, kind):
+    report = solve(kind, (0.0, 2.0), 51, tol=1e-10)
     return report.max_rel_residual <= 1e-7, f"max residual = {report.max_rel_residual:.3e}"
 
 
@@ -81,29 +76,17 @@ def _relative(values, expected):
 
 
 def _check_eigenfunctions():
+    # D exp(m) = exp(m) for each local operator, with f' = exp(m) / p = exp(m) m'
     x = np.linspace(0.0, 2.0, 41)
-    q = 0.7
-    fq = RealFunction(  # f' = e_q(x)^q, each power from Python floats as q_exp takes its exp
-        value=lambda x: deformed_algebra.q_exp(x, q),
-        derivative=lambda x: np.array([v**q for v in deformed_algebra.q_exp(x, q).tolist()]),
-    )
-    errors = [_relative(derivative_ops.q_derivative(fq, x, q), deformed_algebra.q_exp(x, q))]
-    kappa = 0.5
-    fk = RealFunction(
-        value=lambda x: deformed_algebra.kappa_exp(x, kappa),
-        derivative=lambda x: deformed_algebra.kappa_exp(x, kappa)
-        / np.sqrt(1.0 + kappa * kappa * x * x),
-    )
-    value = derivative_ops.kaniadakis_derivative(fk, x, kappa)
-    errors.append(_relative(value, deformed_algebra.kappa_exp(x, kappa)))
-    hp = HausdorffParams(0.4, 1.0)
-    fh = RealFunction(
-        value=lambda x: special_functions.balankin_exp(x, hp),
-        derivative=lambda x: (x / hp.l0 + 1.0) ** (hp.zeta - 1.0)
-        * special_functions.balankin_exp(x, hp),
-    )
-    value = derivative_ops.hausdorff_derivative(fh, x, hp)
-    errors.append(_relative(value, special_functions.balankin_exp(x, hp)))
+    errors = []
+    for name, kind in (("q", deformed_algebra.QParam(0.7)),
+                       ("kappa", deformed_algebra.KappaParam(0.5)),
+                       ("hausdorff", HausdorffParams(0.4, 1.0))):
+        op = derivative_ops.OPERATORS[name]
+        f = RealFunction(value=lambda x, op=op, kind=kind: op.eigenfunction(kind, x),
+                         derivative=lambda x, op=op, kind=kind:
+                         op.eigenfunction(kind, x) / op.prefactor(kind, x))
+        errors.append(_relative(derivative_ops.evaluate_kind(kind, f, x), f.value(x)))
     alpha = 0.5
     fc = RealFunction(value=lambda t: math.exp(t**alpha / alpha))
     t = np.linspace(0.2, 2.0, 41)
@@ -118,13 +101,9 @@ def _check_classical_reductions():
     grid = np.linspace(0.1, 2.1, 11)
     for f in CORPUS:
         reference = derivative_ops.classical_derivative(f, grid)
-        for value in (
-            derivative_ops.q_derivative(f, grid, 1.0),
-            derivative_ops.kaniadakis_derivative(f, grid, 0.0),
-            derivative_ops.hausdorff_derivative(f, grid, HausdorffParams(1.0, 1.0)),
-            derivative_ops.conformable_derivative(f, grid, 1.0),
-        ):
-            errors.append(_relative(value, reference))
+        for kind in (deformed_algebra.QParam(1.0), deformed_algebra.KappaParam(0.0),
+                     HausdorffParams(1.0, 1.0), derivative_ops.Conformable(1.0)):
+            errors.append(_relative(derivative_ops.evaluate_kind(kind, f, grid), reference))
     worst = _worst(*errors)
     return worst <= 1e-8, f"max reduction mismatch = {worst:.3e}"
 
@@ -210,8 +189,9 @@ def _check_kappa_parity():
 CHECKS = (
     ("q-exponential/logarithm round-trip", _check_q_round_trip),
     ("deformed sum/difference inverse", _check_q_sum_difference),
-    ("q eigen-equation ODE residual", _check_q_eigen_ode),
-    ("hausdorff eigen-equation ODE residual", _check_hausdorff_eigen_ode),
+    ("q eigen-equation ODE residual", lambda: _check_eigen_ode(eigen_solvers.solve_q_eigen, 0.5)),
+    ("hausdorff eigen-equation ODE residual",
+     lambda: _check_eigen_ode(eigen_solvers.solve_hausdorff_eigen, HausdorffParams(0.4, 1.0))),
     ("fractional eigen-equation GL residual", _check_fractional_eigen),
     ("closed-form eigenfunction identities", _check_eigenfunctions),
     ("classical reductions", _check_classical_reductions),

@@ -668,6 +668,29 @@ class TestEvaluateKind:
             YangLFD(2.0)
 
 
+_LOCAL_KINDS = st.one_of(
+    st.floats(0.5, 1.5).map(lambda q: ("q", QParam(q))),
+    st.floats(-2.0, 2.0).map(lambda k: ("kappa", KappaParam(k))),
+    st.tuples(st.floats(0.2, 2.0), st.floats(0.5, 5.0)).map(
+        lambda p: ("hausdorff", HausdorffParams(*p))),
+)
+
+
+@given(local=_LOCAL_KINDS, x=st.floats(0.0, 1.0))
+def test_each_local_operator_is_d_dm(local, x):
+    """A local operator is p(x) d/dx = d/dm with p = 1/m': its closed form of
+    f = x is the table's p, bit for bit, and it maps the table's eigenfunction
+    exp(m), differentiated by central differences, to itself."""
+    name, kind = local
+    op = derivative_ops.OPERATORS[name]
+    xs = np.array([0.0, x, 0.5, 1.0])
+    assert evaluate_kind(kind, "x", xs).tobytes() == op.prefactor(kind, xs).tobytes()
+    assert evaluate_kind(kind, "x", x) == op.prefactor(kind, x)
+    eigenfunction = RealFunction(value=lambda t: op.eigenfunction(kind, t))
+    y = op.eigenfunction(kind, xs)
+    assert np.all(abs(evaluate_kind(kind, eigenfunction, xs) - y) <= 1e-10 * y)
+
+
 class TestOperatorsOverArrays:
     # no exp/ln/pow node in f or f', so numpy and libm agree bit for bit on them
     F = RealFunction.from_expression("sin(x)*x + cos(x)*sqrt(x)")
@@ -769,8 +792,11 @@ def _per_step_form(form, f, x, param, settings):
                                settings)
     if form == "hausdorff":
         xz = x**param
-        return _per_step_limit(lambda h: (f(x + h) - fx) / ((x + h) ** param - xz), x, 1,
-                               settings, x / 4.0)
+
+        def quotient(h):  # nan where (x + h)^zeta passes the double range, as a float's ** raises
+            d = (x + h) ** param - xz
+            return np.where(np.isfinite(d), (f(x + h) - fx) / d, np.nan)
+        return _per_step_limit(quotient, x, 1, settings, x / 4.0)
     scale = x ** (1.0 - param)
     return _per_step_limit(lambda eps: (f(x + eps * scale) - fx) / eps, x, 1, settings)
 
@@ -865,6 +891,9 @@ class TestStackedLimit:
         # the probe base x/4 rounds to 0
         pytest.param("hausdorff", "x^2", [1.0, 5e-324], 0.5, DiffSettings(), DomainError,
                      id="hausdorff_probe_lost_at_5e-324"),
+        # (x + h)^zeta passes the double range at every probe step, x^zeta = 1 does not
+        pytest.param("hausdorff", "sin(x)", [1.0, 1.0], 1e17, DiffSettings(), DomainError,
+                     id="hausdorff_probe_power_past_the_double_range"),
     ])
     def test_failing_probe_raises_what_the_first_failing_step_raises(
             self, form, f, xs, param, settings, error, stack_values):

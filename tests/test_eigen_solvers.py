@@ -17,7 +17,8 @@ from defcalc import (
     solve_q_eigen,
     verify_fractional_eigen,
 )
-from defcalc.derivative_ops import gl_weights
+from defcalc.deformed_algebra import QParam
+from defcalc.derivative_ops import OPERATORS, gl_weights
 
 
 class TestIntegrateOde:
@@ -51,6 +52,25 @@ class TestIntegrateOde:
         # y' = y^2 from y(0) = 1 blows up at x = 1
         with pytest.raises((StepFailure, OverflowError)):
             integrate_ode(lambda x, y: y * y, (0.0, 1.5), 1.0, tol=1e-10)
+
+    @pytest.mark.parametrize("grid", [None, [0.5, 1e17]])
+    def test_step_budget(self, grid):
+        # the step stays near the stability limit 3 of y' = -y: 1e17 would take
+        # about 3e16 steps
+        with pytest.raises(StepFailure, match=r"^step budget of 10000 steps spent at x = "
+                                              r"\S+ short of x_end = 1e\+17$"):
+            integrate_ode(lambda x, y: -y, (0.5, 1e17), 171.7, 5e-9, grid)
+
+    def test_rejected_steps_count_toward_the_budget(self, monkeypatch):
+        monkeypatch.setattr(defcalc.eigen_solvers, "_MAX_STEPS", 7)
+        calls = []
+
+        def rhs(x, y):  # every stage past the double range: every step is rejected
+            calls.append(x)
+            raise OverflowError
+        with pytest.raises(StepFailure, match=r"^step budget of 7 steps spent at x = 0\.0 "):
+            integrate_ode(rhs, (0.0, 1.0), 1.0)
+        assert len(calls) == 7
 
 
 class TestGridLanding:
@@ -124,11 +144,13 @@ class TestGridLanding:
 
 
 def _closed_and_rhs(problem):
+    """The eigenfunction exp(m) and the rhs of p(x) y' = y, from OPERATORS as
+    the solve takes them."""
     kind, a, b, prm = problem
-    if kind == "q":
-        return (lambda x: q_exp(x, prm)), (lambda x, y: y**prm)
-    hp = HausdorffParams(*prm)
-    return (lambda x: balankin_exp(x, hp)), (lambda x, y: (x / hp.l0 + 1.0) ** (hp.zeta - 1.0) * y)
+    op = OPERATORS[kind]
+    k = QParam(prm) if kind == "q" else HausdorffParams(*prm)
+    p = op.prefactor
+    return (lambda x: op.eigenfunction(k, x)), (lambda x, y: y / p(k, x))
 
 
 _PROBLEMS = st.one_of(
@@ -146,7 +168,8 @@ _PROBLEMS = st.one_of(
 def test_solve_residual_is_within_steps_times_tol(problem, tol, points):
     """Each accepted step and each landing has error estimate <= tol, so the
     error at a grid node is at most (accepted steps + 1) tol times the growth
-    of a perturbation, (max y / min y)^max(1, q) (perfbench's ode_rows bound)."""
+    of a perturbation of the linear problem p(x) y' = y, max y / min y
+    (perfbench's ode_rows bound)."""
     kind, a, b, prm = problem
     closed, rhs = _closed_and_rhs(problem)
     if kind == "q":
@@ -158,8 +181,7 @@ def test_solve_residual_is_within_steps_times_tol(problem, tol, points):
     x, numeric, y, residual = report.table.T
     assert np.array_equal(x, np.linspace(a, b, points))
     assert np.array_equal(y, [closed(v) for v in x.tolist()])
-    power = max(1.0, prm) if kind == "q" else 1.0
-    growth = (y.max() / y.min()) ** power
+    growth = y.max() / y.min()
     # the condition number of the closed form, as perfbench takes it
     cond = 1.0 + np.abs(np.log(y)) + (abs(1.0 / (1.0 - prm)) if kind == "q" else np.abs(np.log(y)))
     bound = ((free.n_accepted + 1) * tol * growth * np.maximum(y, 1.0) / y

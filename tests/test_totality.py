@@ -83,9 +83,6 @@ ADVERSARIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300,
 # ordinary values first: hypothesis shrinks toward the front of the list
 ORDINARY = (0.5, 1.0, -0.5, 2.0)
 F = st.sampled_from(ORDINARY + ADVERSARIAL)
-# The ends of an ODE domain: no span of 100 or more, which an RKF45 solve
-# with an absolute tolerance may cross in more steps than a test can take.
-E = st.sampled_from(ORDINARY + tuple(v for v in ADVERSARIAL if not 100.0 <= abs(v) < math.inf))
 FUNCTIONS = st.sampled_from(("x", "x^2", "sin(x)"))
 
 # Each case: (call, a strategy for each float it takes, positions of the
@@ -131,13 +128,13 @@ CASES = {
     # y' = x: the steps do not shrink with y0, so a large y0 takes few of them
     "integrate_ode": (
         lambda f, a, b, y0, tol: integrate_ode(lambda x, y: x, (a, b), y0, 1e-8 * tol),
-        (E, E, F, F), ()),
-    "solve_q_eigen": (lambda f, q, a, b: solve_q_eigen(q, (a, b), 11, 1e-8), (F, E, E), ()),
+        (F, F, F, F), ()),
+    "solve_q_eigen": (lambda f, q, a, b: solve_q_eigen(q, (a, b), 11, 1e-8), (F, F, F), ()),
     "solve_hausdorff_eigen": (
         lambda f, z, l0, a, b: solve_hausdorff_eigen(HausdorffParams(z, l0), (a, b), 11, 1e-8),
-        (F, F, E, E), ()),
+        (F, F, F, F), ()),
     "verify_fractional_eigen": (
-        lambda f, a, x0, x1, h: verify_fractional_eigen(a, (x0, x1), 11, h), (F, E, E, F), ()),
+        lambda f, a, x0, x1, h: verify_fractional_eigen(a, (x0, x1), 11, h), (F, F, F, F), ()),
     "evaluate": (lambda f, x: evaluate(parse(f), x), (F,), ()),
     "RealFunction": (
         lambda f, x: RealFunction.from_expression(f).derivative_at(x), (F,), (0,)),
