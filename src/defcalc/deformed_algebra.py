@@ -19,7 +19,7 @@ from math import asinh, exp, expm1, log, log1p, sinh
 
 import numpy as np
 
-from .errors import DomainError, _elementwise, _reject
+from .errors import DomainError, _elementwise, _finite, _reject
 
 __all__ = [
     "QParam",
@@ -77,19 +77,15 @@ def q_difference(x, y, q: QParam | float):
         if near.any() if isinstance(near, np.ndarray) else near:
             raise DomainError(f"q_difference singular at y = 1/(q-1) = {singular}",
                               index=int(near.argmax()) if isinstance(near, np.ndarray) else None)
-    value = (x - y) / (1.0 + (1.0 - qp.q) * y)
-    _reject(~np.isfinite(value) if isinstance(value, np.ndarray) else not math.isfinite(value),
-            value, "q_difference passes the double range")
-    return value
+    return _finite(lambda: (x - y) / (1.0 + (1.0 - qp.q) * y), None,
+                   "q_difference passes the double range")
 
 
 def q_sum(x: float | np.ndarray, y: float | np.ndarray, q: QParam | float) -> float | np.ndarray:
     """Deformed sum x + y + (1 - q) x y, for floats or arrays; the inverse of
     :func:`q_difference`, and like it finite or a :class:`DomainError`."""
-    value = x + y + (1.0 - _as_q(q).q) * x * y
-    _reject(~np.isfinite(value) if isinstance(value, np.ndarray) else not math.isfinite(value),
-            value, "q_sum passes the double range")
-    return value
+    return _finite(lambda: x + y + (1.0 - _as_q(q).q) * x * y, None,
+                   "q_sum passes the double range")
 
 
 @_elementwise
@@ -100,9 +96,8 @@ def q_exp(x: float | np.ndarray, q: QParam | float):
     one_minus_q = 1.0 - _as_q(q).q
     if one_minus_q == 0.0:
         return [exp(v) for v in np.ravel(x).tolist()]
-    with np.errstate(over="ignore"):  # an inf t is the float call's inf: DomainError
-        ts = np.ravel(one_minus_q * x).tolist()
-    return [0.0 if t <= -1.0 else exp(log1p(t) / one_minus_q) for t in ts]
+    return [0.0 if t <= -1.0 else exp(log1p(t) / one_minus_q)
+            for t in np.ravel(one_minus_q * x).tolist()]
 
 
 @_elementwise

@@ -32,6 +32,7 @@ Hausdorff quotient x > 0, and the GL chain x >= 0.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import deformed_algebra, special_functions
 from .deformed_algebra import KappaParam, QParam, _as_kappa, _as_q, q_difference
-from .errors import DefcalcError, DomainError, _reject
+from .errors import DefcalcError, DomainError, _finite, _reject
 from .function_catalog import as_real_function
 from .special_functions import HausdorffParams, gamma
 
@@ -184,30 +185,26 @@ def _limit(quotient: Callable, x, settings: DiffSettings | None, p: int, reach=N
     if reach is not None:
         base = (min if np.ndim(reach) == 0 else np.minimum)(base, reach / 4.0)
     levels = range(s.richardson_levels + 1)
-    if isinstance(x, np.ndarray) and x.ndim:
+
+    def make():
+        if not (isinstance(x, np.ndarray) and x.ndim):
+            return _richardson([quotient(base * 0.5**j) for j in levels], p)
         shrink = np.array([0.5**j for j in levels]).reshape((-1,) + (1,) * x.ndim)
         rows = max(1, _STACK_VALUES // max(x.size, 1))
         values = np.empty((len(levels),) + x.shape)
         while True:
             try:
-                with np.errstate(all="ignore"):  # an inf or nan quotient is rejected below
-                    for j in range(0, len(levels), rows):
-                        values[j:j + rows] = quotient(base * shrink[j:j + rows])
+                for j in range(0, len(levels), rows):
+                    values[j:j + rows] = quotient(base * shrink[j:j + rows])
                 break
             except Exception:  # whatever a stack raises, raise what the first failing step raises
                 if rows == 1:
                     raise
                 rows = 1
-    else:
-        try:
-            values = [quotient(base * 0.5**j) for j in levels]
-        except ArithmeticError:  # over an array the quotient is inf or nan instead
-            values = [math.nan]
-    value = _richardson(values, p)
-    _reject(~np.isfinite(value) if isinstance(value, np.ndarray) else not math.isfinite(value), x,
-            "the difference quotient is not finite: a probe step is lost to round-off or a "
-            "value passes the double range")
-    return value
+        return _richardson(values, p)
+
+    return _finite(make, x, "the difference quotient is not finite: a probe step is lost to "
+                            "round-off or a value passes the double range")
 
 
 def classical_derivative(f, x, settings: DiffSettings | None = None):
@@ -220,15 +217,13 @@ def classical_derivative(f, x, settings: DiffSettings | None = None):
     return _limit(lambda h: (f(x + h) - f(x - h)) / (2.0 * h), x, settings, 2)
 
 
-def _closed_form(f, x, settings: DiffSettings | None, prefactor):
-    """prefactor * f'(x), the form every local operator shares, finite or a
-    :class:`DomainError`; f' is symbolic, else a central difference."""
+def _closed_form(f, x, settings: DiffSettings | None, prefactor: Callable):
+    """prefactor() * f'(x), the form every local operator shares, finite or a
+    :class:`DomainError`; f' is symbolic, else a central difference, and is
+    taken first, so that its own error wins over the prefactor's."""
     f = as_real_function(f)
-    value = prefactor * (f.derivative_at(x) if f.derivative is not None
-                         else classical_derivative(f, x, settings))
-    _reject(~np.isfinite(value) if isinstance(value, np.ndarray) else not math.isfinite(value),
-            x, "prefactor * f'(x) passes the double range")
-    return value
+    fp = f.derivative_at(x) if f.derivative is not None else classical_derivative(f, x, settings)
+    return _finite(lambda: prefactor() * fp, x, "prefactor * f'(x) passes the double range")
 
 
 # --- Closed-form operators -------------------------------------------------
@@ -236,7 +231,7 @@ def _closed_form(f, x, settings: DiffSettings | None, prefactor):
 
 def q_derivative(f, x, q: QParam | float, settings: DiffSettings | None = None):
     """q-deformed derivative [1 + (1-q) x] f'(x); classical derivative at q = 1."""
-    return _closed_form(f, x, settings, OPERATORS["q"].prefactor(_as_q(q), x))
+    return _closed_form(f, x, settings, functools.partial(OPERATORS["q"].prefactor, _as_q(q), x))
 
 
 def q_derivative_quotient(f, x, q: QParam | float, settings: DiffSettings | None = None):
@@ -252,11 +247,7 @@ def q_derivative_quotient(f, x, q: QParam | float, settings: DiffSettings | None
 def hausdorff_derivative(f, x, hp: HausdorffParams, settings: DiffSettings | None = None):
     """Hausdorff (fractal-metric) derivative (x/l0 + 1)^(1-zeta) f'(x) for x > -l0."""
     _reject(x <= -hp.l0, x, f"hausdorff_derivative requires x > -l0 = {-hp.l0}")
-    try:
-        prefactor = OPERATORS["hausdorff"].prefactor(hp, x)
-    except ArithmeticError:  # a float power past the double range, which _closed_form rejects
-        prefactor = math.inf
-    return _closed_form(f, x, settings, prefactor)
+    return _closed_form(f, x, settings, functools.partial(OPERATORS["hausdorff"].prefactor, hp, x))
 
 
 def hausdorff_quotient(f, x, zeta: float, settings: DiffSettings | None = None):
@@ -271,12 +262,7 @@ def hausdorff_quotient(f, x, zeta: float, settings: DiffSettings | None = None):
     f = as_real_function(f)
     _reject(x <= 0.0, x, "hausdorff_quotient requires x > 0")
     fx = f(x)
-    try:
-        xz = x**zeta
-    except OverflowError:  # as over an array, inf
-        xz = math.inf
-    _reject(~np.isfinite(xz) if isinstance(xz, np.ndarray) else not math.isfinite(xz), x,
-            "hausdorff_quotient's x^zeta passes the double range")
+    xz = _finite(lambda: x**zeta, x, "hausdorff_quotient's x^zeta passes the double range")
     # d / d is 1, or nan (not finite, as a float's ** raises) where numpy's (x + h)^zeta is inf
     return _limit(lambda h: (f(x + h) - fx) / (d := (x + h) ** zeta - xz) * (d / d),
                   x, settings, 1, x)
@@ -284,7 +270,8 @@ def hausdorff_quotient(f, x, zeta: float, settings: DiffSettings | None = None):
 
 def kaniadakis_derivative(f, x, kappa: KappaParam | float, settings: DiffSettings | None = None):
     """Kaniadakis derivative sqrt(1 + kappa^2 x^2) f'(x); classical at kappa = 0."""
-    return _closed_form(f, x, settings, OPERATORS["kappa"].prefactor(_as_kappa(kappa), x))
+    return _closed_form(f, x, settings,
+                        functools.partial(OPERATORS["kappa"].prefactor, _as_kappa(kappa), x))
 
 
 def conformable_derivative(f, t, alpha: float, settings: DiffSettings | None = None):
@@ -407,6 +394,8 @@ def gl_jumarie_derivative(f, x, alpha: float, h: float, n_terms: Optional[int] =
     _reject(np.greater_equal(x, 2.0**53 * h), x, "gl_jumarie_derivative requires x < 2^53 h")
     f = as_real_function(f)
     xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if not xs.size:  # no chain to sum
+        return np.empty(np.shape(x))
     t, r = _lattice_points(xs / h)
     n = t if n_terms is None else np.minimum(t, int(n_terms))
     weights = gl_weights(alpha, int(n.max()))
@@ -432,13 +421,10 @@ def gl_jumarie_derivative(f, x, alpha: float, h: float, n_terms: Optional[int] =
                 exc.index = i
                 raise
             sums[i] = _chain_sum(weights[: n_i + 1], values)
-    try:
-        sums *= h ** (-alpha)
-    except OverflowError:  # a subnormal h: h^-alpha passes the double range
-        sums[:] = math.inf
-    _reject(~np.isfinite(sums) if np.ndim(x) else not math.isfinite(sums[0]), x,
-            "gl_jumarie_derivative passes the double range")
-    return sums if np.ndim(x) else float(sums[0])
+    # a float x's value is a Python float, as _finite takes it; for a
+    # subnormal h, h^-alpha alone passes the double range
+    return _finite(lambda: sums * h ** (-alpha) if np.ndim(x) else float(sums[0]) * h ** (-alpha),
+                   x, "gl_jumarie_derivative passes the double range")
 
 
 def rl_power_rule(gamma_exp: float, alpha: float, x: float) -> float:
@@ -451,12 +437,8 @@ def rl_power_rule(gamma_exp: float, alpha: float, x: float) -> float:
     """
     _reject(gamma_exp <= -1.0, gamma_exp, "rl_power_rule requires gamma > -1")
     _reject(x <= 0.0, x, "rl_power_rule requires x > 0")
-    try:
-        value = gamma(gamma_exp + 1.0) * x ** (gamma_exp - alpha) / gamma(gamma_exp - alpha + 1.0)
-    except ArithmeticError:  # a power past the double range, or a Gamma that underflows to 0
-        value = math.inf
-    _reject(not math.isfinite(value), x, "rl_power_rule passes the double range")
-    return value
+    return _finite(lambda: gamma(gamma_exp + 1.0) * x ** (gamma_exp - alpha)
+                   / gamma(gamma_exp - alpha + 1.0), x, "rl_power_rule passes the double range")
 
 
 def yang_lfd(f, x, alpha: float, hp: HausdorffParams, settings: DiffSettings | None = None):
@@ -468,8 +450,8 @@ def yang_lfd(f, x, alpha: float, hp: HausdorffParams, settings: DiffSettings | N
     """
     YangLFD(alpha, hp.l0)  # checks alpha
     _reject(x <= -hp.l0, x, f"yang_lfd requires x > -l0 = {-hp.l0}")
-    p = OPERATORS["hausdorff"].prefactor(HausdorffParams(alpha, hp.l0), x)
-    return _closed_form(f, x, settings, gamma(alpha + 1.0) * p)
+    return _closed_form(f, x, settings, lambda: gamma(alpha + 1.0)
+                        * OPERATORS["hausdorff"].prefactor(HausdorffParams(alpha, hp.l0), x))
 
 
 def jumarie_taylor_eval(
@@ -490,15 +472,15 @@ def jumarie_taylor_eval(
     values = [float(v) for v in f_derivs[:terms]]
     if not all(math.isfinite(v) for v in values):
         raise ValueError("supplied derivative values must be finite")
-    total = 0.0
-    try:
+
+    def total():
+        out = 0.0
         for k in range(terms):
             with contextlib.suppress(DomainError):  # Gamma(alpha k + 1) past the double range
-                total += math.pow(h, alpha * k) * values[k] / gamma(alpha * k + 1.0)
-    except OverflowError:  # h^(alpha k) past the double range
-        total = math.inf
-    _reject(not math.isfinite(total), h, "jumarie_taylor_eval passes the double range")
-    return total
+                out += math.pow(h, alpha * k) * values[k] / gamma(alpha * k + 1.0)
+        return out
+
+    return _finite(total, h, "jumarie_taylor_eval passes the double range")
 
 
 # --- The operator table -----------------------------------------------------
@@ -542,8 +524,10 @@ OPERATORS: dict[str, Operator] = {
         prefactor=lambda k, x: 1.0 + (1.0 - k.q) * x,
         eigenfunction=lambda k, x: deformed_algebra.q_exp(x, k),
     ),
+    # a float x's p is a Python float, as errors._finite takes it to be
     "kappa": Operator(KappaParam, Form(lambda k, f, x, s: kaniadakis_derivative(f, x, k, s)),
-                      prefactor=lambda k, x: np.sqrt(1.0 + k.kappa * k.kappa * x * x),
+                      prefactor=lambda k, x: (np.sqrt if isinstance(x, np.ndarray) else math.sqrt)(
+                          1.0 + k.kappa * k.kappa * x * x),
                       eigenfunction=lambda k, x: deformed_algebra.kappa_exp(x, k)),
     "hausdorff": Operator(
         HausdorffParams,

@@ -1,4 +1,7 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the two guards that keep
+every public function total: :func:`_reject` for an argument outside a domain
+and :func:`_finite` for a value that is not finite.  Both raise DomainError at
+the first failing x, with its ``index`` over an array."""
 
 from __future__ import annotations
 
@@ -35,30 +38,51 @@ def _reject(bad, x, message: str) -> None:
                           index=index)
 
 
+def _finite(make, x, message: str):
+    """``make()`` where it is finite, else DomainError as :func:`_reject`
+    raises it at the first x whose value is not finite; ``x`` holds the points
+    the value is made at, or is None to name the value itself.  An
+    ArithmeticError from Python floats (an OverflowError, or 0.0 to a
+    negative power) counts as inf at every x.  make runs with numpy's flags
+    off, but at a Python float x, whose value the library makes from Python
+    floats: they set no flag."""
+    try:
+        if type(x) is float:  # entering np.errstate costs more than most float values
+            value = make()
+        else:
+            with np.errstate(all="ignore"):
+                value = make()
+    except ArithmeticError:
+        value = np.full(x.shape, math.inf) if isinstance(x, np.ndarray) else math.inf
+    _reject(~np.isfinite(value) if isinstance(value, np.ndarray) else not math.isfinite(value),
+            value if x is None else x, message)
+    return value
+
+
 def _elementwise(f):
     """Decorator for ``f(x, ...)``, which returns one float per element of x
     (a float or an array), each from Python floats.  The wrapped function
-    returns a float or an array of x's shape, and raises DomainError as
-    :func:`_reject` does at the first x whose value is not finite: an inf, a
-    nan, or an OverflowError or ZeroDivisionError (0.0 to a negative power)
-    from Python floats, found over an array by float calls."""
+    returns a float or an array of x's shape, guarded by :func:`_finite`;
+    over an array, an ArithmeticError is found by float calls, so the error
+    names the first failing x."""
     message = f"{f.__name__} passes the double range"
 
     @functools.wraps(f)
     def wrapped(x, *args, **kwargs):
-        array = isinstance(x, np.ndarray)
-        try:
-            values = f(x, *args, **kwargs)
-        except ArithmeticError:
-            for i, v in enumerate(x.ravel().tolist() if array else []):
-                try:
-                    wrapped(v, *args, **kwargs)
-                except DomainError as exc:
-                    raise DomainError(*exc.args, index=i) from None
-            values = [math.inf]  # x is a float: an array raised above
-        values = np.array(values).reshape(x.shape) if array else values[0]
-        _reject(~np.isfinite(values) if array else not math.isfinite(values), x, message)
-        return values
+        def make():
+            if not isinstance(x, np.ndarray):
+                return f(x, *args, **kwargs)[0]
+            try:
+                return np.array(f(x, *args, **kwargs)).reshape(x.shape)
+            except ArithmeticError:
+                for i, v in enumerate(x.ravel().tolist()):
+                    try:
+                        wrapped(v, *args, **kwargs)
+                    except DomainError as exc:
+                        raise DomainError(*exc.args, index=i) from None
+                raise
+
+        return _finite(make, x, message)
 
     return wrapped
 

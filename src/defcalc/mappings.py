@@ -30,7 +30,7 @@ from .derivative_ops import (
 )
 from .errors import DegenerateInput, DomainError, _reject
 from .function_catalog import RealFunction, as_real_function
-from .special_functions import HausdorffParams, _binomials
+from .special_functions import _MAX_ORDER, HausdorffParams, _binomials
 
 __all__ = [
     "SeriesExpansion",
@@ -103,9 +103,6 @@ def _scaled(c: float, base: float, power: int) -> float:
         return c * base**power + 0.0
     except OverflowError:
         return c * math.inf if c else 0.0
-
-
-_MAX_ORDER = 1_000_000  # about 70 bytes of peak memory per order in a CLI table
 
 
 def _check_order(order: int, least: int) -> None:
@@ -240,7 +237,7 @@ def yang_hausdorff_check(
     """Ratio of the Yang local fractional derivative to the Hausdorff
     derivative with zeta = alpha; equals Gamma(alpha + 1) identically."""
     f = as_real_function(f)
-    fp = _closed_form(f, x, settings, 1.0)
+    fp = _closed_form(f, x, settings, lambda: 1.0)
     if abs(fp) < 1e-14:
         raise DegenerateInput(f"f'(x) = {fp} at x = {x}; ratio undefined")
     matched = HausdorffParams(zeta=alpha, l0=hp.l0)

@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PoleError, _elementwise, _reject
+from .errors import ConvergenceError, DomainError, PoleError, _elementwise, _finite, _reject
 
 __all__ = [
     "HausdorffParams",
@@ -57,12 +57,12 @@ def gamma(x: float) -> float:
         raise DomainError("gamma is undefined at x = -inf")
     if x <= 0.0 and abs(x - round(x)) < _POLE_EPS:
         raise PoleError(f"gamma pole at non-positive integer x = {x}")
-    try:
-        value = math.gamma(x)
-    except OverflowError:
-        value = math.inf
-    _reject(not math.isfinite(value), x, "gamma passes the double range")
-    return value
+    return _finite(lambda: math.gamma(x), x, "gamma passes the double range")
+
+
+# The highest k of gen_binomial and order of the binomial expansions: about 70
+# bytes of peak memory per order in a CLI table.
+_MAX_ORDER = 1_000_000
 
 
 def _binomials(alpha: float) -> Iterator[float]:
@@ -75,17 +75,17 @@ def _binomials(alpha: float) -> Iterator[float]:
 
 
 def gen_binomial(alpha: float, k: int) -> float:
-    """Generalized binomial coefficient C(alpha, k) for non-negative integer k.
+    """Generalized binomial coefficient C(alpha, k) for integer 0 <= k <= 1,000,000.
 
     Computed as the falling-factorial product alpha (alpha-1) ... (alpha-k+1) / k!,
     which is defined for every real alpha (no gamma poles).  Equals
     Gamma(alpha+1) / (Gamma(k+1) Gamma(alpha-k+1)) wherever the latter exists;
-    a product past the double range raises :class:`DomainError`."""
-    if k < 0 or k != int(k):
-        raise ValueError(f"k must be a non-negative integer, got {k}")
-    value = next(itertools.islice(_binomials(alpha), int(k), None))
-    _reject(not math.isfinite(value), alpha, "gen_binomial passes the double range")
-    return value
+    a product past the double range raises :class:`DomainError`, and a k
+    outside those integers :class:`ValueError`, before the product's k steps."""
+    if not 0 <= k <= _MAX_ORDER or k != int(k):
+        raise ValueError(f"k must be an integer in 0..{_MAX_ORDER}, got {k}")
+    return _finite(lambda: next(itertools.islice(_binomials(alpha), int(k), None)), alpha,
+                   "gen_binomial passes the double range")
 
 
 _ML_REL_TOL = 1e-12
@@ -335,8 +335,7 @@ def balankin_exp(x: float | np.ndarray, hp: HausdorffParams):
     if abs(hp.zeta) < 1e-12:
         raise DomainError("balankin_exp is undefined at zeta = 0")
     _reject(x <= -hp.l0, x, f"balankin_exp requires x > -l0 = {-hp.l0}")
-    with np.errstate(over="ignore"):  # an inf base is the float call's inf: DomainError
-        base = x / hp.l0 + 1.0
+    base = x / hp.l0 + 1.0
     bases = base.ravel().tolist() if isinstance(x, np.ndarray) else [base]
     scale, zeta = hp.l0 / hp.zeta, hp.zeta
     return [math.exp(scale * b**zeta) for b in bases]

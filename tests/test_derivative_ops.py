@@ -691,6 +691,26 @@ def test_each_local_operator_is_d_dm(local, x):
     assert np.all(abs(evaluate_kind(kind, eigenfunction, xs) - y) <= 1e-10 * y)
 
 
+# One kind of each operator of the table, keyed by its --op name.
+_KINDS = {
+    "classical": Classical(),
+    "q": QParam(0.5),
+    "kappa": KappaParam(0.5),
+    "hausdorff": HausdorffParams(0.5, 1.0),
+    "conformable": Conformable(0.5),
+    "gl": GrunwaldJumarie(0.5, 0.1),
+    "yang": YangLFD(0.5, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(derivative_ops.OPERATORS))
+def test_an_empty_grid_maps_to_an_empty_array(name):
+    op = derivative_ops.OPERATORS[name]
+    for form in filter(None, (op.closed, op.quotient)):
+        value = form.evaluate(_KINDS[name], "x", np.array([]), None)
+        assert isinstance(value, np.ndarray) and value.shape == (0,)
+
+
 class TestOperatorsOverArrays:
     # no exp/ln/pow node in f or f', so numpy and libm agree bit for bit on them
     F = RealFunction.from_expression("sin(x)*x + cos(x)*sqrt(x)")

@@ -84,8 +84,10 @@ class TestGenBinomial:
         assert gen_binomial(2.0, 5) == 0.0
 
     def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            gen_binomial(0.5, -1)
+        # before the product's k steps: at k = 10^12 they would run for hours
+        for k in (-1, 0.5, 1_000_001, 10**12, 1e300, math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"^k must be an integer in 0\.\.1000000, got "):
+                gen_binomial(0.5, k)
 
     @pytest.mark.parametrize("alpha", [0.5, -1.3, 2.0, 0.0])
     def test_has_the_bits_of_the_product(self, alpha):

@@ -54,7 +54,7 @@ from defcalc.eigen_solvers import (
     solve_q_eigen,
     verify_fractional_eigen,
 )
-from defcalc.errors import DefcalcError
+from defcalc.errors import DefcalcError, DomainError
 from defcalc.function_catalog import RealFunction, as_real_function, evaluate, parse
 from defcalc.mappings import (
     FirstOrderAgreement,
@@ -156,7 +156,7 @@ CASES = {
         (F, F, F, F), ()),
     "HausdorffParams": (lambda f, z, l0: HausdorffParams(z, l0), (F, F), ()),
     "gamma": (lambda f, x: gamma(x), (F,), ()),
-    "gen_binomial": (lambda f, a: gen_binomial(a, 3), (F,), ()),
+    "gen_binomial": (lambda f, a, k: gen_binomial(a, k), (F, F), ()),
     "mittag_leffler": (lambda f, z, a: mittag_leffler(z, a), (F, F), (0,)),
     "mittag_leffler_array": (lambda f, z, a: mittag_leffler_array(z, a), (F, F), (0,)),
     "stretched_exp": (lambda f, x, a: stretched_exp(x, a), (F, F), (0,)),
@@ -234,3 +234,62 @@ def test_every_value_is_finite_or_a_typed_error(name, data):
         return
     bad = [v for v in _floats(value) if not math.isfinite(v)]
     assert not bad, f"{name}{tuple(args)} with f = {f!r} returned {value!r}"
+
+
+# Each value the library makes and checks: a call of one float x, the x at
+# which its value passes the double range, the DomainError message, and an
+# array of x that holds that x (None where the call takes no array).
+GUARDED = {
+    "gamma": (gamma, 171.7, "gamma passes the double range, got 171.7", None),
+    "gen_binomial": (lambda a: gen_binomial(a, 3), 1e200,
+                     "gen_binomial passes the double range, got 1e+200", None),
+    "rl_power_rule": (lambda x: rl_power_rule(150.0, 0.5, x), 1e10,
+                      "rl_power_rule passes the double range, got 10000000000.0", None),
+    "jumarie_taylor_eval": (lambda h: jumarie_taylor_eval([1e308] * 3, h, 1.0, 3), 10.0,
+                            "jumarie_taylor_eval passes the double range, got 10.0", None),
+    "q_difference": (lambda x: q_difference(x, -1e308, 1.0), 1e308,
+                     "q_difference passes the double range, got inf", [1.0, 1e308]),
+    "q_sum": (lambda x: q_sum(x, 1e308, 1.0), 1e308,
+              "q_sum passes the double range, got inf", [1.0, 1e308]),
+    "q_exp": (lambda x: q_exp(x, -2.0), 1e308,
+              "q_exp passes the double range, got 1e+308", [1.0, 1e308]),
+    "balankin_exp": (lambda x: balankin_exp(x, HausdorffParams(0.5, 0.5)), 1e308,
+                     "balankin_exp passes the double range, got 1e+308", [1.0, 1e308]),
+    "q_derivative_quotient": (
+        lambda x: q_derivative_quotient("sin(x)", x, 0.5), 1e17,
+        "the difference quotient is not finite: a probe step is lost to round-off or a "
+        "value passes the double range, got 1e+17", [1.0, 1e17]),
+    "hausdorff_quotient": (lambda x: hausdorff_quotient("x", x, 2.0), 1e160,
+                           "hausdorff_quotient's x^zeta passes the double range, got 1e+160",
+                           [1.0, 1e160]),
+    # h^-alpha passes the range for every x: the error names the first
+    "gl_jumarie_derivative": (lambda x: gl_jumarie_derivative("x", x, 1.0, 1e-309), 1e-308,
+                              "gl_jumarie_derivative passes the double range, got 1e-308",
+                              [1e-308, 2e-308]),
+    "kaniadakis_derivative": (lambda x: kaniadakis_derivative("x", x, 1.0), 5e299,
+                              "prefactor * f'(x) passes the double range, got 5e+299",
+                              [1.0, 5e299]),
+    # a finite prefactor times f'(x): a float call's product is Python's, too
+    "kaniadakis_product": (lambda x: kaniadakis_derivative("x^2", x, 1.0), 1.3e154,
+                           "prefactor * f'(x) passes the double range, got 1.3e+154",
+                           [1.0, 1.3e154]),
+    "hausdorff_derivative": (lambda x: hausdorff_derivative("x", x, HausdorffParams(-2.0)),
+                             1e300, "prefactor * f'(x) passes the double range, got 1e+300",
+                             [1.0, 1e300]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_float_and_array_calls_fail_alike(name):
+    """A value past the double range raises the same DomainError from a
+    float call and from an array call, which names the position of the x,
+    and numpy warns of nothing first."""
+    call, x, message, xs = GUARDED[name]
+    with pytest.raises(DomainError) as err:
+        call(x)
+    assert (str(err.value), err.value.index) == (message, None)
+    if xs is not None:
+        with pytest.raises(DomainError) as err:
+            call(np.array(xs))
+        assert (str(err.value), err.value.index) == (message, xs.index(x))
