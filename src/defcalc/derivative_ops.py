@@ -6,13 +6,13 @@ Closed forms multiply f'(x) by the operator's prefactor:
     Kaniadakis     sqrt(1 + k^2 x^2) f'(x)
     Hausdorff      (x/l0 + 1)^(1-zeta) f'(x)
     Yang LFD       Gamma(alpha+1) (x/l0 + 1)^(1-alpha) f'(x)
-    conformable    t^(1-alpha) f'(t)            (realized as a limit below)
+    conformable    t^(1-alpha) f'(t)
 
-Limit-quotient forms evaluate the defining difference quotient on a geometric
-probe sequence (step halving) and Richardson-extrapolate; the Hausdorff and
-conformable probes start at min(base_step, reach/4), reach x and t^alpha.  The
-Grunwald-Letnikov / Jumarie sum realizes the non-local fractional derivative
-as an alternating binomial chain anchored at the origin.
+Limit-quotient forms (classical, the q quotient and Chen's Hausdorff
+quotient) evaluate the defining difference quotient on a geometric probe
+sequence (step halving) and Richardson-extrapolate.  The Grunwald-Letnikov /
+Jumarie sum realizes the non-local fractional derivative as an alternating
+binomial chain anchored at the origin.
 
 Every operator takes x as a float or as a 1-d array; over an array, each
 closed form is one elementwise product prefactor(xs) * f'(xs), and each
@@ -170,7 +170,8 @@ _STACK_VALUES = 8192
 
 def _limit(quotient: Callable, x, settings: DiffSettings | None, p: int, reach=None):
     """The Richardson limit, error powers p, 2p, ..., of quotient(h) over the
-    probe steps h = base 2^-j, j = 0..richardson_levels, where base is
+    probe steps h = base 2^-j, j = 0..richardson_levels, for the three limit
+    forms (central difference, q quotient, Chen's Hausdorff quotient); base is
     base_step, or min(base_step, reach/4) (elementwise over an array) when
     ``reach`` is given: the distance from x within which a probe stays smooth.
 
@@ -275,19 +276,13 @@ def kaniadakis_derivative(f, x, kappa: KappaParam | float, settings: DiffSetting
 
 
 def conformable_derivative(f, t, alpha: float, settings: DiffSettings | None = None):
-    """Conformable derivative lim (f(t + eps t^(1-alpha)) - f(t)) / eps for t > 0.
-
-    Evaluated on a halving eps sequence with Richardson extrapolation; equals
-    t^(1-alpha) f'(t) for classically differentiable f.  The probes start at
-    eps = min(base_step, t^alpha/4), so that t + eps t^(1-alpha) stays within
-    t/4 of t, as in :func:`hausdorff_quotient`.
-    """
-    Conformable(alpha)  # checks alpha
+    """Conformable derivative t^(1-alpha) f'(t) for t > 0: the limit of
+    (f(t + eps t^(1-alpha)) - f(t)) / eps for classically differentiable f,
+    which is d/dm of the measure m = t^alpha/alpha."""
+    kind = Conformable(alpha)  # checks alpha, before t
     _reject(t <= 0.0, t, "conformable_derivative requires t > 0")
-    f = as_real_function(f)
-    ft = f(t)
-    scale = t ** (1.0 - alpha)
-    return _limit(lambda eps: (f(t + eps * scale) - ft) / eps, t, settings, 1, t**alpha)
+    return _closed_form(f, t, settings,
+                        functools.partial(OPERATORS["conformable"].prefactor, kind, t))
 
 
 # --- Grunwald-Letnikov / Jumarie chain ------------------------------------
@@ -296,7 +291,8 @@ def conformable_derivative(f, t, alpha: float, settings: DiffSettings | None = N
 def gl_weights(alpha: float, n: int) -> np.ndarray:
     """Weights (-1)^k C(alpha, k) for k = 0..n, by the stable ratio recurrence."""
     k = np.arange(1, n + 1, dtype=float)
-    weights = np.cumprod(np.concatenate(([1.0], (k - 1.0 - alpha) / k)))
+    with np.errstate(all="ignore"):  # a weight past the double range is rejected below
+        weights = np.cumprod(np.concatenate(([1.0], (k - 1.0 - alpha) / k)))
     _reject(not np.isfinite(weights).all(), alpha, "gl_weights passes the double range")
     return weights
 
@@ -448,10 +444,9 @@ def yang_lfd(f, x, alpha: float, hp: HausdorffParams, settings: DiffSettings | N
     pointwise fractional limit into a Hausdorff derivative with scaling
     exponent alpha, dilated by the constant Gamma(alpha+1).
     """
-    YangLFD(alpha, hp.l0)  # checks alpha
+    kind = YangLFD(alpha, hp.l0)  # checks alpha, before x
     _reject(x <= -hp.l0, x, f"yang_lfd requires x > -l0 = {-hp.l0}")
-    return _closed_form(f, x, settings, lambda: gamma(alpha + 1.0)
-                        * OPERATORS["hausdorff"].prefactor(HausdorffParams(alpha, hp.l0), x))
+    return _closed_form(f, x, settings, functools.partial(OPERATORS["yang"].prefactor, kind, x))
 
 
 def jumarie_taylor_eval(
@@ -537,11 +532,14 @@ OPERATORS: dict[str, Operator] = {
         eigenfunction=lambda k, x: special_functions.balankin_exp(x, k),
     ),
     "conformable": Operator(Conformable, Form(
-        lambda k, f, x, s: conformable_derivative(f, x, k.alpha, s))),
+        lambda k, f, x, s: conformable_derivative(f, x, k.alpha, s)),
+        prefactor=lambda k, t: t ** (1.0 - k.alpha)),
     "gl": Operator(GrunwaldJumarie, Form(
         lambda k, f, x, s: gl_jumarie_derivative(f, x, k.alpha, k.h, k.n_terms))),
     "yang": Operator(YangLFD, Form(
-        lambda k, f, x, s: yang_lfd(f, x, k.alpha, HausdorffParams(k.alpha, k.l0), s))),
+        lambda k, f, x, s: yang_lfd(f, x, k.alpha, HausdorffParams(k.alpha, k.l0), s)),
+        prefactor=lambda k, x: gamma(k.alpha + 1.0)
+        * OPERATORS["hausdorff"].prefactor(HausdorffParams(k.alpha, k.l0), x)),
 }
 
 _BY_KIND = {op.kind: op for op in OPERATORS.values()}

@@ -198,7 +198,8 @@ def integrate_ode(
     if off.size:
         x0, y0s, g = xs[base[off]], at_grid[off], grid[off]
         h = g - x0
-        dy, err = _landing_steps(rhs, x0, y0s, h)
+        with np.errstate(all="ignore"):  # a stage past the double range is re-landed below
+            dy, err = _landing_steps(rhs, x0, y0s, h)
         landed = y0s + dy
         for j in np.flatnonzero(~(err <= tol)).tolist():  # a NaN estimate too
             _, y_j, n_acc, n_rej = _steps(rhs, x0[j].item(), y0s[j].item(), g[j].item(),

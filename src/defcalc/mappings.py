@@ -203,12 +203,12 @@ def conformable_hausdorff_check(
 ) -> ConformableHausdorff:
     """Conformable derivative under t = 1 + x/l0 versus the Hausdorff form.
 
-    lhs applies the conformable limit to g(t) = f(l0 (t - 1)) at t = 1 + x/l0;
-    rhs is the chain-rule closed form l0 (1 + x/l0)^(1-alpha) f'(x), i.e. l0
-    times the Hausdorff derivative with zeta = alpha.  The two agree for
-    differentiable f, so rel_diff is the error of the conformable limit,
-    whose probe steps and Richardson levels ``settings`` sets; no tolerance
-    is checked here.
+    lhs applies the conformable derivative to g(t) = f(l0 (t - 1)) at
+    t = 1 + x/l0; rhs is the chain-rule closed form l0 (1 + x/l0)^(1-alpha)
+    f'(x), i.e. l0 times the Hausdorff derivative with zeta = alpha.  Both are
+    closed forms over the same f', so rel_diff is rounding unless one operator
+    is wrong; ``settings`` sets f' where f has no symbolic derivative.  No
+    tolerance is checked here.
     """
     hp = HausdorffParams(zeta=alpha, l0=l0)
     t = 1.0 + x / l0

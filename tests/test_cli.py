@@ -453,6 +453,17 @@ class TestSolveCommand:
                               "step budget of 10000 steps spent at x = ")
         assert err.endswith(" short of x_end = 1000000000000.0\n")
 
+    def test_prefactor_past_the_double_range_prints_the_residual_line_alone(self):
+        # a process of its own: a numpy warning reaches its stderr, not pytest's record
+        proc = subprocess.run(
+            [sys.executable, "-m", "defcalc.cli", "solve", "--problem", "hausdorff",
+             "--zeta", "-0.5", "--l0", "5e-324", "--grid", "0.5:1:11"],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (
+            0, "max_rel_residual = 0.000e+00, rms_rel_residual = 0.000e+00\n")
+        assert proc.stdout.count("\n") == 12
+
     @pytest.mark.parametrize("flag", ["--base-step", "--levels"])
     def test_deriv_only_flags_are_rejected(self, capsys, flag):
         code, out, err = run_cli(
@@ -981,6 +992,14 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rows"][0]["q"] == 0.75
+
+
+def test_an_unexpected_exception_is_one_line_and_exit_three(capsys, monkeypatch):
+    def boom(opt, grid):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_run_map", boom)
+    assert run_cli(capsys, "map", "--q", "0.5") == (3, "", "error: RuntimeError: boom\n")
 
 
 class TestClosedStdout:

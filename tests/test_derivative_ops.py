@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -212,14 +213,18 @@ class TestConformableDerivative:
             math.exp(2.0), rel=1e-8
         )
 
-    @pytest.mark.parametrize("alpha", [0.5, 0.9])
-    def test_probe_steps_stay_near_small_t(self, alpha):
-        # each probe t + eps t^(1-alpha) stays within t/4: with eps up to
-        # base_step alone it reached 1.6e-3 at t = 1e-8, and the worst error
-        # here was 0.97
-        t = np.geomspace(1e-8, 1e-2, 400)
-        exact = t ** (1.0 - alpha) * 0.5 / np.sqrt(t)
-        assert np.max(np.abs(conformable_derivative("x^0.5", t, alpha) / exact - 1.0)) <= 1e-7
+    @given(t=st.floats(-8.0, 2.0).map(lambda e: 10.0**e),
+           alpha=st.floats(1e-3, 1.0) | st.floats(-6.0, 0.0).map(lambda e: 10.0**e))
+    @example(t=1e-8, alpha=0.5)  # a Richardson limit of probe quotients was off by 2.4e-6 here
+    def test_against_mpmath(self, t, alpha):
+        # one ulp each for the power, exp and product, and |ln t| eps/2 from
+        # the rounding of 1 - alpha; at a float t and over an array
+        with mpmath.workdps(50):
+            want = mpmath.mpf(t) ** (1 - mpmath.mpf(alpha)) * mpmath.exp(t)
+        bound = (3.0 + abs(math.log(t)) / 2.0) * EPS * want
+        assert abs(conformable_derivative("exp(x)", t, alpha) - want) <= bound
+        got = conformable_derivative("exp(x)", np.array([t, 1.0]), alpha)
+        assert abs(got[0] - want) <= bound
 
     def test_domain_and_validation(self):
         with pytest.raises(DomainError):
@@ -310,6 +315,11 @@ class TestGrunwaldJumarie:
         w = gl_weights(0.5, 6)
         expected = [math.comb(2 * k, k) / (4.0**k * (1.0 - 2.0 * k)) for k in range(7)]
         assert np.allclose(w, expected, rtol=1e-13)
+
+    @pytest.mark.filterwarnings("error")
+    def test_weights_past_the_double_range_raise_before_numpy_warns(self):
+        with pytest.raises(DomainError, match=r"^gl_weights passes the double range, got 1e\+300$"):
+            gl_weights(1e300, 8)
 
     def test_chain_cap(self):
         full = gl_jumarie_derivative("x", 2.0, 0.5, 0.25)
@@ -691,6 +701,20 @@ def test_each_local_operator_is_d_dm(local, x):
     assert np.all(abs(evaluate_kind(kind, eigenfunction, xs) - y) <= 1e-10 * y)
 
 
+@given(local=st.one_of(
+    st.floats(1e-6, 1.0).map(lambda a: ("conformable", Conformable(a))),
+    st.tuples(st.floats(1e-6, 1.0), st.floats(0.5, 5.0)).map(lambda p: ("yang", YangLFD(*p))),
+), x=st.floats(1e-8, 2.0))
+def test_conformable_and_yang_closed_forms_are_the_table_prefactor(local, x):
+    """Conformable and Yang are p(x) d/dx too, with p from the same column:
+    their closed form of f = x is the table's p, bit for bit."""
+    name, kind = local
+    op = derivative_ops.OPERATORS[name]
+    xs = np.array([x, 0.5, 1.0, 2.0])
+    assert evaluate_kind(kind, "x", xs).tobytes() == op.prefactor(kind, xs).tobytes()
+    assert evaluate_kind(kind, "x", x) == op.prefactor(kind, x)
+
+
 # One kind of each operator of the table, keyed by its --op name.
 _KINDS = {
     "classical": Classical(),
@@ -730,7 +754,8 @@ class TestOperatorsOverArrays:
 
     def test_power_prefactors_within_rounding(self):
         hp = HausdorffParams(0.6, 1.3)
-        for op, args in ((hausdorff_derivative, (hp,)), (yang_lfd, (0.6, hp))):
+        for op, args in ((hausdorff_derivative, (hp,)), (yang_lfd, (0.6, hp)),
+                         (conformable_derivative, (0.6,))):
             want = self.point_by_point(op, *args)
             # one ulp in the prefactor, at most one more in the product
             assert np.all(np.abs(op(self.F, self.XS, *args) - want) <= 4 * EPS * np.abs(want))
@@ -738,9 +763,9 @@ class TestOperatorsOverArrays:
     def test_power_probes_within_quotient_rounding(self):
         # a one-ulp change of a probe is divided by steps down to base_step / 16
         # and weighted by the Richardson tableau: about 1e-12 relative
-        for op, args in ((hausdorff_quotient, (0.6,)), (conformable_derivative, (0.6,))):
-            want = self.point_by_point(op, *args)
-            assert np.all(np.abs(op(self.F, self.XS, *args) - want) <= 1e-10 * np.abs(want))
+        want = self.point_by_point(hausdorff_quotient, 0.6)
+        assert np.all(np.abs(hausdorff_quotient(self.F, self.XS, 0.6) - want)
+                      <= 1e-10 * np.abs(want))
 
     def test_evaluate_kind_takes_a_grid(self):
         got = evaluate_kind(QParam(0.6), self.F, self.XS)
@@ -802,7 +827,7 @@ def _per_step_limit(quotient, x, p, settings, cap=None):
 
 
 def _per_step_form(form, f, x, param, settings):
-    """The four limit forms, each probe step its own call of f."""
+    """The three limit forms, each probe step its own call of f."""
     f = RealFunction.from_expression(f) if isinstance(f, str) else f
     if form == "classical":
         return _per_step_limit(lambda h: (f(x + h) - f(x - h)) / (2.0 * h), x, 2, settings)
@@ -810,22 +835,18 @@ def _per_step_form(form, f, x, param, settings):
     if form == "q":
         return _per_step_limit(lambda h: (fx - f(x - h)) / q_difference(x, x - h, param), x, 1,
                                settings)
-    if form == "hausdorff":
-        xz = x**param
+    xz = x**param
 
-        def quotient(h):  # nan where (x + h)^zeta passes the double range, as a float's ** raises
-            d = (x + h) ** param - xz
-            return np.where(np.isfinite(d), (f(x + h) - fx) / d, np.nan)
-        return _per_step_limit(quotient, x, 1, settings, x / 4.0)
-    scale = x ** (1.0 - param)
-    return _per_step_limit(lambda eps: (f(x + eps * scale) - fx) / eps, x, 1, settings)
+    def quotient(h):  # nan where (x + h)^zeta passes the double range, as a float's ** raises
+        d = (x + h) ** param - xz
+        return np.where(np.isfinite(d), (f(x + h) - fx) / d, np.nan)
+    return _per_step_limit(quotient, x, 1, settings, x / 4.0)
 
 
 LIMIT_FORMS = {
     "classical": lambda f, x, param, s: classical_derivative(f, x, s),
     "q": q_derivative_quotient,
     "hausdorff": hausdorff_quotient,
-    "conformable": conformable_derivative,
 }
 
 
@@ -850,7 +871,7 @@ class TestStackedLimit:
     """Over an array of x, a limit form takes all its probe steps in one call
     of its quotient; the values and errors are those of one call per step."""
 
-    PARAMS = {"classical": None, "q": 0.6, "hausdorff": 0.6, "conformable": 0.6}
+    PARAMS = {"classical": None, "q": 0.6, "hausdorff": 0.6}
     # the generated trees are safe within 0.013 of each sample point
     NEAR_SAMPLES = (np.array(SAMPLE_POINTS)[:, None] + np.linspace(-3e-3, 3e-3, 5)).ravel()
 
@@ -901,8 +922,8 @@ class TestStackedLimit:
                      DomainError, id="q_singular_line"),
         pytest.param("q", "x^2", [0.5, 1.125, 1.3], 2.0, DiffSettings(base_step=0.5),
                      DomainError, id="q_singular_line_late_step"),
-        # a sampled f is scalar-only; the probes of t near 1 leave [0, 1]
-        pytest.param("conformable", RealFunction(value=_sampled_square),
+        # a sampled f is scalar-only; the probes of x near 1 leave [0, 1]
+        pytest.param("hausdorff", RealFunction(value=_sampled_square),
                      [0.5, 0.98, 0.999], 0.5, DiffSettings(), EvaluationError,
                      id="samples_out_of_range"),
         # x - h == x at every probe step: 0 / 0
@@ -959,9 +980,9 @@ class TestStackedLimit:
 
         xs = np.linspace(0.2, 2.0, 7)
         settings = DiffSettings(richardson_levels=6)
-        got = conformable_derivative(RealFunction(value=f), xs, 0.5, settings)
+        got = hausdorff_quotient(RealFunction(value=f), xs, 0.5, settings)
         assert shapes == [(7,), (3, 7), (3, 7), (1, 7)]
-        want = _per_step_form("conformable", RealFunction(value=np.sin), xs, 0.5, settings)
+        want = _per_step_form("hausdorff", RealFunction(value=np.sin), xs, 0.5, settings)
         assert got.tobytes() == want.tobytes()
 
     def test_float_x_keeps_one_call_per_step(self):
@@ -971,5 +992,5 @@ class TestStackedLimit:
             shapes.append(np.shape(t))
             return math.sin(t)
 
-        conformable_derivative(RealFunction(value=f), 1.3, 0.5)
+        hausdorff_quotient(RealFunction(value=f), 1.3, 0.5)
         assert shapes == [()] * 6

@@ -247,6 +247,12 @@ class TestSolveHausdorffEigen:
         with pytest.raises(DomainError):
             solve_hausdorff_eigen(HausdorffParams(0.5, 1.0), (-1.5, 1.0), 11)
 
+    @pytest.mark.filterwarnings("error")
+    def test_prefactor_past_the_double_range_warns_of_nothing(self):
+        # x / l0 passes the double range, so p = inf and y' = y / p = 0: y = 1
+        report = solve_hausdorff_eigen(HausdorffParams(-0.5, 5e-324), (0.5, 1.0), 11, 1e-8)
+        assert report.max_rel_residual == 0.0
+
     def test_tolerance_halving_never_doubles_residual(self):
         hp = HausdorffParams(0.4, 1.0)
         for tol in (1e-8, 1e-9, 1e-10):
