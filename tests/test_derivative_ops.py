@@ -849,6 +849,15 @@ LIMIT_FORMS = {
     "hausdorff": hausdorff_quotient,
 }
 
+# The limit forms at the parameters the stacked tests run: q on both sides of 1
+# (the deformed difference scales x - y down for q < 1 and up for q > 1).
+LIMIT_CASES = {
+    "classical": ("classical", None),
+    "q": ("q", 0.6),
+    "q_above_1": ("q", 1.25),
+    "hausdorff": ("hausdorff", 0.6),
+}
+
 
 def _outcome(call):
     """(values, None) or (None, (type, message, index)) of the error raised."""
@@ -871,7 +880,6 @@ class TestStackedLimit:
     """Over an array of x, a limit form takes all its probe steps in one call
     of its quotient; the values and errors are those of one call per step."""
 
-    PARAMS = {"classical": None, "q": 0.6, "hausdorff": 0.6}
     # the generated trees are safe within 0.013 of each sample point
     NEAR_SAMPLES = (np.array(SAMPLE_POINTS)[:, None] + np.linspace(-3e-3, 3e-3, 5)).ravel()
 
@@ -881,19 +889,21 @@ class TestStackedLimit:
         """All steps in one stack, a few per stack, or one per stack."""
         monkeypatch.setattr(derivative_ops, "_STACK_VALUES", request.param)
 
-    @pytest.mark.parametrize("form", LIMIT_FORMS)
-    def test_bit_equal_on_generated_trees(self, form, stack_values):
+    @pytest.mark.parametrize("case", LIMIT_CASES)
+    def test_bit_equal_on_generated_trees(self, case, stack_values):
+        form, param = LIMIT_CASES[case]
         for ast, _ in generate(25, seed=5):
             f = RealFunction.from_expression(to_source(ast))
-            _assert_same_outcome(form, f, self.NEAR_SAMPLES, self.PARAMS[form])
+            _assert_same_outcome(form, f, self.NEAR_SAMPLES, param)
 
     @pytest.mark.parametrize("levels", [1, 6])
-    @pytest.mark.parametrize("form", LIMIT_FORMS)
-    def test_bit_equal_for_a_scalar_only_callable(self, form, levels, stack_values):
+    @pytest.mark.parametrize("case", LIMIT_CASES)
+    def test_bit_equal_for_a_scalar_only_callable(self, case, levels, stack_values):
+        form, param = LIMIT_CASES[case]
         f = RealFunction(value=lambda t: math.exp(math.sin(t)) + math.sqrt(t))
         xs = np.linspace(0.2, 2.0, 19)
         settings = DiffSettings(richardson_levels=levels)
-        assert _assert_same_outcome(form, f, xs, self.PARAMS[form], settings) is None
+        assert _assert_same_outcome(form, f, xs, param, settings) is None
 
     @pytest.mark.parametrize("f", [
         "sin(x)*exp(x)", "x^2.5 + sqrt(x)", RealFunction(value=lambda t: math.cos(t) * t**1.5),
@@ -907,9 +917,9 @@ class TestStackedLimit:
 
     def test_two_dimensional_grid(self):
         xs = np.linspace(0.2, 2.0, 12).reshape(3, 4)
-        for form in LIMIT_FORMS:
-            got = LIMIT_FORMS[form]("sin(x)*exp(x)", xs, self.PARAMS[form], None)
-            rows = [LIMIT_FORMS[form]("sin(x)*exp(x)", row, self.PARAMS[form], None) for row in xs]
+        for form, param in LIMIT_CASES.values():
+            got = LIMIT_FORMS[form]("sin(x)*exp(x)", xs, param, None)
+            rows = [LIMIT_FORMS[form]("sin(x)*exp(x)", row, param, None) for row in xs]
             assert got.shape == xs.shape and np.array_equal(got, np.array(rows))
 
     @pytest.mark.parametrize("form,f,xs,param,settings,error", [
@@ -952,8 +962,9 @@ class TestStackedLimit:
         assert err.value.index == 1
 
     @pytest.mark.parametrize("levels", [1, 4, 6])
-    @pytest.mark.parametrize("form", LIMIT_FORMS)
-    def test_one_call_of_f_per_probe_stack(self, form, levels):
+    @pytest.mark.parametrize("case", LIMIT_CASES)
+    def test_one_call_of_f_per_probe_stack(self, case, levels):
+        form, param = LIMIT_CASES[case]
         shapes = []
 
         def f(t):
@@ -961,8 +972,7 @@ class TestStackedLimit:
             return np.sin(t)
 
         xs = np.linspace(0.2, 2.0, 7)
-        LIMIT_FORMS[form](RealFunction(value=f), xs, self.PARAMS[form],
-                          DiffSettings(richardson_levels=levels))
+        LIMIT_FORMS[form](RealFunction(value=f), xs, param, DiffSettings(richardson_levels=levels))
         stack = (levels + 1, xs.size)
         # the classical form calls f once for each side; the others once at x
         # and once on the stack
