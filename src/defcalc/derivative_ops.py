@@ -32,7 +32,6 @@ Hausdorff quotient x > 0, and the GL chain x >= 0.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -208,23 +207,25 @@ def _limit(quotient: Callable, x, settings: DiffSettings | None, p: int, reach=N
                             "round-off or a value passes the double range")
 
 
-def classical_derivative(f, x, settings: DiffSettings | None = None):
+def classical_derivative(f, x, settings: DiffSettings | None = None, *, reach=None):
     """f'(x) by central differences with Richardson extrapolation.
 
     Serves as the numerical fallback wherever a symbolic derivative is not
-    available.  Requires f evaluable on [x - base_step, x + base_step].
+    available.  Probes f within base_step of x, or reach/4 if that is less.
     """
     f = as_real_function(f)
-    return _limit(lambda h: (f(x + h) - f(x - h)) / (2.0 * h), x, settings, 2)
+    return _limit(lambda h: (f(x + h) - f(x - h)) / (2.0 * h), x, settings, 2, reach)
 
 
-def _closed_form(f, x, settings: DiffSettings | None, prefactor: Callable):
-    """prefactor() * f'(x), the form every local operator shares, finite or a
-    :class:`DomainError`; f' is symbolic, else a central difference, and is
-    taken first, so that its own error wins over the prefactor's."""
+def _closed_form(f, x, settings: DiffSettings | None, name: str, kind, reach=None):
+    """p(x) f'(x) with p from ``OPERATORS[name]``, the form every local operator
+    shares, finite or a :class:`DomainError`; f' is symbolic, else a central
+    difference whose probes stay within reach/4 of x, the distance to the edge
+    of the operator's domain, and is taken first, so that its error wins over p's."""
     f = as_real_function(f)
-    fp = f.derivative_at(x) if f.derivative is not None else classical_derivative(f, x, settings)
-    return _finite(lambda: prefactor() * fp, x, "prefactor * f'(x) passes the double range")
+    fp = f.derivative_at(x) if f.derivative else classical_derivative(f, x, settings, reach=reach)
+    return _finite(lambda: OPERATORS[name].prefactor(kind, x) * fp, x,
+                   "prefactor * f'(x) passes the double range")
 
 
 # --- Closed-form operators -------------------------------------------------
@@ -232,7 +233,7 @@ def _closed_form(f, x, settings: DiffSettings | None, prefactor: Callable):
 
 def q_derivative(f, x, q: QParam | float, settings: DiffSettings | None = None):
     """q-deformed derivative [1 + (1-q) x] f'(x); classical derivative at q = 1."""
-    return _closed_form(f, x, settings, functools.partial(OPERATORS["q"].prefactor, _as_q(q), x))
+    return _closed_form(f, x, settings, "q", _as_q(q))
 
 
 def q_derivative_quotient(f, x, q: QParam | float, settings: DiffSettings | None = None):
@@ -248,7 +249,7 @@ def q_derivative_quotient(f, x, q: QParam | float, settings: DiffSettings | None
 def hausdorff_derivative(f, x, hp: HausdorffParams, settings: DiffSettings | None = None):
     """Hausdorff (fractal-metric) derivative (x/l0 + 1)^(1-zeta) f'(x) for x > -l0."""
     _reject(x <= -hp.l0, x, f"hausdorff_derivative requires x > -l0 = {-hp.l0}")
-    return _closed_form(f, x, settings, functools.partial(OPERATORS["hausdorff"].prefactor, hp, x))
+    return _closed_form(f, x, settings, "hausdorff", hp, x + hp.l0)
 
 
 def hausdorff_quotient(f, x, zeta: float, settings: DiffSettings | None = None):
@@ -271,8 +272,7 @@ def hausdorff_quotient(f, x, zeta: float, settings: DiffSettings | None = None):
 
 def kaniadakis_derivative(f, x, kappa: KappaParam | float, settings: DiffSettings | None = None):
     """Kaniadakis derivative sqrt(1 + kappa^2 x^2) f'(x); classical at kappa = 0."""
-    return _closed_form(f, x, settings,
-                        functools.partial(OPERATORS["kappa"].prefactor, _as_kappa(kappa), x))
+    return _closed_form(f, x, settings, "kappa", _as_kappa(kappa))
 
 
 def conformable_derivative(f, t, alpha: float, settings: DiffSettings | None = None):
@@ -281,8 +281,7 @@ def conformable_derivative(f, t, alpha: float, settings: DiffSettings | None = N
     which is d/dm of the measure m = t^alpha/alpha."""
     kind = Conformable(alpha)  # checks alpha, before t
     _reject(t <= 0.0, t, "conformable_derivative requires t > 0")
-    return _closed_form(f, t, settings,
-                        functools.partial(OPERATORS["conformable"].prefactor, kind, t))
+    return _closed_form(f, t, settings, "conformable", kind, t)
 
 
 # --- Grunwald-Letnikov / Jumarie chain ------------------------------------
@@ -446,7 +445,7 @@ def yang_lfd(f, x, alpha: float, hp: HausdorffParams, settings: DiffSettings | N
     """
     kind = YangLFD(alpha, hp.l0)  # checks alpha, before x
     _reject(x <= -hp.l0, x, f"yang_lfd requires x > -l0 = {-hp.l0}")
-    return _closed_form(f, x, settings, functools.partial(OPERATORS["yang"].prefactor, kind, x))
+    return _closed_form(f, x, settings, "yang", kind, x + hp.l0)
 
 
 def jumarie_taylor_eval(

@@ -237,7 +237,8 @@ def yang_hausdorff_check(
     """Ratio of the Yang local fractional derivative to the Hausdorff
     derivative with zeta = alpha; equals Gamma(alpha + 1) identically."""
     f = as_real_function(f)
-    fp = _closed_form(f, x, settings, lambda: 1.0)
+    # the Hausdorff closed form at zeta = 1 is f'(x), probed inside x > -l0
+    fp = _closed_form(f, x, settings, "hausdorff", HausdorffParams(1.0, hp.l0), x + hp.l0)
     if abs(fp) < 1e-14:
         raise DegenerateInput(f"f'(x) = {fp} at x = {x}; ratio undefined")
     matched = HausdorffParams(zeta=alpha, l0=hp.l0)

@@ -32,6 +32,7 @@ from defcalc import (
     q_derivative_quotient,
     q_exp,
     rl_power_rule,
+    yang_hausdorff_check,
     yang_lfd,
 )
 from defcalc import DefcalcError, derivative_ops, q_difference
@@ -135,6 +136,18 @@ class TestHausdorffDerivative:
         value = hausdorff_quotient("x", 1.0, 0.5)
         assert value == pytest.approx(1.0 * 1.0 / 0.5, rel=1e-8)
 
+    def test_f_defined_inside_the_domain_only(self):
+        # f = sqrt(1 + x/l0) has f' = 1/(2 l0 sqrt(1 + x/l0)), so at zeta = 1/2
+        # the operator gives 1/(2 l0) at every x > -l0; the central difference
+        # for f' must stay inside the domain, within (x + l0)/4 of x, where
+        # its Richardson limit still converges to 1e-8 near the branch point
+        f = RealFunction(value=lambda x: math.sqrt(1.0 + x / 2.0))
+        hp = HausdorffParams(0.5, 2.0)
+        for x in (-2.0 + 5e-3, -2.0 + 1e-6):
+            assert hausdorff_derivative(f, x, hp) == pytest.approx(0.25, rel=1e-8)
+            assert yang_lfd(f, x, 0.5, hp) == pytest.approx(gamma(1.5) * 0.25, rel=1e-8)
+            assert yang_hausdorff_check(0.5, hp, f, x) == pytest.approx(gamma(1.5), rel=1e-14)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             hausdorff_derivative("x", -1.0, HausdorffParams(0.5, 1.0))
@@ -207,11 +220,11 @@ class TestConformableDerivative:
         assert conformable_derivative("x", 4.0, 0.5) == pytest.approx(2.0, rel=1e-9)
 
     def test_eigenfunction(self):
+        # a scalar callable: t^alpha is complex below 0, where a probe would raise
         alpha = 0.5
         f = RealFunction(value=lambda t: math.exp(t**alpha / alpha))
-        assert conformable_derivative(f, 1.0, alpha) == pytest.approx(
-            math.exp(2.0), rel=1e-8
-        )
+        for t in (1.0, 0.005, 1e-6):
+            assert conformable_derivative(f, t, alpha) == pytest.approx(f(t), rel=1e-8)
 
     @given(t=st.floats(-8.0, 2.0).map(lambda e: 10.0**e),
            alpha=st.floats(1e-3, 1.0) | st.floats(-6.0, 0.0).map(lambda e: 10.0**e))
@@ -224,6 +237,20 @@ class TestConformableDerivative:
         bound = (3.0 + abs(math.log(t)) / 2.0) * EPS * want
         assert abs(conformable_derivative("exp(x)", t, alpha) - want) <= bound
         got = conformable_derivative("exp(x)", np.array([t, 1.0]), alpha)
+        assert abs(got[0] - want) <= bound
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-8, 1e-3, 5e-3, 9e-3])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0])
+    def test_f_without_a_symbolic_derivative_is_probed_inside_t_over_4(self, t, alpha):
+        # abs has no derivative rule: f' is a central difference, whose probes
+        # must not reach 0, where abs has its kink, for t below base_step;
+        # 32 eps for the round-off of the quotients (t + h) - (t - h) over 2h,
+        # and |ln t| eps/2 from the rounding of 1 - alpha
+        with mpmath.workdps(50):
+            want = mpmath.mpf(t) ** (1 - mpmath.mpf(alpha))
+        bound = (32.0 + abs(math.log(t)) / 2.0) * EPS * want
+        assert abs(conformable_derivative("abs(x)", t, alpha) - want) <= bound
+        got = conformable_derivative("abs(x)", np.array([t, 1.0]), alpha)
         assert abs(got[0] - want) <= bound
 
     def test_domain_and_validation(self):
@@ -686,33 +713,30 @@ _LOCAL_KINDS = st.one_of(
 )
 
 
-@given(local=_LOCAL_KINDS, x=st.floats(0.0, 1.0))
+@given(local=_LOCAL_KINDS | st.one_of(
+    st.floats(1e-6, 1.0).map(lambda a: ("conformable", Conformable(a))),
+    st.tuples(st.floats(1e-6, 1.0), st.floats(0.5, 5.0)).map(lambda p: ("yang", YangLFD(*p))),
+), x=st.floats(0.0, 1.0, exclude_min=True))
 def test_each_local_operator_is_d_dm(local, x):
-    """A local operator is p(x) d/dx = d/dm with p = 1/m': its closed form of
-    f = x is the table's p, bit for bit, and it maps the table's eigenfunction
-    exp(m), differentiated by central differences, to itself."""
+    """A local operator is p(x) d/dx = d/dm with p = 1/m' from the table's one
+    column: its closed form of f = x is the table's p, bit for bit."""
+    name, kind = local
+    op = derivative_ops.OPERATORS[name]
+    xs = np.array([0.0, x, 0.5, 1.0, 2.0])[name == "conformable":]  # conformable needs t > 0
+    assert evaluate_kind(kind, "x", xs).tobytes() == op.prefactor(kind, xs).tobytes()
+    assert evaluate_kind(kind, "x", x) == op.prefactor(kind, x)
+
+
+@given(local=_LOCAL_KINDS, x=st.floats(0.0, 1.0))
+def test_each_local_operator_keeps_its_eigenfunction(local, x):
+    """d/dm maps the table's eigenfunction exp(m), differentiated by central
+    differences, to itself."""
     name, kind = local
     op = derivative_ops.OPERATORS[name]
     xs = np.array([0.0, x, 0.5, 1.0])
-    assert evaluate_kind(kind, "x", xs).tobytes() == op.prefactor(kind, xs).tobytes()
-    assert evaluate_kind(kind, "x", x) == op.prefactor(kind, x)
     eigenfunction = RealFunction(value=lambda t: op.eigenfunction(kind, t))
     y = op.eigenfunction(kind, xs)
     assert np.all(abs(evaluate_kind(kind, eigenfunction, xs) - y) <= 1e-10 * y)
-
-
-@given(local=st.one_of(
-    st.floats(1e-6, 1.0).map(lambda a: ("conformable", Conformable(a))),
-    st.tuples(st.floats(1e-6, 1.0), st.floats(0.5, 5.0)).map(lambda p: ("yang", YangLFD(*p))),
-), x=st.floats(1e-8, 2.0))
-def test_conformable_and_yang_closed_forms_are_the_table_prefactor(local, x):
-    """Conformable and Yang are p(x) d/dx too, with p from the same column:
-    their closed form of f = x is the table's p, bit for bit."""
-    name, kind = local
-    op = derivative_ops.OPERATORS[name]
-    xs = np.array([x, 0.5, 1.0, 2.0])
-    assert evaluate_kind(kind, "x", xs).tobytes() == op.prefactor(kind, xs).tobytes()
-    assert evaluate_kind(kind, "x", x) == op.prefactor(kind, x)
 
 
 # One kind of each operator of the table, keyed by its --op name.
